@@ -1,0 +1,8 @@
+"""Put the checkout's package and the benchmark's modules on the path for
+`python3 -m pytest perfbench`."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
