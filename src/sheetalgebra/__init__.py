@@ -83,5 +83,6 @@ from .model import (
 )
 from .script import Interpreter, eval_script, parse_script, repl
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodule grammar is loaded by the imports above but is not exported
+__all__ = [name for name in dir() if not name.startswith("_") and name != "grammar"]
 __version__ = "0.1.0"

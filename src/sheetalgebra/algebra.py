@@ -26,6 +26,8 @@ from .formula import (
     to_absolute,
 )
 from .model import (
+    MAX_COL,
+    MAX_ROW,
     AbsRef,
     ArrayElem,
     Binary,
@@ -38,10 +40,13 @@ from .model import (
     Formula,
     Neg,
     Number,
+    RangeArg,
+    Rect,
     children,
     enumerate_range,
     is_constant,
     lhs_sort_key,
+    on_grid,
     range_contains,
     rebuild,
     transform,
@@ -71,20 +76,35 @@ def union(a: EquationSet, b: EquationSet) -> EquationSet:
 
 def _move_addr(a: CellAddr, dx: int, dy: int) -> CellAddr:
     col, row = a.col + dx, a.row + dy
-    if col < 1 or row < 1:
+    if not on_grid(col, row):
         raise OutOfGridError(f"{a} shifted by ({dx},{dy}) leaves the grid")
     return CellAddr(a.sheet, col, row)
 
 
 def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     """Move the whole sheet dx columns right and dy rows down.  Absolute
-    references in formulas move too, even when they point at cells outside
-    the set; relative references are untouched."""
+    references and every bounded side of a range in formulas move too, even
+    when they point at cells outside the set; relative references and
+    unbounded sides are untouched."""
+
+    def move_side(v: int | None, d: int, cap: int, r: Rect) -> int | None:
+        if v is None:
+            return None
+        if not 0 < v + d <= cap:
+            raise OutOfGridError(f"{CellRange((r,))} shifted by ({dx},{dy}) leaves the grid")
+        return v + d
+
+    def move_rect(r: Rect) -> Rect:
+        return Rect(r.sheet,
+                    move_side(r.col_lo, dx, MAX_COL, r), move_side(r.col_hi, dx, MAX_COL, r),
+                    move_side(r.row_lo, dy, MAX_ROW, r), move_side(r.row_hi, dy, MAX_ROW, r))
 
     def move_formula(f: Formula) -> Formula:
         def fix(node):
             if isinstance(node, AbsRef):
                 return AbsRef(_move_addr(node.addr, dx, dy))
+            if isinstance(node, RangeArg):
+                return RangeArg(CellRange(tuple(move_rect(r) for r in node.range.rects)))
             return node
 
         return transform(f, fix)

@@ -9,14 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import diff, stylecheck_unique
-from .discover import propose_layout
 from .errors import SheetError
-from .evaluator import evaluate
-from .fileio import export_csv, load
-from .layout import compile_set, decompile_set
 from .listing import show
 from .script import (
+    Interpreter,
     diff_report_text,
     format_script_value,
     grid_text,
@@ -67,10 +63,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SheetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SheetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -85,34 +78,36 @@ def _dispatch(args) -> int:
     if args.command == "repl":
         repl()
         return 0
+
+    interp = Interpreter(out=sys.stdout)
+
+    def call(name, *call_args):
+        return interp.call(name, list(call_args))
+
     if args.command == "show":
-        print(show(load(args.file), grouped=args.grouped))
+        call("show", call("load", args.file), args.grouped)
         return 0
     if args.command == "eval":
-        s = load(args.file)
-        if s.all_array_lhs() and s.layouts:
-            s = compile_set(s)
-        grid = evaluate(s)
+        grid = call("evaluate", call("load", args.file))
         if args.csv:
-            export_csv(grid, args.csv)
+            call("export_csv", grid, args.csv)
         else:
             print(grid_text(grid))
         return 0
     if args.command == "diff":
         mode = "relative" if args.relative else "absolute"
-        report = diff(load(args.a), load(args.b), mode)
+        report = call("diff", call("load", args.a), call("load", args.b), mode)
         print(diff_report_text(report))
         return 0 if report.empty else 1
     if args.command == "stylecheck":
-        print(violations_text(stylecheck_unique(load(args.file))))
+        print(violations_text(call("stylecheck", call("load", args.file))))
         return 0
     if args.command == "discover":
-        s = load(args.file)
-        proposal = propose_layout(s)
+        s = call("load", args.file)
+        proposal = call("propose_layout", s)
         print(proposal_text(proposal))
-        decompiled = decompile_set(s, proposal.directives)
         body = "\n".join(
-            line for line in show(decompiled).splitlines()
+            line for line in show(call("decompile", s, proposal)).splitlines()
             if not line.startswith("layout "))
         if body:
             print(body)

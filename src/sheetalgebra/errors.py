@@ -26,7 +26,8 @@ class AnchorError(SheetError):
 
 
 class OutOfGridError(SheetError):
-    """A column or row coordinate would drop below 1."""
+    """A column or row coordinate would leave the grid: below 1, or past
+    column XFD or row 1,048,576."""
 
 
 class CrossSheetError(SheetError):

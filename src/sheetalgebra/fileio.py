@@ -18,202 +18,13 @@ import os
 
 from .errors import DomainError, FormulaSyntaxError, LoadError
 from .evaluator import CellError
-from .formula import (
-    CANONICAL,
-    _CELL_RE,
-    FormulaParser,
-    TokenStream,
-    fmt_number,
-)
-from .layout import DOWN, RIGHT, LayoutDirective
-from .model import (
-    DEFAULT_SHEET,
-    ArrayElem,
-    CellAddr,
-    CellRange,
-    Equation,
-    EquationSet,
-    letters_to_col,
-)
-
-ID, OP, NUM, EOF = "id", "op", "num", "eof"
-
-
-class _DocState:
-    def __init__(self):
-        self.equations = []
-        self.names = {}
-        self.layouts = []
-
-
-def parse_range_text(stream: TokenStream, sheet: str = DEFAULT_SHEET) -> CellRange:
-    """One range: A1:B2, A1, A:C, B, 2:4, Sheet2!A1:B2, or a parenthesized
-    comma list of those."""
-    if stream.accept_op("("):
-        rng = parse_range_text(stream, sheet)
-        while stream.accept_op(","):
-            rng = rng.union(parse_range_text(stream, sheet))
-        stream.expect_op(")")
-        return rng
-
-    kind, text, pos = stream.peek()
-    if kind == NUM:
-        stream.next()
-        stream.expect_op(":")
-        k2, t2, p2 = stream.next()
-        if k2 != NUM:
-            raise FormulaSyntaxError("expected row number after ':'", p2)
-        return CellRange.rows(int(float(text)), int(float(t2)), sheet)
-    if kind != ID:
-        raise FormulaSyntaxError(f"expected range, found {text!r}", pos)
-    stream.next()
-    if stream.at_op("!"):
-        stream.next()
-        return _range_after_sheet(stream, text)
-    return _range_body(stream, text, sheet)
-
-
-def _range_after_sheet(stream, sheet):
-    kind, text, pos = stream.next()
-    if kind == NUM:
-        stream.expect_op(":")
-        k2, t2, _ = stream.next()
-        return CellRange.rows(int(float(text)), int(float(t2)), sheet)
-    if kind != ID:
-        raise FormulaSyntaxError("expected range after sheet prefix", pos)
-    return _range_body(stream, text, sheet)
-
-
-def _range_body(stream, text, sheet) -> CellRange:
-    m = _CELL_RE.match(text)
-    if m:
-        first = CellAddr(sheet, letters_to_col(m.group(1)), int(m.group(2)))
-        if stream.at_op(":"):
-            mark = stream.mark()
-            stream.next()
-            kind, t2, _ = stream.peek()
-            m2 = _CELL_RE.match(t2) if kind == ID else None
-            if m2:
-                stream.next()
-                second = CellAddr(sheet, letters_to_col(m2.group(1)), int(m2.group(2)))
-                return CellRange.box(first, second)
-            stream.reset(mark)
-        return CellRange.cell(first)
-    if text.isalpha():
-        lo = letters_to_col(text)
-        hi = lo
-        if stream.at_op(":"):
-            mark = stream.mark()
-            stream.next()
-            kind, t2, _ = stream.peek()
-            if kind == ID and t2.isalpha() and not _CELL_RE.match(t2):
-                stream.next()
-                hi = letters_to_col(t2)
-            else:
-                stream.reset(mark)
-        return CellRange.columns(lo, hi, sheet)
-    raise FormulaSyntaxError(f"not a range: {text!r}")
-
-
-def _parse_cell_lhs(stream: TokenStream):
-    """Left-hand side: cell address (optionally sheet-qualified) or
-    Name[int,...]."""
-    kind, text, pos = stream.next()
-    if kind != ID:
-        raise FormulaSyntaxError(f"expected left-hand side, found {text!r}", pos)
-    sheet = DEFAULT_SHEET
-    if stream.at_op("!"):
-        stream.next()
-        sheet = text
-        kind, text, pos = stream.next()
-        if kind != ID:
-            raise FormulaSyntaxError("expected cell after sheet prefix", pos)
-    if stream.at_op("["):
-        stream.next()
-        subs = []
-        while True:
-            neg = bool(stream.accept_op("-"))
-            k, t, p = stream.next()
-            if k != NUM:
-                raise FormulaSyntaxError("expected integer subscript", p)
-            v = int(float(t))
-            subs.append(-v if neg else v)
-            if not stream.accept_op(","):
-                break
-        stream.expect_op("]")
-        return ArrayElem(text, tuple(subs))
-    m = _CELL_RE.match(text)
-    if m is None:
-        raise FormulaSyntaxError(f"not a cell or array element: {text!r}", pos)
-    return CellAddr(sheet, letters_to_col(m.group(1)), int(m.group(2)))
-
-
-def _parse_layout_entry(stream: TokenStream) -> LayoutDirective:
-    name = stream.expect_id()[1]
-    stream.expect_op("[")
-    box = []
-    while True:
-        neg = bool(stream.accept_op("-"))
-        k, t, p = stream.next()
-        if k != NUM:
-            raise FormulaSyntaxError("expected layout bound", p)
-        lo = int(float(t)) * (-1 if neg else 1)
-        stream.expect_op(":")
-        neg = bool(stream.accept_op("-"))
-        k, t, p = stream.next()
-        if k != NUM:
-            raise FormulaSyntaxError("expected layout bound", p)
-        hi = int(float(t)) * (-1 if neg else 1)
-        box.append((lo, hi))
-        if not stream.accept_op(","):
-            break
-    stream.expect_op("]")
-    kind, text, pos = stream.next()
-    if kind != ID or text != "as":
-        raise FormulaSyntaxError("expected 'as' in layout statement", pos)
-    anchor = _parse_cell_lhs(stream)
-    if not isinstance(anchor, CellAddr):
-        raise FormulaSyntaxError("layout anchor must be a cell")
-    orientation = None
-    nxt = stream.peek()
-    if nxt[0] == ID and nxt[1] in ("down", "downwards", "right", "rightwards"):
-        stream.next()
-        orientation = DOWN if nxt[1].startswith("down") else RIGHT
-    if len(box) == 1 and orientation is None:
-        orientation = DOWN
-    return LayoutDirective(name, tuple(box), anchor, orientation)
-
-
-def _parse_entry(stream: TokenStream, state: _DocState):
-    kind, text, pos = stream.peek()
-    if kind == ID and text == "layout" and stream.peek(1)[0] == ID:
-        stream.next()
-        state.layouts.append(_parse_layout_entry(stream))
-        return
-    if kind == ID and text == "name" and stream.peek(1)[1] != "=":
-        stream.next()
-        rng = parse_range_text(stream)
-        k, t, p = stream.next()
-        if k != ID or t != "as":
-            raise FormulaSyntaxError("expected 'as' in name statement", p)
-        ident = stream.expect_id()[1]
-        state.names[ident] = rng
-        return
-    lhs = _parse_cell_lhs(stream)
-    stream.expect_op("=")
-    sheet = lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET
-    rhs = FormulaParser(stream, CANONICAL, sheet).expression()
-    state.equations.append(Equation(lhs, rhs))
+from .formula import fmt_number
+from .grammar import EntryReader, TokenStream
+from .model import CellAddr, EquationSet
 
 
 def parse_document(text: str) -> EquationSet:
-    stream = TokenStream(text)
-    state = _DocState()
-    while not stream.at_eof:
-        if stream.accept_op(",") or stream.accept_op(";") or stream.accept_op("."):
-            continue
-        _parse_entry(stream, state)
-    return EquationSet(state.equations, state.names, state.layouts)
+    return EntryReader(TokenStream(text)).document()
 
 
 def load(path: str) -> EquationSet:

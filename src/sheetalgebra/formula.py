@@ -1,6 +1,6 @@
-"""Formula text: tokenizer, parser and printer for the A1 and R1C1 dialects,
-plus conversions between the raw / relative / absolute / substituted
-representations of a formula.
+"""Formula text: parser (on the readers of `grammar`) and printer for the A1
+and R1C1 dialects, plus conversions between the raw / relative / absolute /
+substituted representations of a formula.
 
 The "canonical" dialect is the package's own printing convention, used as a
 grouping key and in saved files: absolute references print A1-style, relative
@@ -10,7 +10,7 @@ minimal parentheses.
 
 from __future__ import annotations
 
-import re
+import math
 
 from .errors import (
     AnchorError,
@@ -18,6 +18,20 @@ from .errors import (
     DomainError,
     FormulaSyntaxError,
     OutOfGridError,
+)
+from .grammar import (  # noqa: F401  (formula.tokenize stays public)
+    ID,
+    NUM,
+    OP,
+    STR,
+    TokenStream,
+    at_range,
+    cell_label,
+    read_int,
+    read_number,
+    read_range,
+    tokenize,
+    unquote_string,
 )
 from .model import (
     DEFAULT_SHEET,
@@ -39,7 +53,7 @@ from .model import (
     RelRef,
     Text,
     col_to_letters,
-    letters_to_col,
+    on_grid,
     transform,
     validate_range_args,
 )
@@ -48,128 +62,22 @@ A1 = "a1"
 R1C1 = "r1c1"
 CANONICAL = "canonical"
 
-# ---------------------------------------------------------------------------
-# Tokenizer (shared with the script language)
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<str>"(?:[^"]|"")*")
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|<>|\\/|><|\.\.|[-+*/^=<>(),:\[\]{}!@.;])
-    """,
-    re.VERBOSE,
-)
-
-NUM, STR, ID, OP, EOF = "num", "str", "id", "op", "eof"
-
-
-def tokenize(src: str):
-    tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unknown token {src[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append((EOF, "", n))
-    return tokens
-
-
-class TokenStream:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = tokenize(src)
-        self.i = 0
-
-    def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok[0] != EOF:
-            self.i += 1
-        return tok
-
-    def at_op(self, *ops, ahead=0):
-        kind, text, _ = self.peek(ahead)
-        return kind == OP and text in ops
-
-    def accept_op(self, *ops):
-        if self.at_op(*ops):
-            return self.next()
-        return None
-
-    def expect_op(self, op):
-        kind, text, pos = self.peek()
-        if kind != OP or text != op:
-            raise FormulaSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}", pos)
-        return self.next()
-
-    def expect_id(self):
-        kind, text, pos = self.peek()
-        if kind != ID:
-            raise FormulaSyntaxError(f"expected identifier, found {text or 'end of input'!r}", pos)
-        return self.next()
-
-    def mark(self):
-        return self.i
-
-    def reset(self, mark):
-        self.i = mark
-
-    @property
-    def at_eof(self):
-        return self.peek()[0] == EOF
-
-
-def unquote_string(text: str) -> str:
-    return text[1:-1].replace('""', '"')
-
-
-def quote_string(value: str) -> str:
-    return '"' + value.replace('"', '""') + '"'
-
-
-_CELL_RE = re.compile(r"([A-Za-z]+)(\d+)\Z")
-_R1C1_FULL_RE = re.compile(r"[Rr](\d+)[Cc](\d+)\Z")
-
 
 class FormulaParser:
-    """Recursive-descent parser over a shared token stream.
-
-    allow_ranges controls whether a bare range (A1:B2, A:C, 2:4) may appear
-    at the current position; it is enabled inside call arguments.
-    """
+    """Recursive-descent parser over a shared token stream.  A range (A1:B2,
+    A:C, 2:4, Sheet2!A1:B2, or a parenthesized list of those) may appear only
+    as a whole call argument, in the forms `print_range` writes, in every
+    dialect."""
 
     def __init__(self, stream: TokenStream, dialect: str = A1,
                  sheet: str = DEFAULT_SHEET):
         self.s = stream
         self.dialect = dialect
         self.sheet = sheet
-        self._range_depth = 0
-
-    # -- entry points -------------------------------------------------------
-
-    def expression(self, allow_ranges=False) -> Formula:
-        if allow_ranges:
-            self._range_depth += 1
-        try:
-            return self._comparison()
-        finally:
-            if allow_ranges:
-                self._range_depth -= 1
 
     # -- precedence ladder --------------------------------------------------
 
-    def _comparison(self):
+    def expression(self) -> Formula:
         left = self._additive()
         while self.s.at_op("=", "<>", "<", "<=", ">", ">="):
             op = self.s.next()[1]
@@ -209,20 +117,13 @@ class FormulaParser:
     def _primary(self) -> Formula:
         kind, text, pos = self.s.peek()
         if kind == NUM:
-            self.s.next()
-            value = Number(float(text))
-            if self._range_depth and self.s.at_op(":") and self.s.peek(1)[0] == NUM:
-                # row range like 2:4 (function-argument position only)
-                self.s.next()
-                hi = int(self.s.next()[1])
-                return RangeArg(CellRange.rows(int(float(text)), hi, self.sheet))
-            return value
+            return Number(read_number(self.s))
         if kind == STR:
             self.s.next()
             return Text(unquote_string(text))
         if kind == OP and text == "(":
             self.s.next()
-            inner = self.expression(allow_ranges=self._range_depth > 0)
+            inner = self.expression()
             self.s.expect_op(")")
             return inner
         if kind == ID:
@@ -238,13 +139,11 @@ class FormulaParser:
             return Bool(False)
 
         sheet = self.sheet
-        if self.s.at_op("!"):
-            self.s.next()
+        if self.s.accept_op("!"):
             sheet = text
-            _, text, pos = self.s.peek()
-            if self.s.peek()[0] != ID:
+            kind, text, pos = self.s.next()
+            if kind != ID:
                 raise FormulaSyntaxError("expected reference after sheet prefix", pos)
-            self.s.next()
             upper = text.upper()
 
         if self.s.at_op("("):
@@ -253,48 +152,27 @@ class FormulaParser:
                 self.s.next()
                 return Empty()
             return self._call(upper)
-        if self.dialect in (R1C1, CANONICAL):
-            ref = self._try_r1c1(text, sheet)
+        if self.dialect != A1:
+            ref = self._try_r1c1(text, sheet, pos)
             if ref is not None:
                 return ref
         if self.s.at_op("["):
             return self._elem_ref(text)
-        if self.dialect in (A1, CANONICAL):
-            m = _CELL_RE.match(text)
-            if m:
-                a = CellAddr(sheet, letters_to_col(m.group(1)), int(m.group(2)))
-                if self._range_depth and self.s.at_op(":"):
-                    rng = self._try_range_tail(a)
-                    if rng is not None:
-                        return rng
-                return AbsRef(a)
-            if (self._range_depth and text.isalpha() and self.s.at_op(":")
-                    and self.s.peek(1)[0] == ID and self.s.peek(1)[1].isalpha()
-                    and not _CELL_RE.match(self.s.peek(1)[1])):
-                self.s.next()
-                other = self.s.next()[1]
-                return RangeArg(CellRange.columns(letters_to_col(text),
-                                                  letters_to_col(other), sheet))
+        if self.dialect != R1C1:
+            cell = cell_label(text, sheet, pos=pos)
+            if cell is not None:
+                return AbsRef(cell)
         return NameRef(text)
-
-    def _try_range_tail(self, first: CellAddr):
-        mark = self.s.mark()
-        self.s.expect_op(":")
-        kind, text, _ = self.s.peek()
-        m = _CELL_RE.match(text) if kind == ID else None
-        if m is None:
-            self.s.reset(mark)
-            return None
-        self.s.next()
-        second = CellAddr(first.sheet, letters_to_col(m.group(1)), int(m.group(2)))
-        return RangeArg(CellRange.box(first, second))
 
     def _call(self, func: str) -> Formula:
         self.s.expect_op("(")
         args = []
         if not self.s.at_op(")"):
             while True:
-                args.append(self.expression(allow_ranges=True))
+                if at_range(self.s):
+                    args.append(RangeArg(read_range(self.s, self.sheet, bare=False)))
+                else:
+                    args.append(self.expression())
                 if not self.s.accept_op(","):
                     break
         self.s.expect_op(")")
@@ -311,68 +189,50 @@ class FormulaParser:
         return ElemRef(name, tuple(subs))
 
     def _subscript(self):
-        kind, text, pos = self.s.peek()
+        kind, text, _ = self.s.peek()
         if kind == ID and text.upper() == "HERE":
             self.s.next()
             if self.s.at_op("+", "-"):
                 sign = -1 if self.s.next()[1] == "-" else 1
-                k_kind, k_text, k_pos = self.s.next()
-                if k_kind != NUM:
-                    raise FormulaSyntaxError("expected integer after HERE offset", k_pos)
-                return Here(sign * int(float(k_text)))
+                return Here(sign * read_int(self.s, signed=False))
             return Here(0)
-        neg = False
-        if self.s.accept_op("-"):
-            neg = True
-            kind, text, pos = self.s.peek()
-        if kind != NUM:
-            raise FormulaSyntaxError("expected subscript", pos)
-        self.s.next()
-        value = int(float(text))
-        return -value if neg else value
+        return read_int(self.s)
 
     # -- R1C1 references ----------------------------------------------------
 
-    def _try_r1c1(self, text: str, sheet: str):
-        m = _R1C1_FULL_RE.match(text)
-        if m:
-            return AbsRef(CellAddr(sheet, int(m.group(2)), int(m.group(1))))
+    def _try_r1c1(self, text: str, sheet: str, pos):
+        cell = cell_label(text, sheet, r1c1=True, pos=pos)
+        if cell is not None:
+            return AbsRef(cell)
         upper = text.upper()
         if upper == "RC":
-            if self.s.at_op("["):
-                return RelRef(self._bracket_int(), 0)
-            return RelRef(0, 0)
+            return RelRef(self._offset(), 0)
         if upper == "R" and self.s.at_op("["):
             mark = self.s.mark()
-            d_row = self._bracket_int()
+            d_row = self._offset()
             kind, ctext, _ = self.s.peek()
-            if kind != ID or not re.fullmatch(r"[Cc]", ctext):
-                self.s.reset(mark)
+            if kind != ID or ctext not in ("C", "c"):
+                self.s.reset(mark)  # not R[..]C: an element of an array R
                 return None
             self.s.next()
-            d_col = self._bracket_int() if self.s.at_op("[") else 0
-            return RelRef(d_col, d_row)
+            return RelRef(self._offset(), d_row)
         return None
 
-    def _bracket_int(self) -> int:
-        self.s.expect_op("[")
-        sign = -1 if self.s.accept_op("-") else 1
-        kind, text, pos = self.s.next()
-        if kind != NUM:
-            raise FormulaSyntaxError("expected integer offset", pos)
+    def _offset(self) -> int:
+        """A bracketed offset [k] or [-k]; 0 when there is none."""
+        if not self.s.accept_op("["):
+            return 0
+        k = read_int(self.s)
         self.s.expect_op("]")
-        return sign * int(float(text))
+        return k
 
 
 def parse_formula(src: str, dialect: str = A1, sheet: str = DEFAULT_SHEET) -> Formula:
-    if not src.strip():
-        raise FormulaSyntaxError("empty formula")
     stream = TokenStream(src)
     f = FormulaParser(stream, dialect, sheet).expression()
     if not stream.at_eof:
         kind, text, pos = stream.peek()
         raise FormulaSyntaxError(f"unexpected trailing {text!r}", pos)
-    validate_range_args(f)
     return f
 
 
@@ -386,13 +246,23 @@ def fmt_number(v: float) -> str:
     return repr(v)
 
 
+def quote_string(value: str) -> str:
+    return '"' + value.replace('"', '""') + '"'
+
+
+def _formula_number(v: float) -> str:
+    # -0.0 keeps its sign, so that the text parses back to the same bits
+    if v == 0 and math.copysign(1.0, v) < 0:
+        return "-0"
+    return fmt_number(v)
+
+
 def _rel_r1c1(d_col: int, d_row: int) -> str:
     r = "R" if d_row == 0 else f"R[{d_row}]"
     c = "C" if d_col == 0 else f"C[{d_col}]"
     return r + c
 
 
-_PREC_ATOM = 9
 _PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
          "+": 2, "-": 2, "*": 3, "/": 3, "^": 5}
 _PREC_NEG = 4
@@ -431,7 +301,7 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
             if anchor is None:
                 raise AnchorError("A1 printing of a relative reference needs an anchor")
             col, row = anchor.col + d_col, anchor.row + d_row
-            if col < 1 or row < 1:
+            if not on_grid(col, row):
                 raise OutOfGridError(f"relative reference leaves the grid: col={col} row={row}")
             return CellAddr(anchor.sheet, col, row).a1()
         return _rel_r1c1(d_col, d_row)
@@ -448,7 +318,7 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
 
     def go(node: Formula, min_prec: int) -> str:
         if isinstance(node, Number):
-            return fmt_number(node.value)
+            return _formula_number(node.value)
         if isinstance(node, Text):
             return quote_string(node.value)
         if isinstance(node, Bool):
@@ -509,7 +379,7 @@ def to_absolute(f: Formula, anchor: CellAddr) -> Formula:
     def fix(node):
         if isinstance(node, RelRef):
             col, row = anchor.col + node.d_col, anchor.row + node.d_row
-            if col < 1 or row < 1:
+            if not on_grid(col, row):
                 raise OutOfGridError(
                     f"reference leaves the grid at {anchor}: col={col} row={row}")
             return AbsRef(CellAddr(anchor.sheet, col, row))

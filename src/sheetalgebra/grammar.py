@@ -1,0 +1,330 @@
+"""The one grammar of the package's text: the tokenizer, the token stream,
+and one reader each for integers, numbers, cell labels, ranges and
+left-hand sides, plus the reader of `.exc` entries.
+
+Formulas (all three dialects), `.exc` documents, grouped listings and
+scripts all read their text with these.  Cell labels are capped at column
+XFD and row 1,048,576; a label or range beyond the caps, an integer token
+that is not all digits, and a number that overflows a double are syntax
+errors.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+from .errors import FormulaSyntaxError
+from .model import (
+    A1_LABEL,
+    DEFAULT_SHEET,
+    MAX_COL,
+    MAX_ROW,
+    ArrayElem,
+    CellAddr,
+    CellRange,
+    Equation,
+    EquationSet,
+    label_coord,
+    on_grid,
+)
+
+NUM, STR, ID, OP, EOF = "num", "str", "id", "op", "eof"
+
+MAX_INT_DIGITS = 18
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+  | (?P<str>"(?:[^"]|"")*")
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><=|>=|<>|\\/|><|\.\.|[-+*/^=<>(),:\[\]{}!@.;])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(src: str):
+    tokens = []
+    pos = 0
+    n = len(src)
+    while pos < n:
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unknown token {src[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append((EOF, "", n))
+    return tokens
+
+
+class TokenStream:
+    def __init__(self, src: str):
+        self.src = src
+        self.tokens = tokenize(src)
+        self.i = 0
+
+    def peek(self, ahead=0):
+        j = min(self.i + ahead, len(self.tokens) - 1)
+        return self.tokens[j]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok[0] != EOF:
+            self.i += 1
+        return tok
+
+    def at_op(self, *ops, ahead=0):
+        kind, text, _ = self.peek(ahead)
+        return kind == OP and text in ops
+
+    def accept_op(self, *ops):
+        if self.at_op(*ops):
+            return self.next()
+        return None
+
+    def expect_op(self, op):
+        kind, text, pos = self.peek()
+        if kind != OP or text != op:
+            raise FormulaSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}", pos)
+        return self.next()
+
+    def expect_id(self):
+        kind, text, pos = self.peek()
+        if kind != ID:
+            raise FormulaSyntaxError(f"expected identifier, found {text or 'end of input'!r}", pos)
+        return self.next()
+
+    def expect_word(self, word):
+        kind, text, pos = self.next()
+        if kind != ID or text != word:
+            raise FormulaSyntaxError(f"expected {word!r}, found {text or 'end of input'!r}", pos)
+
+    def mark(self):
+        return self.i
+
+    def reset(self, mark):
+        self.i = mark
+
+    @property
+    def at_eof(self):
+        return self.peek()[0] == EOF
+
+
+def unquote_string(text: str) -> str:
+    return text[1:-1].replace('""', '"')
+
+
+# ---------------------------------------------------------------------------
+# Integers, numbers, cell labels
+
+
+def read_int(stream: TokenStream, signed: bool = True) -> int:
+    """An integer token of at most MAX_INT_DIGITS digits, after a '-' when
+    signed."""
+    neg = signed and stream.accept_op("-") is not None
+    kind, text, pos = stream.next()
+    if kind != NUM or not text.isdigit():
+        raise FormulaSyntaxError(f"expected an integer, found {text or 'end of input'!r}", pos)
+    if len(text) > MAX_INT_DIGITS:
+        raise FormulaSyntaxError(f"integer {text} has more than {MAX_INT_DIGITS} digits", pos)
+    return -int(text) if neg else int(text)
+
+
+def read_number(stream: TokenStream) -> float:
+    """A number token whose value a double holds."""
+    kind, text, pos = stream.next()
+    if kind != NUM:
+        raise FormulaSyntaxError(f"expected a number, found {text or 'end of input'!r}", pos)
+    value = float(text)
+    if math.isinf(value):
+        raise FormulaSyntaxError(f"number {text} is out of range", pos)
+    return value
+
+
+def _column(letters: str, pos) -> int:
+    col = label_coord(letters, MAX_COL)
+    if col > MAX_COL:
+        raise FormulaSyntaxError(f"column {letters} lies beyond XFD", pos)
+    return col
+
+
+_R1C1_RE = re.compile(r"[Rr](\d+)[Cc](\d+)\Z")
+
+
+def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
+               pos=None) -> CellAddr | None:
+    """The cell that `text` names: `B3`, or with r1c1 `R3C2`.  None when
+    `text` is no such label."""
+    m = (_R1C1_RE if r1c1 else A1_LABEL).match(text)
+    if m is None:
+        return None
+    row, col = m.groups() if r1c1 else m.groups()[::-1]
+    col, row = label_coord(col, MAX_COL), label_coord(row, MAX_ROW)
+    if not on_grid(col, row):
+        raise FormulaSyntaxError(f"cell {text} lies outside columns A..XFD, rows 1..{MAX_ROW}",
+                                 pos)
+    return CellAddr(sheet, col, row)
+
+
+# ---------------------------------------------------------------------------
+# Ranges and left-hand sides
+
+
+def at_range(stream: TokenStream) -> bool:
+    """Whether a range that `read_range` reads without `bare` starts here:
+    an optional '(' and `Sheet!`, then a cell, column or row and ':'."""
+    i = 1 if stream.at_op("(") else 0
+    if stream.peek(i)[0] == ID and stream.at_op("!", ahead=i + 1):
+        i += 2
+    return stream.peek(i)[0] in (ID, NUM) and stream.at_op(":", ahead=i + 1)
+
+
+def _row(stream: TokenStream) -> int:
+    pos = stream.peek()[2]
+    row = read_int(stream, signed=False)
+    if not 0 < row <= MAX_ROW:
+        raise FormulaSyntaxError(f"row {row} lies outside rows 1..{MAX_ROW}", pos)
+    return row
+
+
+def read_range(stream: TokenStream, sheet: str = DEFAULT_SHEET,
+               bare: bool = True) -> CellRange:
+    """One range as `print_range` writes it: A1:B2, A:C or 2:4, each
+    optionally `Sheet!`-qualified, or a parenthesized comma list of those.
+    With bare, a lone cell (A1) or column (B) is a range too."""
+    if stream.accept_op("("):
+        rng = read_range(stream, sheet, bare)
+        while stream.accept_op(","):
+            rng = rng.union(read_range(stream, sheet, bare))
+        stream.expect_op(")")
+        return rng
+    if stream.peek()[0] == ID and stream.at_op("!", ahead=1):
+        sheet = stream.next()[1]
+        stream.next()
+    kind, text, pos = stream.peek()
+    if kind == NUM:
+        lo = _row(stream)
+        stream.expect_op(":")
+        return CellRange.rows(lo, _row(stream), sheet)
+    stream.next()
+    first = cell_label(text, sheet, pos=pos) if kind == ID else None
+    if first is None and not (kind == ID and text.isalpha()):
+        raise FormulaSyntaxError(f"expected a range, found {text or 'end of input'!r}", pos)
+    if not stream.accept_op(":"):
+        if not bare:
+            raise FormulaSyntaxError(f"expected ':' after {text!r} in range", pos)
+        if first is not None:
+            return CellRange.cell(first)
+        return CellRange.columns(_column(text, pos), _column(text, pos), sheet)
+    kind, text2, pos2 = stream.next()
+    if first is not None:
+        second = cell_label(text2, sheet, pos=pos2) if kind == ID else None
+        if second is None:
+            raise FormulaSyntaxError(f"expected a cell after ':', found {text2!r}", pos2)
+        return CellRange.box(first, second)
+    if kind != ID or not text2.isalpha():
+        raise FormulaSyntaxError(f"expected a column after ':', found {text2!r}", pos2)
+    return CellRange.columns(_column(text, pos), _column(text2, pos2), sheet)
+
+
+def read_lhs(stream: TokenStream) -> CellAddr | ArrayElem:
+    """A left-hand side: a cell, `A1` or `Sheet2!A1`, or an array element
+    `Name[int,...]`."""
+    kind, text, pos = stream.next()
+    if kind != ID:
+        raise FormulaSyntaxError(f"expected left-hand side, found {text or 'end of input'!r}", pos)
+    sheet = DEFAULT_SHEET
+    if stream.accept_op("!"):
+        sheet = text
+        kind, text, pos = stream.next()
+        if kind != ID:
+            raise FormulaSyntaxError("expected cell after sheet prefix", pos)
+    if stream.accept_op("["):
+        subs = [read_int(stream)]
+        while stream.accept_op(","):
+            subs.append(read_int(stream))
+        stream.expect_op("]")
+        return ArrayElem(text, tuple(subs))
+    cell = cell_label(text, sheet, pos=pos)
+    if cell is None:
+        raise FormulaSyntaxError(f"not a cell or array element: {text!r}", pos)
+    return cell
+
+
+# ---------------------------------------------------------------------------
+# `.exc` entries
+
+
+class EntryReader:
+    """Reads `.exc` entries from a token stream: equations `lhs = formula`,
+    `layout Name[lo:hi,...] as CELL [down|right]` and `name RANGE as ident`.
+    What it has read so far is in `equations`, `names` and `layouts`."""
+
+    def __init__(self, stream: TokenStream):
+        # formula imports this module, so it is imported on first use
+        from .formula import CANONICAL, FormulaParser
+
+        self.s = stream
+        self.formula = FormulaParser(stream, CANONICAL)
+        self.equations = []
+        self.names = {}
+        self.layouts = []
+
+    def equation_set(self) -> EquationSet:
+        return EquationSet(self.equations, self.names, self.layouts)
+
+    def document(self) -> EquationSet:
+        """Every entry up to the end of input; ',', ';' and '.' may
+        separate entries."""
+        while not self.s.at_eof:
+            if not self.s.accept_op(",", ";", "."):
+                self.entry()
+        return self.equation_set()
+
+    def entry(self) -> None:
+        kind, text, _ = self.s.peek()
+        if kind == ID and text == "layout" and self.s.peek(1)[0] == ID:
+            self.s.next()
+            self.layouts.append(self._layout())
+            return
+        if kind == ID and text == "name" and not self.s.at_op("=", ahead=1):
+            self.s.next()
+            rng = read_range(self.s)
+            self.s.expect_word("as")
+            self.names[self.s.expect_id()[1]] = rng
+            return
+        lhs = read_lhs(self.s)
+        self.s.expect_op("=")
+        self.formula.sheet = lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET
+        self.equations.append(Equation(lhs, self.formula.expression()))
+
+    def _layout(self):
+        # layout imports formula, which imports this module
+        from .layout import DOWN, RIGHT, LayoutDirective
+
+        name = self.s.expect_id()[1]
+        self.s.expect_op("[")
+        box = []
+        while True:
+            lo = read_int(self.s)
+            self.s.expect_op(":")
+            box.append((lo, read_int(self.s)))
+            if not self.s.accept_op(","):
+                break
+        self.s.expect_op("]")
+        self.s.expect_word("as")
+        pos = self.s.peek()[2]
+        anchor = read_lhs(self.s)
+        if not isinstance(anchor, CellAddr):
+            raise FormulaSyntaxError("layout anchor must be a cell", pos)
+        orientation = DOWN if len(box) == 1 else None
+        kind, text, _ = self.s.peek()
+        if kind == ID and text in ("down", "downwards", "right", "rightwards"):
+            self.s.next()
+            orientation = DOWN if text.startswith("down") else RIGHT
+        return LayoutDirective(name, tuple(box), anchor, orientation)

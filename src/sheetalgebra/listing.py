@@ -15,14 +15,21 @@ from __future__ import annotations
 from .errors import FormulaSyntaxError
 from .formula import (
     CANONICAL,
-    FormulaParser,
-    TokenStream,
     canonical_relative_text,
     canonical_text,
     print_formula,
     relative_form,
 )
+from .grammar import (
+    ID,
+    EntryReader,
+    TokenStream,
+    read_int,
+)
 from .model import (
+    DEFAULT_SHEET,
+    MAX_COL,
+    MAX_ROW,
     CellAddr,
     ElemRef,
     Equation,
@@ -33,29 +40,19 @@ from .model import (
     transform,
 )
 
-ID, OP, NUM, EOF = "id", "op", "num", "eof"
-
 
 def _eq_line(eq) -> str:
-    if isinstance(eq.lhs, CellAddr):
-        lhs = eq.lhs.a1()
-    else:
-        lhs = str(eq.lhs)
+    lhs = eq.lhs.a1() if isinstance(eq.lhs, CellAddr) else str(eq.lhs)
     return f"{lhs} = {canonical_text(eq.rhs)}"
 
 
 def _trailer_lines(s: EquationSet) -> list[str]:
     lines = [str(d) for d in s.layouts]
-    for name, rng in sorted(s.names.items()):
-        lines.append(f"name {rng} as {name}")
-    return lines
+    return lines + [f"name {rng} as {name}" for name, rng in sorted(s.names.items())]
 
 
 def show(s: EquationSet, grouped: bool = False) -> str:
-    if not grouped:
-        lines = [_eq_line(eq) for eq in s]
-    else:
-        lines = _grouped_lines(s)
+    lines = _grouped_lines(s) if grouped else [_eq_line(eq) for eq in s]
     lines.extend(_trailer_lines(s))
     return "\n".join(lines)
 
@@ -122,30 +119,22 @@ def _grouped_lines(s: EquationSet) -> list[str]:
 # Re-expanding a grouped listing
 
 
-def _parse_axis(stream: TokenStream) -> list[int]:
+def _parse_axis(stream: TokenStream, cap: int) -> list[int]:
+    """`{ a, b..c, d..e by k }`: columns or rows, each from 1 to cap."""
     stream.expect_op("{")
     values: list[int] = []
     while True:
-        kind, text, pos = stream.next()
-        if kind != NUM:
-            raise FormulaSyntaxError("expected integer in axis set", pos)
-        lo = int(float(text))
+        pos = stream.peek()[2]
+        lo = hi = read_int(stream, signed=False)
+        step = 1
         if stream.accept_op(".."):
-            kind, text, pos = stream.next()
-            if kind != NUM:
-                raise FormulaSyntaxError("expected integer after '..'", pos)
-            hi = int(float(text))
-            step = 1
-            nxt = stream.peek()
-            if nxt[0] == ID and nxt[1] == "by":
+            hi = read_int(stream, signed=False)
+            if stream.peek()[:2] == (ID, "by"):
                 stream.next()
-                kind, text, pos = stream.next()
-                if kind != NUM:
-                    raise FormulaSyntaxError("expected integer after 'by'", pos)
-                step = int(float(text))
-            values.extend(range(lo, hi + 1, step))
-        else:
-            values.append(lo)
+                step = read_int(stream, signed=False)
+        if lo < 1 or hi > cap or step < 1:
+            raise FormulaSyntaxError(f"axis values lie in 1..{cap}, steps are at least 1", pos)
+        values.extend(range(lo, hi + 1, step))
         if not stream.accept_op(","):
             break
     stream.expect_op("}")
@@ -163,35 +152,30 @@ def _relativize_here(f: Formula, sheet: str) -> Formula:
     return transform(f, fix)
 
 
+class _ListingReader(EntryReader):
+    """The `.exc` entries plus region lines `Sheet[ cols >< rows ] = body`,
+    each expanding to one equation per cell holding the relative body."""
+
+    def entry(self) -> None:
+        s = self.s
+        if not (s.peek()[0] == ID and s.at_op("[", ahead=1) and s.at_op("{", ahead=2)):
+            super().entry()
+            return
+        sheet = s.next()[1]
+        s.expect_op("[")
+        cols = _parse_axis(s, MAX_COL)
+        s.expect_op("><")
+        rows = _parse_axis(s, MAX_ROW)
+        s.expect_op("]")
+        s.expect_op("=")
+        self.formula.sheet = DEFAULT_SHEET
+        rhs = _relativize_here(self.formula.expression(), sheet)
+        for col in cols:
+            for row in rows:
+                self.equations.append(Equation(CellAddr(sheet, col, row), rhs))
+
+
 def parse_listing(text: str) -> EquationSet:
     """Parse a listing produced by show(): plain equation lines, region
-    lines, layout and name lines.  Region lines expand to one equation per
-    cell holding the relative formula."""
-    from .fileio import _parse_entry, _DocState
-
-    stream = TokenStream(text)
-    state = _DocState()
-    while not stream.at_eof:
-        if stream.accept_op(",") or stream.accept_op(";") or stream.accept_op("."):
-            continue
-        kind, tok_text, _ = stream.peek()
-        if (kind == ID and stream.peek(1)[1] == "[" and stream.peek(2)[1] == "{"):
-            _parse_region(stream, state)
-        else:
-            _parse_entry(stream, state)
-    return EquationSet(state.equations, state.names, state.layouts)
-
-
-def _parse_region(stream: TokenStream, state):
-    sheet = stream.expect_id()[1]
-    stream.expect_op("[")
-    cols = _parse_axis(stream)
-    stream.expect_op("><")
-    rows = _parse_axis(stream)
-    stream.expect_op("]")
-    stream.expect_op("=")
-    rhs = FormulaParser(stream, CANONICAL).expression()
-    rhs = _relativize_here(rhs, sheet)
-    for col in cols:
-        for row in rows:
-            state.equations.append(Equation(CellAddr(sheet, col, row), rhs))
+    lines, layout and name lines."""
+    return _ListingReader(TokenStream(text)).document()

@@ -8,12 +8,17 @@ operations elsewhere always build new sets.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
 from .errors import BoundednessError, ConflictError, DomainError
 
 DEFAULT_SHEET = "Sheet1"
+
+MAX_COL = 16384      # XFD
+MAX_ROW = 1048576
+A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
 
 
 def col_to_letters(n: int) -> str:
@@ -43,8 +48,9 @@ class CellAddr:
     row: int
 
     def __post_init__(self):
-        if self.col < 1 or self.row < 1:
-            raise DomainError(f"cell coordinates must be >= 1: col={self.col} row={self.row}")
+        if not on_grid(self.col, self.row):
+            raise DomainError(f"cell coordinates must lie in 1..{MAX_COL}, 1..{MAX_ROW}: "
+                              f"col={self.col} row={self.row}")
         if not self.sheet:
             raise DomainError("sheet name must be nonempty")
 
@@ -61,16 +67,26 @@ class CellAddr:
         return self.a1()
 
 
+def on_grid(col: int, row: int) -> bool:
+    return 0 < col <= MAX_COL and 0 < row <= MAX_ROW
+
+
+def label_coord(text: str, cap: int) -> int:
+    """A column's letters or a row's or column's digits as a number.  A label
+    longer than the cap's digits is past the cap and is never converted."""
+    if len(text) > len(str(cap)):
+        return cap + 1
+    return int(text) if text.isdigit() else letters_to_col(text)
+
+
 def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
     """Convenience constructor: addr("D2") or addr("Sheet2!D2")."""
     if "!" in text:
         sheet, text = text.split("!", 1)
-    i = 0
-    while i < len(text) and text[i].isalpha():
-        i += 1
-    if i == 0 or not text[i:].isdigit():
+    m = A1_LABEL.match(text)
+    if m is None:
         raise DomainError(f"not a cell address: {text!r}")
-    return CellAddr(sheet, letters_to_col(text[:i]), int(text[i:]))
+    return CellAddr(sheet, label_coord(m[1], MAX_COL), label_coord(m[2], MAX_ROW))
 
 
 @dataclass(frozen=True)
@@ -84,9 +100,11 @@ class Rect:
     row_hi: int | None
 
     def __post_init__(self):
-        for lo, hi in ((self.col_lo, self.col_hi), (self.row_lo, self.row_hi)):
-            if lo is not None and lo < 1:
-                raise DomainError(f"range bound must be >= 1, got {lo}")
+        for lo, hi, cap in ((self.col_lo, self.col_hi, MAX_COL),
+                            (self.row_lo, self.row_hi, MAX_ROW)):
+            for v in (lo, hi):
+                if v is not None and not 0 < v <= cap:
+                    raise DomainError(f"range bound must lie in 1..{cap}, got {v}")
             if lo is not None and hi is not None and lo > hi:
                 raise DomainError(f"empty rectangle: {lo}..{hi}")
 
@@ -427,20 +445,8 @@ class EquationSet:
     def with_names(self, names: dict) -> "EquationSet":
         return EquationSet(self._eqs.values(), names, self._layouts)
 
-    def with_layouts(self, layouts) -> "EquationSet":
-        return EquationSet(self._eqs.values(), self._names, layouts)
-
-    def replace_equations(self, equations) -> "EquationSet":
-        return EquationSet(equations, self._names, self._layouts)
-
     def sheets(self) -> set[str]:
         return {eq.lhs.sheet for eq in self._eqs.values() if isinstance(eq.lhs, CellAddr)}
 
-    def all_cell_lhs(self) -> bool:
-        return all(isinstance(lhs, CellAddr) for lhs in self._eqs)
-
     def all_array_lhs(self) -> bool:
         return all(isinstance(lhs, ArrayElem) for lhs in self._eqs)
-
-
-EMPTY_SET = EquationSet()

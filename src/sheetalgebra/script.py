@@ -22,22 +22,24 @@ from .errors import (
     SheetError,
 )
 from .evaluator import evaluate
-from .fileio import (
-    _DocState,
-    _parse_cell_lhs,
-    _parse_entry,
-    export_csv,
-    format_value,
-    load,
-    parse_range_text,
-    save,
+from .fileio import export_csv, format_value, load, save
+from .formula import CANONICAL, canonical_text, fmt_number, parse_formula
+from .grammar import (
+    ID,
+    NUM,
+    OP,
+    STR,
+    EntryReader,
+    TokenStream,
+    read_int,
+    read_lhs,
+    read_number,
+    read_range,
+    unquote_string,
 )
-from .formula import CANONICAL, TokenStream, canonical_text, fmt_number, parse_formula
 from .layout import LayoutSet, compile_set, decompile_set
 from .listing import show
 from .model import CellRange, EquationSet
-
-ID, OP, NUM, STR, EOF = "id", "op", "num", "str", "eof"
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +110,6 @@ class Statement:
     index: int
 
 
-POSTFIX_KEYWORDS = ("shift", "mapping", "times", "quotient")
-
-
 class ScriptParser:
     def __init__(self, stream: TokenStream):
         self.s = stream
@@ -149,27 +148,25 @@ class ScriptParser:
             kind, text, _ = self.s.peek()
             if kind == OP and text == "@":
                 self.s.next()
-                node = At(node, parse_range_text(self.s))
+                node = At(node, read_range(self.s))
             elif kind == ID and text == "shift":
                 self.s.next()
                 self.s.expect_op("(")
-                dx = self._int()
+                dx = read_int(self.s)
                 self.s.expect_op(",")
-                dy = self._int()
+                dy = read_int(self.s)
                 self.s.expect_op(")")
                 node = Shift(node, dx, dy)
             elif kind == ID and text == "mapping":
                 self.s.next()
-                src = parse_range_text(self.s)
-                k, t, p = self.s.next()
-                if k != ID or t != "to":
-                    raise FormulaSyntaxError("expected 'to' in mapping", p)
-                node = Mapping(node, src, parse_range_text(self.s))
+                src = read_range(self.s)
+                self.s.expect_word("to")
+                node = Mapping(node, src, read_range(self.s))
             elif kind == ID and text in ("times", "quotient"):
                 self.s.next()
-                lo = self._int()
+                lo = read_int(self.s)
                 self.s.expect_op(":")
-                hi = self._int()
+                hi = read_int(self.s)
                 node = (Times if text == "times" else Quot)(node, lo, hi)
             else:
                 return node
@@ -180,15 +177,11 @@ class ScriptParser:
             return Lit(self._set_literal())
         if kind == STR:
             self.s.next()
-            return Lit(text[1:-1].replace('""', '"'))
-        if kind == NUM:
-            self.s.next()
-            v = float(text)
+            return Lit(unquote_string(text))
+        if kind == NUM or (kind == OP and text == "-" and self.s.peek(1)[0] == NUM):
+            sign = -1 if self.s.accept_op("-") else 1
+            v = sign * read_number(self.s)
             return Lit(int(v) if v == int(v) else v)
-        if kind == OP and text == "-" and self.s.peek(1)[0] == NUM:
-            self.s.next()
-            v = float(self.s.next()[1])
-            return Lit(-int(v) if v == int(v) else -v)
         if kind == OP and text == "(":
             self.s.next()
             inner = self.expression()
@@ -211,21 +204,13 @@ class ScriptParser:
 
     def _set_literal(self) -> EquationSet:
         self.s.expect_op("{")
-        state = _DocState()
+        reader = EntryReader(self.s)
         while not self.s.at_op("}"):
-            _parse_entry(self.s, state)
+            reader.entry()
             if not self.s.accept_op(","):
                 break
         self.s.expect_op("}")
-        return EquationSet(state.equations, state.names, state.layouts)
-
-    def _int(self) -> int:
-        neg = bool(self.s.accept_op("-"))
-        kind, text, pos = self.s.next()
-        if kind != NUM:
-            raise FormulaSyntaxError(f"expected integer, found {text!r}", pos)
-        v = int(float(text))
-        return -v if neg else v
+        return reader.equation_set()
 
 
 def parse_script(src: str) -> list[Statement]:
@@ -238,7 +223,7 @@ def parse_script(src: str) -> list[Statement]:
 
 def _parse_ref(text: str):
     stream = TokenStream(text)
-    ref = _parse_cell_lhs(stream)
+    ref = read_lhs(stream)
     if not stream.at_eof:
         raise FormulaSyntaxError(f"trailing input in reference {text!r}")
     return ref
@@ -253,13 +238,10 @@ def _as_formula(v):
 def diff_report_text(report: algebra.DiffReport) -> str:
     if report.empty:
         return "no differences"
-    lines = []
-    for lhs in report.removed:
-        lines.append(f"removed: {lhs}")
-    for lhs in report.added:
-        lines.append(f"added: {lhs}")
-    for lhs, old, new in report.changed:
-        lines.append(f"changed: {lhs}: {canonical_text(old)} -> {canonical_text(new)}")
+    lines = [f"removed: {lhs}" for lhs in report.removed]
+    lines += [f"added: {lhs}" for lhs in report.added]
+    lines += [f"changed: {lhs}: {canonical_text(old)} -> {canonical_text(new)}"
+              for lhs, old, new in report.changed]
     return "\n".join(lines)
 
 
@@ -310,16 +292,6 @@ def format_script_value(v) -> str:
     return str(v)
 
 
-def _layouts_arg_of(v):
-    if isinstance(v, LayoutProposal):
-        return v.directives
-    if isinstance(v, EquationSet):
-        return LayoutSet(v.layouts)
-    if isinstance(v, LayoutSet):
-        return v
-    raise ScriptError("expected layouts (a set with layout statements or a proposal)")
-
-
 class Interpreter:
     def __init__(self, base_dir: str = ".", out=None):
         self.env: dict[str, object] = {}
@@ -327,9 +299,14 @@ class Interpreter:
         self.out = out if out is not None else sys.stdout
 
     def _layouts_arg(self, args, s):
-        if len(args) > 1:
-            return _layouts_arg_of(args[1])
-        return LayoutSet(s.layouts)
+        v = args[1] if len(args) > 1 else s
+        if isinstance(v, LayoutProposal):
+            return v.directives
+        if isinstance(v, EquationSet):
+            return LayoutSet(v.layouts)
+        if isinstance(v, LayoutSet):
+            return v
+        raise ScriptError("expected layouts (a set with layout statements or a proposal)")
 
     # -- builtin functions --------------------------------------------------
 
@@ -372,14 +349,10 @@ class Interpreter:
             if s.all_array_lhs() and s.layouts:
                 s = compile_set(s)
             return evaluate(s)
-        if name == "compile":
-            s = self._want_set(args[0], "compile")
-            layouts = self._layouts_arg(args, s)
-            return compile_set(s, layouts)
-        if name == "decompile":
-            s = self._want_set(args[0], "decompile")
-            layouts = self._layouts_arg(args, s)
-            return decompile_set(s, layouts)
+        if name in ("compile", "decompile"):
+            s = self._want_set(args[0], name)
+            return (compile_set if name == "compile" else decompile_set)(
+                s, self._layouts_arg(args, s))
         if name == "propose_layout":
             return propose_layout(self._want_set(args[0], "propose_layout"))
         if name == "diff":
@@ -476,7 +449,7 @@ def _statement_complete(buffer: str) -> bool:
         return True  # let the parser report it
     depth = 0
     for kind, text, _ in tokens:
-        if kind == "op":
+        if kind == OP:
             if text in "([{":
                 depth += 1
             elif text in ")]}":

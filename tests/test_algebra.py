@@ -121,6 +121,31 @@ class TestShift:
             for cell, v in base.items():
                 assert moved[addr(f"{chr(ord('A') + cell.col + 2)}{cell.row + 4}")] == v
 
+    def test_range_moves_with_cells(self):
+        s = make_set(("C1", "1"), ("C2", "2"), ("D2", "SUM(C1:C2)"))
+        moved = shift(s, 0, 1)
+        assert moved.get(addr("D3")).rhs == parse_formula("SUM(C2:C3)")
+        assert evaluate(moved)[addr("D3")] == 3.0
+
+    def test_unbounded_range_sides_stay(self):
+        s = make_set(("A1", "SUM(C:C)"), ("A2", "SUM(2:3)"))
+        moved = shift(s, 1, 0)
+        assert moved.get(addr("B1")).rhs == parse_formula("SUM(D:D)")
+        assert moved.get(addr("B2")).rhs == parse_formula("SUM(2:3)")
+
+    def test_range_side_leaving_the_grid(self):
+        # the left-hand side stays on the grid; only the range leaves it
+        with pytest.raises(OutOfGridError):
+            shift(make_set(("A5", "SUM(2:3)")), 0, -2)
+        with pytest.raises(OutOfGridError):
+            shift(make_set(("A1", "SUM(C1:C2)")), 0, 1048575)
+
+    def test_past_the_last_row_fails_before_save(self):
+        s = make_set(("A1", "1"))
+        assert shift(s, 0, 1048575).get(addr("A1048576")).rhs == parse_formula("1")
+        with pytest.raises(OutOfGridError):
+            shift(s, 0, 1048576)
+
 
 class TestExtract:
     def test_box(self, accounts):

@@ -141,6 +141,13 @@ class TestRoundTrip:
             text = canonical_text(f)
             assert parse_formula(text, CANONICAL) == f
 
+    @pytest.mark.parametrize("dialect", [A1, R1C1, CANONICAL])
+    def test_negative_zero(self, dialect):
+        for f in (Number(-0.0), Binary("-", AbsRef(addr("A1")), Number(-0.0)),
+                  Binary("*", Number(-0.0), Number(2.0))):
+            text = print_formula(f, dialect)
+            assert parse_formula(text, dialect) == f, text
+
     def test_raw_comparison_agrees_with_structural(self):
         # canonical text equality == structural equality, for printable trees
         rng = random.Random(14)
