@@ -19,16 +19,13 @@ from .errors import (
     OutOfGridError,
 )
 from .formula import (
-    canonical_relative_text,
     canonical_text,
+    formula_groups,
     relative_form,
     substitute_names,
     to_absolute,
 )
 from .model import (
-    MAX_COL,
-    MAX_ROW,
-    AbsRef,
     ArrayElem,
     Binary,
     Bool,
@@ -40,12 +37,12 @@ from .model import (
     Formula,
     Neg,
     Number,
-    RangeArg,
     Rect,
     children,
     enumerate_range,
     is_constant,
     lhs_sort_key,
+    map_refs,
     on_grid,
     range_contains,
     rebuild,
@@ -74,45 +71,31 @@ def union(a: EquationSet, b: EquationSet) -> EquationSet:
     return EquationSet(merged.values(), names, layouts)
 
 
-def _move_addr(a: CellAddr, dx: int, dy: int) -> CellAddr:
-    col, row = a.col + dx, a.row + dy
-    if not on_grid(col, row):
-        raise OutOfGridError(f"{a} shifted by ({dx},{dy}) leaves the grid")
-    return CellAddr(a.sheet, col, row)
-
-
 def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     """Move the whole sheet dx columns right and dy rows down.  Absolute
     references and every bounded side of a range in formulas move too, even
     when they point at cells outside the set; relative references and
     unbounded sides are untouched."""
 
-    def move_side(v: int | None, d: int, cap: int, r: Rect) -> int | None:
-        if v is None:
-            return None
-        if not 0 < v + d <= cap:
-            raise OutOfGridError(f"{CellRange((r,))} shifted by ({dx},{dy}) leaves the grid")
-        return v + d
+    def move(p):
+        sheet, col, row = p
+        if sheet is None:
+            return p
+        col = None if col is None else col + dx
+        row = None if row is None else row + dy
+        if not on_grid(1 if col is None else col, 1 if row is None else row):
+            raise OutOfGridError(f"a reference on {sheet} shifted by ({dx},{dy}) leaves the grid")
+        return sheet, col, row
 
-    def move_rect(r: Rect) -> Rect:
-        return Rect(r.sheet,
-                    move_side(r.col_lo, dx, MAX_COL, r), move_side(r.col_hi, dx, MAX_COL, r),
-                    move_side(r.row_lo, dy, MAX_ROW, r), move_side(r.row_hi, dy, MAX_ROW, r))
-
-    def move_formula(f: Formula) -> Formula:
-        def fix(node):
-            if isinstance(node, AbsRef):
-                return AbsRef(_move_addr(node.addr, dx, dy))
-            if isinstance(node, RangeArg):
-                return RangeArg(CellRange(tuple(move_rect(r) for r in node.range.rects)))
-            return node
-
-        return transform(f, fix)
+    def move_box(lo, hi):
+        return move(lo), move(hi)
 
     out = []
     for eq in s:
-        lhs = _move_addr(eq.lhs, dx, dy) if isinstance(eq.lhs, CellAddr) else eq.lhs
-        out.append(Equation(lhs, move_formula(eq.rhs)))
+        lhs = eq.lhs
+        if isinstance(lhs, CellAddr):
+            lhs = CellAddr(*move((lhs.sheet, lhs.col, lhs.row)))
+        out.append(Equation(lhs, map_refs(eq.rhs, move_box)))
     return EquationSet(out, s.names, s.layouts)
 
 
@@ -124,32 +107,47 @@ def extract(s: EquationSet, r: CellRange) -> EquationSet:
 
 
 def map_range(s: EquationSet, src: CellRange, dst: CellRange) -> EquationSet:
-    """Rewrite cells in src to the positionally corresponding cells in dst."""
+    """Rewrite cells in src to the positionally corresponding cells in dst.
+    A reference or range rectangle moves when the map carries all of its
+    cells by one offset, and stays when it has no cell in src; any other
+    rectangle is an error.  Relative references stay."""
     src_cells = enumerate_range(src)
     dst_cells = enumerate_range(dst)
     if len(src_cells) != len(dst_cells):
         raise CardinalityError(
             f"source has {len(src_cells)} cells, target has {len(dst_cells)}")
-    corr = dict(zip(src_cells, dst_cells))
-    if len(set(corr.values())) != len(corr):
+    moves = {(a.sheet, a.col, a.row): (b.sheet, b.col, b.row)
+             for a, b in zip(src_cells, dst_cells)}
+    if len(set(moves.values())) != len(moves):
         raise CardinalityError("mapping correspondence is not injective")
 
-    def move(f: Formula) -> Formula:
-        def fix(node):
-            if isinstance(node, AbsRef) and node.addr in corr:
-                return AbsRef(corr[node.addr])
-            return node
-
-        return transform(f, fix)
+    def carry(lo, hi):
+        (sheet, c0, r0), (_, c1, r1) = lo, hi
+        if sheet is None:
+            return lo, hi
+        if lo == hi and None not in lo:  # a cell
+            q = moves.get(lo, lo)
+            return q, q
+        inside = [p for p in moves if p[0] == sheet
+                  and (c0 is None or c0 <= p[1] <= c1) and (r0 is None or r0 <= p[2] <= r1)]
+        if not inside:
+            return lo, hi
+        offsets = {(moves[p][0], moves[p][1] - p[1], moves[p][2] - p[2]) for p in inside}
+        if None in lo or len(inside) != (c1 - c0 + 1) * (r1 - r0 + 1) or len(offsets) > 1:
+            raise DomainError(f"mapping {src} to {dst} does not carry the range "
+                              f"{CellRange((Rect(sheet, c0, c1, r0, r1),))} as one block")
+        to_sheet, dc, dr = offsets.pop()
+        return (to_sheet, c0 + dc, r0 + dr), (to_sheet, c1 + dc, r1 + dr)
 
     out = {}
     for eq in s:
         lhs = eq.lhs
-        if isinstance(lhs, CellAddr) and lhs in corr:
-            lhs = corr[lhs]
+        if isinstance(lhs, CellAddr):
+            p = (lhs.sheet, lhs.col, lhs.row)
+            lhs = CellAddr(*carry(p, p)[0])
         if lhs in out:
             raise CollisionError(f"two equations land on {lhs} after mapping")
-        out[lhs] = Equation(lhs, move(eq.rhs))
+        out[lhs] = Equation(lhs, map_refs(eq.rhs, carry))
     return EquationSet(out.values(), s.names, s.layouts)
 
 
@@ -251,23 +249,29 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
     """Global search-and-replace on formulas.  Subtrees are matched in
     relative representation anchored at each equation's cell, so an absolute
     pattern matches only the exact cells it names, while a relative pattern
-    matches every copy.  Single bottom-up pass; inserted replacements are not
+    matches every copy.  Single bottom-up pass that builds each relative
+    form from those of the children; inserted replacements are not
     rescanned."""
 
     out = []
     for eq in s:
         anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
         key = relative_form(pattern, anchor)
+        swap = (replacement, relative_form(replacement, anchor))
 
         def go(node):
+            # node rewritten, and the relative form of what it became
             kids = children(node)
-            if kids:
-                node = rebuild(node, tuple(go(k) for k in kids))
-            if relative_form(node, anchor) == key:
-                return replacement
-            return node
+            if not kids:
+                rel = relative_form(node, anchor)
+            else:
+                done = [go(k) for k in kids]
+                if any(new is not k for k, (new, _) in zip(kids, done)):
+                    node = rebuild(node, tuple(new for new, _ in done))
+                rel = rebuild(node, tuple(r for _, r in done))
+            return swap if rel == key else (node, rel)
 
-        out.append(Equation(eq.lhs, go(eq.rhs)))
+        out.append(Equation(eq.lhs, go(eq.rhs)[0]))
     return EquationSet(out, s.names, s.layouts)
 
 
@@ -420,14 +424,7 @@ def stylecheck_unique(s: EquationSet) -> list[StyleViolation]:
     """Find formulas copied more than once on a worksheet.  Grouping is by
     canonical relative form, so copy-filled variants count as one formula.
     Constants are exempt."""
-    groups: dict[tuple[str, str], list[CellAddr]] = {}
-    for eq in s:
-        if not isinstance(eq.lhs, CellAddr) or is_constant(eq.rhs):
-            continue
-        key = (eq.lhs.sheet, canonical_relative_text(eq.rhs, eq.lhs))
-        groups.setdefault(key, []).append(eq.lhs)
-    out = []
-    for (sheet, text), cells in sorted(groups.items()):
-        if len(cells) >= 2:
-            out.append(StyleViolation(sheet, text, tuple(sorted(cells, key=lhs_sort_key))))
-    return out
+    violations = [StyleViolation(sheet, canonical_text(rel), tuple(eq.lhs for eq in eqs))
+                  for (sheet, rel), eqs in formula_groups(s).items()
+                  if len(eqs) >= 2 and not is_constant(rel)]
+    return sorted(violations, key=lambda v: (v.sheet, v.canonical_formula))

@@ -24,7 +24,7 @@ from .model import (
     lhs_sort_key,
     walk,
 )
-from .formula import canonical_relative_text
+from .formula import canonical_text, formula_groups, to_absolute
 
 MONTHS = ("january", "february", "march", "april", "may", "june", "july",
           "august", "september", "october", "november", "december")
@@ -41,16 +41,10 @@ class FormulaGroup:
 
 
 def discover_groups(s: EquationSet) -> list[FormulaGroup]:
-    """Partition the non-constant formula cells by canonical relative form.
-    Largest groups first; ties broken by first cell."""
-    groups: dict[str, list[CellAddr]] = {}
-    for eq in s:
-        if not isinstance(eq.lhs, CellAddr) or is_constant(eq.rhs):
-            continue
-        key = canonical_relative_text(eq.rhs, eq.lhs)
-        groups.setdefault(key, []).append(eq.lhs)
-    out = [FormulaGroup(key, tuple(sorted(cells, key=lhs_sort_key)))
-           for key, cells in groups.items()]
+    """Partition the non-constant formula cells of each sheet by canonical
+    relative form.  Largest groups first; ties broken by first cell."""
+    out = [FormulaGroup(canonical_text(rel), tuple(eq.lhs for eq in eqs))
+           for (_, rel), eqs in formula_groups(s).items() if not is_constant(rel)]
     out.sort(key=lambda g: (-len(g.cells), lhs_sort_key(g.cells[0])))
     return out
 
@@ -72,7 +66,7 @@ def discover_blocks(s: EquationSet) -> list[Rect]:
         sheet = eq.lhs.sheet
         if not _is_text_cell(eq):
             by_sheet.setdefault(sheet, set()).add((eq.lhs.col, eq.lhs.row))
-        for node in walk(eq.rhs):
+        for node in walk(to_absolute(eq.rhs, eq.lhs)):
             if isinstance(node, Call) and node.func == "SUM":
                 for arg in node.args:
                     if isinstance(arg, RangeArg):

@@ -19,10 +19,13 @@ from .errors import (
     FormulaSyntaxError,
     OutOfGridError,
 )
-from .grammar import (  # noqa: F401  (formula.tokenize stays public)
+from .grammar import (  # noqa: F401  (formula.tokenize and the dialects stay public)
+    A1,
+    CANONICAL,
     ID,
     NUM,
     OP,
+    R1C1,
     STR,
     TokenStream,
     at_range,
@@ -30,6 +33,7 @@ from .grammar import (  # noqa: F401  (formula.tokenize stays public)
     read_int,
     read_number,
     read_range,
+    rel_offsets,
     tokenize,
     unquote_string,
 )
@@ -53,14 +57,12 @@ from .model import (
     RelRef,
     Text,
     col_to_letters,
+    map_refs,
     on_grid,
     transform,
     validate_range_args,
+    walk,
 )
-
-A1 = "a1"
-R1C1 = "r1c1"
-CANONICAL = "canonical"
 
 
 class FormulaParser:
@@ -170,7 +172,7 @@ class FormulaParser:
         if not self.s.at_op(")"):
             while True:
                 if at_range(self.s):
-                    args.append(RangeArg(read_range(self.s, self.sheet, bare=False)))
+                    args.append(RangeArg(read_range(self.s, self.sheet, self.dialect)))
                 else:
                     args.append(self.expression())
                 if not self.s.accept_op(","):
@@ -204,27 +206,8 @@ class FormulaParser:
         cell = cell_label(text, sheet, r1c1=True, pos=pos)
         if cell is not None:
             return AbsRef(cell)
-        upper = text.upper()
-        if upper == "RC":
-            return RelRef(self._offset(), 0)
-        if upper == "R" and self.s.at_op("["):
-            mark = self.s.mark()
-            d_row = self._offset()
-            kind, ctext, _ = self.s.peek()
-            if kind != ID or ctext not in ("C", "c"):
-                self.s.reset(mark)  # not R[..]C: an element of an array R
-                return None
-            self.s.next()
-            return RelRef(self._offset(), d_row)
-        return None
-
-    def _offset(self) -> int:
-        """A bracketed offset [k] or [-k]; 0 when there is none."""
-        if not self.s.accept_op("["):
-            return 0
-        k = read_int(self.s)
-        self.s.expect_op("]")
-        return k
+        offsets = rel_offsets(self.s, text)
+        return None if offsets is None else RelRef(*offsets)
 
 
 def parse_formula(src: str, dialect: str = A1, sheet: str = DEFAULT_SHEET) -> Formula:
@@ -269,20 +252,32 @@ _PREC_NEG = 4
 
 
 def print_range(r: CellRange) -> str:
-    parts = [_print_rect(rect) for rect in r.rects]
+    return _range_text(r, DEFAULT_SHEET)
+
+
+def _range_text(r: CellRange, home: str) -> str:
+    """A range with a `Sheet!` prefix on each rectangle off the home sheet."""
+    parts = [_rect_text(rect, home) for rect in r.rects]
     if len(parts) == 1:
         return parts[0]
     return "(" + ",".join(parts) + ")"
 
 
-def _print_rect(rect: Rect) -> str:
-    prefix = "" if rect.sheet == DEFAULT_SHEET else rect.sheet + "!"
+def _rect_text(rect: Rect, home: str) -> str:
+    if rect.sheet is None:
+        return (f"{_rel_r1c1(rect.col_lo, rect.row_lo)}:"
+                f"{_rel_r1c1(rect.col_hi, rect.row_hi)}")
+    prefix = "" if rect.sheet == home else rect.sheet + "!"
     if rect.bounded:
         lo = f"{col_to_letters(rect.col_lo)}{rect.row_lo}"
         hi = f"{col_to_letters(rect.col_hi)}{rect.row_hi}"
         return f"{prefix}{lo}:{hi}"
     if rect.col_lo is not None and rect.col_hi is not None and rect.row_lo is None and rect.row_hi is None:
-        return f"{prefix}{col_to_letters(rect.col_lo)}:{col_to_letters(rect.col_hi)}"
+        lo = col_to_letters(rect.col_lo)
+        if lo == "RC":
+            # with its sheet, column RC never reads as the relative range RC:RC[j]
+            prefix = rect.sheet + "!"
+        return f"{prefix}{lo}:{col_to_letters(rect.col_hi)}"
     if rect.row_lo is not None and rect.row_hi is not None and rect.col_lo is None and rect.col_hi is None:
         return f"{prefix}{rect.row_lo}:{rect.row_hi}"
     raise DomainError("range shape has no printable form")
@@ -290,21 +285,18 @@ def _print_rect(rect: Rect) -> str:
 
 def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None = None,
                   spaced_elems: bool = False) -> str:
-    def ref_abs(a: CellAddr) -> str:
-        if dialect == R1C1:
-            prefix = "" if a.sheet == DEFAULT_SHEET else a.sheet + "!"
-            return f"{prefix}R{a.row}C{a.col}"
-        return a.a1()
+    """The text of f.  A reference carries its sheet's prefix when its sheet
+    is not the anchor's (without an anchor, not the default sheet).  In A1 a
+    relative reference prints as the cell it names from the anchor."""
+    home = DEFAULT_SHEET if anchor is None else anchor.sheet
+    if dialect == A1:
+        f = map_refs(f, _resolver(anchor))
 
-    def ref_rel(d_col: int, d_row: int) -> str:
-        if dialect == A1:
-            if anchor is None:
-                raise AnchorError("A1 printing of a relative reference needs an anchor")
-            col, row = anchor.col + d_col, anchor.row + d_row
-            if not on_grid(col, row):
-                raise OutOfGridError(f"relative reference leaves the grid: col={col} row={row}")
-            return CellAddr(anchor.sheet, col, row).a1()
-        return _rel_r1c1(d_col, d_row)
+    def ref_abs(a: CellAddr) -> str:
+        prefix = "" if a.sheet == home else a.sheet + "!"
+        if dialect == R1C1:
+            return f"{prefix}R{a.row}C{a.col}"
+        return f"{prefix}{col_to_letters(a.col)}{a.row}"
 
     def sub_text(s) -> str:
         if isinstance(s, Here):
@@ -318,7 +310,9 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
 
     def go(node: Formula, min_prec: int) -> str:
         if isinstance(node, Number):
-            return _formula_number(node.value)
+            text = _formula_number(node.value)
+            # a negative base of ^ reads back only in parentheses: -2^2 is -(2^2)
+            return f"({text})" if text[0] == "-" and _PREC_NEG < min_prec else text
         if isinstance(node, Text):
             return quote_string(node.value)
         if isinstance(node, Bool):
@@ -328,7 +322,7 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
         if isinstance(node, AbsRef):
             return ref_abs(node.addr)
         if isinstance(node, RelRef):
-            return ref_rel(node.d_col, node.d_row)
+            return _rel_r1c1(node.d_col, node.d_row)
         if isinstance(node, ElemRef):
             if spaced_elems:
                 return f"{node.name}[ {', '.join(sub_text(s) for s in node.subs)} ]"
@@ -348,7 +342,7 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
         if isinstance(node, Call):
             return f"{node.func}({','.join(go(a, 0) for a in node.args)})"
         if isinstance(node, RangeArg):
-            return print_range(node.range)
+            return _range_text(node.range, home)
         raise DomainError(f"unprintable node {node!r}")
 
     return go(f, 0)
@@ -359,66 +353,85 @@ def canonical_text(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Representation conversions
+# Representation conversions; relative <-> absolute ones run on map_refs
 
 
 def contains_here(f: Formula) -> bool:
-    from .model import walk
-
     return any(
         isinstance(n, ElemRef) and any(isinstance(s, Here) for s in n.subs)
         for n in walk(f)
     )
 
 
+def _resolver(anchor: CellAddr | None):
+    """The mover that makes relative references and ranges absolute at the
+    anchor."""
+
+    def fix(p):
+        sheet, col, row = p
+        if sheet is not None:
+            return p
+        if anchor is None:
+            raise AnchorError("a relative reference needs an anchor to name a cell")
+        col, row = anchor.col + col, anchor.row + row
+        if not on_grid(col, row):
+            raise OutOfGridError(f"reference leaves the grid at {anchor}: col={col} row={row}")
+        return anchor.sheet, col, row
+
+    return lambda lo, hi: (fix(lo), fix(hi))
+
+
+def _relativizer(anchor: CellAddr, strict: bool):
+    """The mover that makes bounded references on the anchor's sheet offsets
+    from the anchor.  Whole columns and rows stay absolute; so do references
+    on other sheets, which strict refuses."""
+
+    def fix(p):
+        sheet, col, row = p
+        if sheet is None or col is None or row is None:
+            return p
+        if sheet != anchor.sheet:
+            if strict:
+                raise CrossSheetError(
+                    f"cannot make a reference on {sheet} relative to {anchor} on another sheet")
+            return p
+        return None, col - anchor.col, row - anchor.row
+
+    return lambda lo, hi: (fix(lo), fix(hi))
+
+
 def to_absolute(f: Formula, anchor: CellAddr) -> Formula:
-    """Resolve every relative reference against the anchor cell."""
+    """Resolve every relative reference and range against the anchor cell."""
     if contains_here(f):
         raise DomainError("formula contains HERE markers; resolve them first")
-
-    def fix(node):
-        if isinstance(node, RelRef):
-            col, row = anchor.col + node.d_col, anchor.row + node.d_row
-            if not on_grid(col, row):
-                raise OutOfGridError(
-                    f"reference leaves the grid at {anchor}: col={col} row={row}")
-            return AbsRef(CellAddr(anchor.sheet, col, row))
-        return node
-
-    return transform(f, fix)
+    return map_refs(f, _resolver(anchor))
 
 
 def to_relative(f: Formula, anchor: CellAddr) -> Formula:
-    """Turn every absolute reference into an offset from the anchor.
-    Cross-sheet references cannot be made relative."""
-
-    def fix(node):
-        if isinstance(node, AbsRef):
-            if node.addr.sheet != anchor.sheet:
-                raise CrossSheetError(
-                    f"cannot make {node.addr} relative to {anchor} on another sheet")
-            return RelRef(node.addr.col - anchor.col, node.addr.row - anchor.row)
-        return node
-
-    return transform(f, fix)
+    """Turn every absolute reference and bounded range into offsets from the
+    anchor.  Cross-sheet references cannot be made relative; whole columns
+    and rows stay absolute."""
+    return map_refs(f, _relativizer(anchor, strict=True))
 
 
 def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
     """Lenient relative view used as a comparison/grouping key: same-sheet
-    absolute references become offsets, cross-sheet ones stay absolute."""
+    absolute references and bounded ranges become offsets, cross-sheet ones
+    and whole columns and rows stay absolute."""
     if anchor is None:
         return f
-
-    def fix(node):
-        if isinstance(node, AbsRef) and node.addr.sheet == anchor.sheet:
-            return RelRef(node.addr.col - anchor.col, node.addr.row - anchor.row)
-        return node
-
-    return transform(f, fix)
+    return map_refs(f, _relativizer(anchor, strict=False))
 
 
-def canonical_relative_text(f: Formula, anchor: CellAddr | None) -> str:
-    return canonical_text(relative_form(f, anchor))
+def formula_groups(s) -> dict:
+    """The cell equations of s grouped by sheet and relative form, so that
+    copy-filled formulas share one group: (sheet, relative form) -> list of
+    equations, the groups and the equations of each in canonical order."""
+    groups: dict[tuple[str, Formula], list] = {}
+    for eq in s:
+        if isinstance(eq.lhs, CellAddr):
+            groups.setdefault((eq.lhs.sheet, relative_form(eq.rhs, eq.lhs)), []).append(eq)
+    return groups
 
 
 def substitute_names(f: Formula, names: dict) -> Formula:

@@ -1,6 +1,7 @@
 """The one grammar of the package's text: the tokenizer, the token stream,
-and one reader each for integers, numbers, cell labels, ranges and
-left-hand sides, plus the reader of `.exc` entries.
+the names of the formula dialects, and one reader each for integers,
+numbers, cell labels, relative references, ranges and left-hand sides, plus
+the reader of `.exc` entries.
 
 Formulas (all three dialects), `.exc` documents, grouped listings and
 scripts all read their text with these.  Cell labels are capped at column
@@ -19,19 +20,24 @@ from .model import (
     A1_LABEL,
     DEFAULT_SHEET,
     MAX_COL,
+    MAX_INT_DIGITS,
     MAX_ROW,
     ArrayElem,
     CellAddr,
     CellRange,
     Equation,
     EquationSet,
+    Rect,
     label_coord,
     on_grid,
 )
 
 NUM, STR, ID, OP, EOF = "num", "str", "id", "op", "eof"
 
-MAX_INT_DIGITS = 18
+# the formula dialects
+A1 = "a1"
+R1C1 = "r1c1"
+CANONICAL = "canonical"
 
 _TOKEN_RE = re.compile(
     r"""
@@ -171,17 +177,50 @@ def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
     return CellAddr(sheet, col, row)
 
 
+def rel_offsets(stream: TokenStream, text: str) -> tuple[int, int] | None:
+    """The offsets (d_col, d_row) of the relative reference RC, RC[j],
+    R[k]C or R[k]C[j] whose first identifier `text` was just read; None, with
+    the stream left where it was, when `text` starts no such reference."""
+    upper = text.upper()
+    if upper == "RC":
+        return _offset(stream), 0
+    if upper == "R" and stream.at_op("["):
+        mark = stream.mark()
+        d_row = _offset(stream)
+        kind, ctext, _ = stream.peek()
+        if kind == ID and ctext in ("C", "c"):
+            stream.next()
+            return _offset(stream), d_row
+        stream.reset(mark)  # not R[..]C: an element of an array R
+    return None
+
+
+def _offset(stream: TokenStream) -> int:
+    """A bracketed offset [k] or [-k]; 0 when there is none."""
+    if not stream.accept_op("["):
+        return 0
+    k = read_int(stream)
+    stream.expect_op("]")
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Ranges and left-hand sides
 
 
 def at_range(stream: TokenStream) -> bool:
-    """Whether a range that `read_range` reads without `bare` starts here:
-    an optional '(' and `Sheet!`, then a cell, column or row and ':'."""
+    """Whether a range that `read_range` reads as a call argument starts
+    here: an optional '(' and `Sheet!`, then a cell, column, row or relative
+    reference (an identifier and its bracketed offsets) and ':'."""
     i = 1 if stream.at_op("(") else 0
     if stream.peek(i)[0] == ID and stream.at_op("!", ahead=i + 1):
         i += 2
-    return stream.peek(i)[0] in (ID, NUM) and stream.at_op(":", ahead=i + 1)
+    kind = stream.peek(i)[0]
+    i += 1
+    while kind == ID and (stream.at_op("[", "-", "]", ahead=i) or stream.peek(i)[0] == NUM
+                          or stream.peek(i)[:2] in ((ID, "C"), (ID, "c"))):
+        i += 1
+    return kind in (ID, NUM) and stream.at_op(":", ahead=i)
 
 
 def _row(stream: TokenStream) -> int:
@@ -193,19 +232,35 @@ def _row(stream: TokenStream) -> int:
 
 
 def read_range(stream: TokenStream, sheet: str = DEFAULT_SHEET,
-               bare: bool = True) -> CellRange:
+               dialect: str | None = None) -> CellRange:
     """One range as `print_range` writes it: A1:B2, A:C or 2:4, each
     optionally `Sheet!`-qualified, or a parenthesized comma list of those.
-    With bare, a lone cell (A1) or column (B) is a range too."""
+    Without a dialect the range is bare, as in names and scripts, and a lone
+    cell (A1) or column (B) is a range too.  As a call argument of a formula
+    in `dialect` it needs ':', and in r1c1 and canonical a rectangle may be
+    relative, R[-5]C[-1]:RC[-1]."""
     if stream.accept_op("("):
-        rng = read_range(stream, sheet, bare)
+        rng = read_range(stream, sheet, dialect)
         while stream.accept_op(","):
-            rng = rng.union(read_range(stream, sheet, bare))
+            rng = rng.union(read_range(stream, sheet, dialect))
         stream.expect_op(")")
         return rng
     if stream.peek()[0] == ID and stream.at_op("!", ahead=1):
         sheet = stream.next()[1]
         stream.next()
+    elif dialect in (R1C1, CANONICAL) and stream.peek()[0] == ID:
+        mark = stream.mark()
+        lo = rel_offsets(stream, stream.next()[1])
+        if lo is not None:
+            stream.expect_op(":")
+            _, text, pos = stream.expect_id()
+            hi = rel_offsets(stream, text)
+            if hi is None:
+                raise FormulaSyntaxError(f"expected a relative reference after ':', found {text!r}",
+                                         pos)
+            return CellRange((Rect(None, min(lo[0], hi[0]), max(lo[0], hi[0]),
+                                   min(lo[1], hi[1]), max(lo[1], hi[1])),))
+        stream.reset(mark)
     kind, text, pos = stream.peek()
     if kind == NUM:
         lo = _row(stream)
@@ -216,7 +271,7 @@ def read_range(stream: TokenStream, sheet: str = DEFAULT_SHEET,
     if first is None and not (kind == ID and text.isalpha()):
         raise FormulaSyntaxError(f"expected a range, found {text or 'end of input'!r}", pos)
     if not stream.accept_op(":"):
-        if not bare:
+        if dialect is not None:
             raise FormulaSyntaxError(f"expected ':' after {text!r} in range", pos)
         if first is not None:
             return CellRange.cell(first)
@@ -267,7 +322,7 @@ class EntryReader:
 
     def __init__(self, stream: TokenStream):
         # formula imports this module, so it is imported on first use
-        from .formula import CANONICAL, FormulaParser
+        from .formula import FormulaParser
 
         self.s = stream
         self.formula = FormulaParser(stream, CANONICAL)

@@ -15,10 +15,8 @@ from __future__ import annotations
 from .errors import FormulaSyntaxError
 from .formula import (
     CANONICAL,
-    canonical_relative_text,
-    canonical_text,
+    formula_groups,
     print_formula,
-    relative_form,
 )
 from .grammar import (
     ID,
@@ -42,8 +40,9 @@ from .model import (
 
 
 def _eq_line(eq) -> str:
-    lhs = eq.lhs.a1() if isinstance(eq.lhs, CellAddr) else str(eq.lhs)
-    return f"{lhs} = {canonical_text(eq.rhs)}"
+    if isinstance(eq.lhs, CellAddr):
+        return f"{eq.lhs.a1()} = {print_formula(eq.rhs, CANONICAL, eq.lhs)}"
+    return f"{eq.lhs} = {print_formula(eq.rhs, CANONICAL)}"
 
 
 def _trailer_lines(s: EquationSet) -> list[str]:
@@ -79,28 +78,12 @@ def _here_text(f: Formula, sheet: str) -> str:
 
 
 def _grouped_lines(s: EquationSet) -> list[str]:
-    # group cell equations per sheet by canonical relative form
-    groups: dict[tuple[str, str], list] = {}
-    plain = []
-    order: dict[tuple[str, str], tuple] = {}
-    for eq in s:
-        if not isinstance(eq.lhs, CellAddr):
-            plain.append(_eq_line(eq))
-            continue
-        key = (eq.lhs.sheet, canonical_relative_text(eq.rhs, eq.lhs))
-        groups.setdefault(key, []).append(eq)
-        if key not in order:
-            order[key] = (eq.lhs.sheet, eq.lhs.row, eq.lhs.col)
-
     lines = []
-    for key in sorted(groups, key=order.get):
-        sheet, _ = key
-        eqs = groups[key]
+    for (sheet, rel), eqs in formula_groups(s).items():
         if len(eqs) == 1:
             lines.append(_eq_line(eqs[0]))
             continue
-        rep = eqs[0]
-        body = _here_text(relative_form(rep.rhs, rep.lhs), sheet)
+        body = _here_text(rel, sheet)
         by_col: dict[int, list[int]] = {}
         for eq in eqs:
             by_col.setdefault(eq.lhs.col, []).append(eq.lhs.row)
@@ -111,7 +94,7 @@ def _grouped_lines(s: EquationSet) -> list[str]:
         for rows, cols in sorted(by_rows.items(), key=lambda kv: (kv[1][0], kv[0][0])):
             lines.append(
                 f"{sheet}[ {_axis_text(sorted(cols))} >< {_axis_text(rows)} ] = {body}")
-    lines.extend(plain)
+    lines.extend(_eq_line(eq) for eq in s if not isinstance(eq.lhs, CellAddr))
     return lines
 
 

@@ -18,6 +18,7 @@ DEFAULT_SHEET = "Sheet1"
 
 MAX_COL = 16384      # XFD
 MAX_ROW = 1048576
+MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
 A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
 
 
@@ -91,9 +92,11 @@ def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
 
 @dataclass(frozen=True)
 class Rect:
-    """One rectangle of a range.  None bounds mean unbounded on that side."""
+    """One rectangle of a range.  None bounds mean unbounded on that side.
+    In a formula a bounded rectangle may be relative: its sheet is None and
+    its bounds are offsets from the formula's cell."""
 
-    sheet: str
+    sheet: str | None
     col_lo: int | None
     col_hi: int | None
     row_lo: int | None
@@ -103,7 +106,7 @@ class Rect:
         for lo, hi, cap in ((self.col_lo, self.col_hi, MAX_COL),
                             (self.row_lo, self.row_hi, MAX_ROW)):
             for v in (lo, hi):
-                if v is not None and not 0 < v <= cap:
+                if v is not None and self.sheet is not None and not 0 < v <= cap:
                     raise DomainError(f"range bound must lie in 1..{cap}, got {v}")
             if lo is not None and hi is not None and lo > hi:
                 raise DomainError(f"empty rectangle: {lo}..{hi}")
@@ -207,9 +210,17 @@ class ArrayElem:
     def __post_init__(self):
         if not self.subs:
             raise DomainError("array element needs at least one subscript")
+        _check_subscripts(self.subs)
 
     def __str__(self):
         return f"{self.name}[{','.join(str(s) for s in self.subs)}]"
+
+
+def _check_subscripts(subs: tuple) -> None:
+    """Subscripts and HERE offsets have at most MAX_INT_DIGITS digits, as
+    the reader reads them."""
+    if any(abs(s.offset if isinstance(s, Here) else s) >= 10 ** MAX_INT_DIGITS for s in subs):
+        raise DomainError(f"a subscript in {subs} has more than {MAX_INT_DIGITS} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,9 @@ class ElemRef(Formula):
     name: str
     subs: tuple  # each entry: int or Here
 
+    def __post_init__(self):
+        _check_subscripts(self.subs)
+
 
 @dataclass(frozen=True)
 class NameRef(Formula):
@@ -333,16 +347,57 @@ def transform(f: Formula, fn) -> Formula:
     """Bottom-up rewrite: children first, then fn applied to the rebuilt node."""
     kids = children(f)
     if kids:
-        new_kids = tuple(transform(k, fn) for k in kids)
-        if any(a is not b for a, b in zip(kids, new_kids)):
-            f = rebuild(f, new_kids)
+        new_kids = [transform(k, fn) for k in kids]
+        for a, b in zip(kids, new_kids):
+            if a is not b:
+                f = rebuild(f, tuple(new_kids))
+                break
     return fn(f)
 
 
+def map_refs(f: Formula, fn) -> Formula:
+    """Move every reference of f through fn and change nothing else.  fn maps
+    a box, given as its two corners (sheet, col, row), to the box it moves
+    to.  A cell reference is a box of one cell; each rectangle of a range is
+    a box, whose unbounded sides have None coordinates that fn keeps.  A
+    relative reference or rectangle has sheet None and offsets from the
+    formula's cell, and stays relative while fn keeps sheet None."""
+
+    def move(node):
+        if isinstance(node, AbsRef):
+            a = node.addr
+            p = (a.sheet, a.col, a.row)
+        elif isinstance(node, RelRef):
+            p = (None, node.d_col, node.d_row)
+        elif isinstance(node, RangeArg):
+            rects = tuple([_move_rect(r, fn) for r in node.range.rects])
+            return node if rects == node.range.rects else RangeArg(CellRange(rects))
+        else:
+            return node
+        q = fn(p, p)[0]
+        if q == p:
+            return node
+        return RelRef(q[1], q[2]) if q[0] is None else AbsRef(CellAddr(*q))
+
+    return transform(f, move)
+
+
+def _move_rect(r: Rect, fn) -> Rect:
+    box = (r.sheet, r.col_lo, r.row_lo), (r.sheet, r.col_hi, r.row_hi)
+    moved = fn(*box)
+    if moved == box:
+        return r
+    (sheet, col_lo, row_lo), (_, col_hi, row_hi) = moved
+    return Rect(sheet, col_lo, col_hi, row_lo, row_hi)
+
+
 def walk(f: Formula):
-    yield f
-    for k in children(f):
-        yield from walk(k)
+    """Every node of f, parents before children, left to right."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def is_constant(f: Formula) -> bool:
@@ -387,7 +442,7 @@ class EquationSet:
     """Immutable set of equations plus a defined-name table and optional
     layout directives carried along from a source document."""
 
-    __slots__ = ("_eqs", "_names", "_layouts")
+    __slots__ = ("_eqs", "_names", "_layouts", "_order")
 
     def __init__(self, equations=(), names=None, layouts=()):
         eqs = {}
@@ -399,6 +454,7 @@ class EquationSet:
         self._eqs = eqs
         self._names = dict(names) if names else {}
         self._layouts = tuple(layouts)
+        self._order = None  # the canonical order, sorted on first use
 
     @property
     def names(self) -> dict:
@@ -411,7 +467,7 @@ class EquationSet:
     def equations(self) -> list[Equation]:
         """Equations in canonical order: cells by (sheet, row, col), then
         array elements by (name, subscripts)."""
-        return [self._eqs[k] for k in sorted(self._eqs, key=lhs_sort_key)]
+        return list(self)
 
     def lhs_set(self) -> set:
         return set(self._eqs)
@@ -426,7 +482,9 @@ class EquationSet:
         return len(self._eqs)
 
     def __iter__(self):
-        return iter(self.equations())
+        if self._order is None:
+            self._order = tuple(self._eqs[k] for k in sorted(self._eqs, key=lhs_sort_key))
+        return iter(self._order)
 
     def __eq__(self, other):
         return (

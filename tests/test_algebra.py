@@ -207,6 +207,41 @@ class TestMapping:
             s = rand_cell_set(rng)
             assert map_range(map_range(s, src, dst), dst, src) == s
 
+    def test_range_moves_with_its_cells(self):
+        s = make_set(("C1", "1"), ("C2", "2"), ("D2", "SUM(C1:C2)"))
+        out = map_range(s, CellRange.box(addr("C1"), addr("C2")),
+                        CellRange.box(addr("E1"), addr("E2")))
+        assert out.get(addr("D2")).rhs == parse_formula("SUM(E1:E2)")
+        assert evaluate(out)[addr("D2")] == 3.0
+
+    def test_range_outside_the_source_stays(self):
+        s = make_set(("C1", "1"), ("D2", "SUM(A1:B2)+SUM(2:3)+SUM(D:D)+SUM(Sheet2!C1:C1)"))
+        out = map_range(s, CellRange.cell(addr("C1")), CellRange.cell(addr("C9")))
+        assert out.get(addr("D2")) == s.get(addr("D2"))
+        assert out.get(addr("C9")).rhs == parse_formula("1")
+
+    @pytest.mark.parametrize("rng, src, dst", [
+        ("C1:C3", "C1:C2", "E1:E2"),  # a corner and one more cell, not all
+        ("B1:D1", "C1:C1", "C9:C9"),  # only a cell inside, no corner
+        ("C:C", "C1:C2", "E1:E2"),    # a whole column
+    ])
+    def test_range_partly_carried_is_refused(self, rng, src, dst):
+        s = make_set(("A9", f"SUM({rng})"))
+
+        def box(text):
+            lo, hi = text.split(":")
+            return CellRange.box(addr(lo), addr(hi))
+
+        with pytest.raises(DomainError, match=rng):
+            map_range(s, box(src), box(dst))
+
+    def test_range_carried_apart_is_refused(self):
+        # C1 goes to E2 and C2 to E1: every cell moves, but not by one offset
+        s = make_set(("A9", "SUM(C1:C2)"))
+        dst = CellRange.cell(addr("E2")).union(CellRange.cell(addr("E1")))
+        with pytest.raises(DomainError, match="C1:C2"):
+            map_range(s, CellRange.box(addr("C1"), addr("C2")), dst)
+
 
 class TestReplicate:
     def test_new_trailing_dimension(self):
@@ -365,3 +400,10 @@ class TestStylecheck:
     def test_clean_sheet(self):
         s = make_set(("A1", "1"), ("B1", "A1*2"), ("C1", "B1+A1"))
         assert stylecheck_unique(s) == []
+
+    def test_copy_filled_range_formula_is_one_violation(self):
+        s = make_set(*((f"D{r}", f"SUM(C{r - 5}:C{r})") for r in range(6, 79)))
+        violations = stylecheck_unique(s)
+        assert len(violations) == 1
+        assert violations[0].canonical_formula == "SUM(R[-5]C[-1]:RC[-1])"
+        assert violations[0].cells == tuple(addr(f"D{r}") for r in range(6, 79))

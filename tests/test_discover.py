@@ -29,6 +29,15 @@ class TestGroups:
     def test_constants_excluded(self):
         assert discover_groups(make_set(("A1", "1"), ("A2", "1"))) == []
 
+    def test_groups_are_per_sheet_and_take_ranges(self):
+        s = make_set(("B1", "A1*2"), ("B2", "A2*2"), ("Data!B1", "Data!A1*2"),
+                     ("Data!B2", "Data!A2*2"), ("C3", "SUM(A1:A3)"), ("C4", "SUM(A2:A4)"))
+        groups = discover_groups(s)
+        assert [g.cells for g in groups] == [
+            (addr("Data!B1"), addr("Data!B2")), (addr("B1"), addr("B2")),
+            (addr("C3"), addr("C4"))]
+        assert groups[2].canonical_relative == "SUM(R[-2]C[-2]:RC[-2])"
+
     def test_largest_first(self):
         s = make_set(("B1", "A1*2"), ("B2", "A2*2"), ("B3", "A3*2"),
                      ("C1", "B1+1"), ("C2", "B2+1"))

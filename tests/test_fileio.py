@@ -3,14 +3,19 @@ import random
 import pytest
 
 from sheetalgebra import (
+    AbsRef,
     CellError,
     CellRange,
+    Equation,
+    EquationSet,
     addr,
     evaluate,
     export_csv,
     load,
     parse_document,
+    parse_formula,
     save,
+    show,
 )
 from sheetalgebra.errors import DomainError, LoadError
 from sheetalgebra.fileio import format_value
@@ -86,6 +91,21 @@ class TestLoadSave:
         with pytest.raises(LoadError) as exc:
             load(str(path))
         assert "bad.exc" in str(exc.value)
+
+
+class TestSheetPrefix:
+    def test_reference_to_another_sheet_keeps_its_prefix(self, tmp_path):
+        s = EquationSet([
+            Equation(addr("Data!A1"), AbsRef(addr("B1"))),
+            Equation(addr("Data!A2"), parse_formula("SUM(B1:B2)+Data!B1")),
+            Equation(addr("B1"), parse_formula("Data!A1")),
+        ])
+        assert show(s).splitlines() == [
+            "Data!A1 = Sheet1!B1", "Data!A2 = SUM(Sheet1!B1:B2)+B1", "B1 = Data!A1"]
+        assert parse_document(show(s)) == s
+        path = str(tmp_path / "sheets.exc")
+        save(s, path)
+        assert load(path) == s
 
 
 class TestFormatValue:

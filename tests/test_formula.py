@@ -228,3 +228,42 @@ class TestSubstituteNames:
         subst = EquationSet(
             filled + [Equation(addr("A1"), Call("SUM", (RangeArg(rng),)))])
         assert evaluate(base)[addr("A1")] == evaluate(subst)[addr("A1")] == 9.0
+
+
+class TestNegativePowerBase:
+    def test_parenthesized_and_read_back(self):
+        f = Binary("^", Number(-2.0), Number(2.0))
+        assert canonical_text(f) == "(-2)^2"
+        for dialect in (A1, R1C1, CANONICAL):
+            assert parse_formula(print_formula(f, dialect), dialect) == f
+
+
+class TestRelativeRange:
+    TEXT = "SUM(R[-5]C[-1]:RC[-1])"
+
+    def test_r1c1_and_canonical_read_and_write_it(self):
+        for dialect in (R1C1, CANONICAL):
+            f = parse_formula(self.TEXT, dialect)
+            assert print_formula(f, dialect) == self.TEXT
+
+    def test_a1_resolves_it_at_the_anchor(self):
+        f = parse_formula(self.TEXT, R1C1)
+        assert print_formula(f, A1, anchor=addr("D6")) == "SUM(C1:C6)"
+        assert to_absolute(f, addr("D6")) == parse_formula("SUM(C1:C6)")
+        with pytest.raises(AnchorError):
+            print_formula(f, A1)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(self.TEXT, A1)
+
+    def test_relative_form_of_a_bounded_range(self):
+        f = parse_formula("SUM(C1:C6)+SUM(C:C)+SUM(Sheet2!C1:C6)")
+        rel = to_relative(parse_formula("SUM(C1:C6)+SUM(C:C)"), addr("D6"))
+        assert canonical_text(rel) == "SUM(R[-5]C[-1]:RC[-1])+SUM(C:C)"
+        assert to_absolute(rel, addr("D6")) == parse_formula("SUM(C1:C6)+SUM(C:C)")
+        with pytest.raises(CrossSheetError):
+            to_relative(f, addr("D6"))
+
+    def test_column_rc_is_not_read_as_relative(self):
+        f = parse_formula("SUM(RC:RD)+SUM(RC:RC)")
+        for dialect in (A1, R1C1, CANONICAL):
+            assert parse_formula(print_formula(f, dialect), dialect) == f

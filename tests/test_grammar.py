@@ -16,6 +16,7 @@ from sheetalgebra import (
     A1,
     CANONICAL,
     R1C1,
+    ArrayElem,
     Call,
     CellAddr,
     CellRange,
@@ -71,7 +72,8 @@ def test_bounded_readers_raise_syntax_errors(read, text):
     lambda: CellAddr("Sheet1", 16385, 1),
     lambda: Rect("Sheet1", 1, 16385, None, None),
     lambda: Rect("Sheet1", None, None, 1048577, 1048577),
-], ids=["addr-col", "addr-row", "CellAddr", "Rect-col", "Rect-row"])
+    lambda: ArrayElem("x", (10**19,)),
+], ids=["addr-col", "addr-row", "CellAddr", "Rect-col", "Rect-row", "ArrayElem"])
 def test_the_model_refuses_what_the_reader_refuses(build):
     with pytest.raises(DomainError):
         build()

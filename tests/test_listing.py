@@ -8,6 +8,8 @@ from sheetalgebra import (
     Number,
     RelRef,
     addr,
+    diff,
+    evaluate,
     parse_document,
     parse_listing,
     show,
@@ -71,6 +73,16 @@ class TestGrouped:
         text = show(s, grouped=True)
         assert text.splitlines() == \
             ["Sheet1[ {2} >< { 2..4 } ] = Sheet1[ HERE - 1, HERE ]*2"]
+
+    def test_copy_filled_range_is_one_region_line(self):
+        s = make_set(*((f"D{r}", f"SUM(C{r - 5}:C{r})") for r in range(6, 79)),
+                     *((f"C{r}", str(r)) for r in range(1, 79)))
+        lines = show(s, grouped=True).splitlines()
+        assert lines.count("Sheet1[ {4} >< { 6..78 } ] = SUM(R[-5]C[-1]:RC[-1])") == 1
+        assert not [line for line in lines if line.startswith("D")]
+        back = parse_listing("\n".join(lines))
+        assert diff(back, s, "relative").empty
+        assert evaluate(back) == evaluate(s)
 
     def test_rectangular_region(self):
         # each cell adds one to its left neighbour, so the whole 2x3 box is

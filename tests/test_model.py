@@ -5,7 +5,9 @@ import pytest
 from sheetalgebra import (
     CellAddr,
     CellRange,
+    ElemRef,
     EquationSet,
+    Here,
     Rect,
     addr,
     col_to_letters,
@@ -131,6 +133,21 @@ class TestEquationSet:
     def test_canonical_order(self):
         s = EquationSet([eq("B1", "1"), eq("A2", "2"), eq("A1", "3")])
         assert [e.lhs for e in s] == [addr("A1"), addr("B1"), addr("A2")]
+
+    def test_equations_is_a_fresh_list_in_canonical_order(self):
+        s = EquationSet([eq("B1", "1"), eq("A1", "3")])
+        first = s.equations()
+        first.clear()
+        assert [e.lhs for e in s.equations()] == [addr("A1"), addr("B1")]
+
+
+class TestSubscripts:
+    def test_subscript_the_reader_refuses_is_refused(self):
+        # the reader takes at most 18 digits, so save never writes more
+        ElemRef("x", (10**18 - 1, Here(-(10**18 - 1))))
+        for subs in ((10**18,), (1, Here(10**18)), (-(10**18),)):
+            with pytest.raises(DomainError):
+                ElemRef("x", subs)
 
 
 class TestRect:

@@ -12,17 +12,24 @@ from sheetalgebra import (
     R1C1,
     AbsRef,
     Binary,
+    Call,
     CellAddr,
+    CellRange,
     Equation,
     EquationSet,
     Number,
+    RangeArg,
+    Rect,
     RelRef,
     canonical_text,
     col_to_letters,
+    diff,
     evaluate,
     letters_to_col,
+    map_range,
     parse_document,
     parse_formula,
+    parse_listing,
     print_formula,
     shift,
     show,
@@ -31,6 +38,8 @@ from sheetalgebra import (
     to_relative,
     union,
 )
+from sheetalgebra.errors import CrossSheetError, DomainError
+from sheetalgebra.formula import formula_groups
 
 # -- formula strategy -------------------------------------------------------
 
@@ -158,3 +167,80 @@ class TestLaws:
                 assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
             else:
                 assert x == y
+
+
+# -- laws over SUM of bounded rectangles ------------------------------------
+
+
+def range_sets():
+    """Sets of up to six cells in A1:F6 holding SUM over one or two bounded
+    rectangles in A1:H8 of Sheet1 or Sheet2."""
+    coord = st.integers(min_value=1, max_value=8)
+    rect = st.builds(
+        lambda sheet, c1, c2, r1, r2: Rect(sheet, min(c1, c2), max(c1, c2),
+                                           min(r1, r2), max(r1, r2)),
+        st.sampled_from(["Sheet1", "Sheet2"]), coord, coord, coord, coord)
+    formula = st.lists(rect, min_size=1, max_size=2).map(
+        lambda rects: Call("SUM", (RangeArg(CellRange(tuple(rects))),)))
+    cell = st.builds(lambda c, r: CellAddr("Sheet1", c, r),
+                     st.integers(min_value=1, max_value=6),
+                     st.integers(min_value=1, max_value=6))
+    return st.dictionaries(cell, formula, max_size=6).map(
+        lambda eqs: EquationSet(Equation(a, f) for a, f in eqs.items()))
+
+
+def _rects(s):
+    return [r for eq in s for r in eq.rhs.args[0].range.rects]
+
+
+class TestRangeLaws:
+    @given(range_sets(), st.integers(min_value=0, max_value=5),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=50)
+    def test_shift_then_back(self, s, dx, dy):
+        assert shift(shift(s, dx, dy), -dx, -dy) == s
+
+    @given(range_sets(), st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=50)
+    def test_mapping_there_and_back(self, s, col, row):
+        src = CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", col, row))
+        dst = CellRange.box(CellAddr("Sheet1", 11, 11), CellAddr("Sheet1", col + 10, row + 10))
+        # the map is one translation, so a rectangle is carried when it lies
+        # in src and refused when it only overlaps src
+        refused = any(r.sheet == "Sheet1" and r.col_lo <= col and r.row_lo <= row
+                      and (r.col_hi > col or r.row_hi > row) for r in _rects(s))
+        try:
+            there = map_range(s, src, dst)
+        except DomainError:
+            assert refused
+            return
+        assert not refused
+        assert map_range(there, dst, src) == s
+
+    @given(range_sets())
+    @settings(max_examples=50)
+    def test_relative_absolute_inverse(self, s):
+        for eq in s:
+            try:
+                rel = to_relative(eq.rhs, eq.lhs)
+            except CrossSheetError:
+                assert any(r.sheet != eq.lhs.sheet for r in eq.rhs.args[0].range.rects)
+                continue
+            assert to_absolute(rel, eq.lhs) == eq.rhs
+
+    @given(range_sets())
+    @settings(max_examples=50)
+    def test_grouped_listing_re_expands(self, s):
+        assert diff(parse_listing(show(s, grouped=True)), s, "relative").empty
+
+    @given(range_sets(), st.integers(min_value=0, max_value=5),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=50)
+    def test_groups_move_with_the_shift(self, s, dx, dy):
+        def partition(groups):
+            return {frozenset(eq.lhs for eq in eqs) for eqs in groups.values()}
+
+        moved = {frozenset(a.offset(dx, dy) for a in cells)
+                 for cells in partition(formula_groups(s))}
+        assert partition(formula_groups(shift(s, dx, dy))) == moved
