@@ -380,7 +380,6 @@ class DiffReport:
     added: tuple
     removed: tuple
     changed: tuple  # (lhs, old rhs, new rhs)
-    mode: str
 
     @property
     def empty(self) -> bool:
@@ -388,9 +387,11 @@ class DiffReport:
 
 
 def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
-    """Compare two sets.  In relative mode formulas are compared as offsets
-    from their own cell, so copy-filled formulas at different positions
-    count as equal."""
+    """Compare two sets.  Each formula is compared resolved at its own cell,
+    so `C2-B2` and `RC[-1]-RC[-2]` at D2 count as equal.  `mode` is kept for
+    callers that pass it: "relative" compares the same view, because a
+    formula's offsets and its absolute references at one cell determine
+    each other."""
     if mode not in ("absolute", "relative"):
         raise DomainError(f"unknown diff mode {mode!r}")
     a_lhs, b_lhs = a.lhs_set(), b.lhs_set()
@@ -398,11 +399,8 @@ def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
     removed = tuple(sorted(a_lhs - b_lhs, key=lhs_sort_key))
 
     def view(eq):
-        anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
-        if mode == "relative":
-            return relative_form(eq.rhs, anchor)
-        if anchor is not None:
-            return to_absolute(eq.rhs, anchor)
+        if isinstance(eq.lhs, CellAddr):
+            return to_absolute(eq.rhs, eq.lhs)
         return eq.rhs
 
     changed = []
@@ -410,7 +408,7 @@ def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
         old, new = a.get(lhs), b.get(lhs)
         if view(old) != view(new):
             changed.append((lhs, old.rhs, new.rhs))
-    return DiffReport(added, removed, tuple(changed), mode)
+    return DiffReport(added, removed, tuple(changed))
 
 
 @dataclass(frozen=True)

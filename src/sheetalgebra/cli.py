@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two sheets (exit 1 on differences)")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--relative", action="store_true",
-                   help="compare formulas as offsets from their own cell")
 
     p = sub.add_parser("stylecheck",
                        help="report formulas copied more than once per sheet")
@@ -95,8 +93,7 @@ def _dispatch(args) -> int:
             print(grid_text(grid))
         return 0
     if args.command == "diff":
-        mode = "relative" if args.relative else "absolute"
-        report = call("diff", call("load", args.a), call("load", args.b), mode)
+        report = call("diff", call("load", args.a), call("load", args.b))
         print(diff_report_text(report))
         return 0 if report.empty else 1
     if args.command == "stylecheck":

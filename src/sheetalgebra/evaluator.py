@@ -2,18 +2,23 @@
 numeric evaluation of cell equation sets.
 
 Values are plain Python objects: float, str, bool, None (empty), or
-CellError.  Errors propagate through arithmetic; cells on a dependency cycle
-evaluate to CellError("CYCLE") while off-cycle cells still evaluate.
+CellError.  Errors propagate through arithmetic; a result past the float
+range is CellError("NUM"); cells on a dependency cycle evaluate to
+CellError("CYCLE") while off-cycle cells still evaluate.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DomainError
 from .formula import substitute_names, to_absolute
 from .model import (
+    MAX_COL,
+    MAX_ROW,
     AbsRef,
     Binary,
     Bool,
@@ -28,12 +33,12 @@ from .model import (
     Number,
     RangeArg,
     RelRef,
-    Rect,
     Text,
     walk,
 )
 
-DIV0, CYCLE, VALUE, REF = "DIV0", "CYCLE", "VALUE", "REF"
+DIV0, CYCLE, VALUE, REF, NUM = "DIV0", "CYCLE", "VALUE", "REF", "NUM"
+_col = attrgetter("col")
 
 
 @dataclass(frozen=True)
@@ -44,159 +49,128 @@ class CellError:
         return f"#{self.tag}!"
 
 
-def _clip_rect(rect: Rect, extent: dict) -> Rect | None:
-    """Bound an unbounded rectangle side by the sheet's occupied extent."""
-    if rect.bounded:
-        return rect
-    box = extent.get(rect.sheet)
-    if box is None:
-        return None
-    c_lo, c_hi, r_lo, r_hi = box
-    return Rect(
-        rect.sheet,
-        rect.col_lo if rect.col_lo is not None else c_lo,
-        rect.col_hi if rect.col_hi is not None else c_hi,
-        rect.row_lo if rect.row_lo is not None else r_lo,
-        rect.row_hi if rect.row_hi is not None else r_hi,
-    )
+class _Graph:
+    """A sheet as an evaluation graph, built once per call.  Each formula is
+    resolved once (relative references made absolute, names substituted),
+    each distinct range is read once as the defined cells it holds, and each
+    cell's precedents are listed once.  All three happen on first use, so a
+    walk from one cell touches only the cells it depends on."""
 
+    def __init__(self, s: EquationSet):
+        self.rhs = {}
+        self.formulas = {}
+        self.ranges = {}
+        self.deps = {}
+        self.names = s.names
+        # sheet -> (sorted rows, row -> its cells sorted by column); the
+        # canonical order of s is by sheet, row and column, so appending in
+        # that order keeps both sorted
+        self.index = {}
+        for eq in s:
+            a = eq.lhs
+            if not isinstance(a, CellAddr):
+                raise DomainError("evaluation expects cell left-hand sides")
+            self.rhs[a] = eq.rhs
+            rows, by_row = self.index.setdefault(a.sheet, ([], {}))
+            if a.row not in by_row:
+                rows.append(a.row)
+                by_row[a.row] = []
+            by_row[a.row].append(a)
 
-def _sheet_extent(s: EquationSet) -> dict:
-    extent = {}
-    for lhs in s.lhs_set():
-        if not isinstance(lhs, CellAddr):
-            continue
-        box = extent.get(lhs.sheet)
-        if box is None:
-            extent[lhs.sheet] = [lhs.col, lhs.col, lhs.row, lhs.row]
-        else:
-            box[0] = min(box[0], lhs.col)
-            box[1] = max(box[1], lhs.col)
-            box[2] = min(box[2], lhs.row)
-            box[3] = max(box[3], lhs.row)
-    return extent
+    def formula(self, a: CellAddr) -> Formula:
+        f = self.formulas.get(a)
+        if f is None:
+            f = self.formulas[a] = substitute_names(to_absolute(self.rhs[a], a), self.names)
+        return f
 
+    def range_cells(self, rng) -> list:
+        """The defined cells of a range, rectangle by rectangle and row-major
+        within each, each cell once."""
+        cells = self.ranges.get(rng)
+        if cells is None:
+            cells = []
+            for rect in rng.rects:
+                rows, by_row = self.index.get(rect.sheet, ((), {}))
+                lo = bisect_left(rows, rect.row_lo or 1)
+                hi = bisect_right(rows, rect.row_hi or MAX_ROW)
+                for r in rows[lo:hi]:
+                    line = by_row[r]
+                    c_lo = bisect_left(line, rect.col_lo or 1, key=_col)
+                    c_hi = bisect_right(line, rect.col_hi or MAX_COL, key=_col)
+                    cells.extend(line[c_lo:c_hi])
+            cells = self.ranges[rng] = list(dict.fromkeys(cells))
+        return cells
 
-def _resolved_rhs(s: EquationSet) -> dict:
-    """Each cell's formula with relative references fixed up against its own
-    cell and defined names substituted."""
-    out = {}
-    for eq in s:
-        if not isinstance(eq.lhs, CellAddr):
-            raise DomainError("evaluation expects cell left-hand sides")
-        rhs = to_absolute(eq.rhs, eq.lhs)
-        out[eq.lhs] = substitute_names(rhs, s.names)
-    return out
+    def precedents(self, a: CellAddr) -> list:
+        """Every cell a's formula references, and the defined cells of its
+        ranges."""
+        refs = self.deps.get(a)
+        if refs is None:
+            refs = self.deps[a] = []
+            for node in walk(self.formula(a)):
+                if isinstance(node, AbsRef):
+                    refs.append(node.addr)
+                elif isinstance(node, RangeArg):
+                    refs.extend(self.range_cells(node.range))
+        return refs
 
+    def components(self, roots):
+        """Strongly connected components of the defined cells reachable from
+        roots, by iterative Tarjan.  Each comes after every component it
+        reads, so this is also an evaluation order."""
+        index, low = {}, {}
+        stack, on_stack = [], set()
+        for root in roots:
+            if root in index or root not in self.rhs:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(self.precedents(root)))]
+            while work:
+                node, it = work[-1]
+                for child in it:
+                    if child not in self.rhs:
+                        continue
+                    if child not in index:
+                        index[child] = low[child] = len(index)
+                        stack.append(child)
+                        on_stack.add(child)
+                        work.append((child, iter(self.precedents(child))))
+                        break
+                    if child in on_stack:
+                        low[node] = min(low[node], index[child])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        comp = [stack.pop()]
+                        while comp[-1] != node:
+                            comp.append(stack.pop())
+                        on_stack.difference_update(comp)
+                        yield comp
 
-def _range_cells(rng, extent, defined):
-    cells = []
-    seen = set()
-    for rect in rng.rects:
-        clipped = _clip_rect(rect, extent)
-        if clipped is None:
-            continue
-        for a in clipped.cells():
-            if a not in seen:
-                seen.add(a)
-                cells.append(a)
-    return [a for a in cells if a in defined] if defined is not None else cells
+    def evaluate(self, roots) -> dict:
+        """Values of the cells reachable from roots.  Cells on a cycle are
+        #CYCLE!; the others are computed after their precedents."""
+        grid = {}
+        for comp in self.components(roots):
+            a = comp[0]
+            if len(comp) > 1 or a in self.precedents(a):
+                for b in comp:
+                    grid[b] = CellError(CYCLE)
+            else:
+                grid[a] = _eval_formula(self.formula(a), self, grid)
+        return grid
 
 
 def build_deps(s: EquationSet) -> dict:
     """Dependency graph: cell -> set of cells its formula references,
-    including cells inside range arguments."""
-    resolved = _resolved_rhs(s)
-    extent = _sheet_extent(s)
-    deps = {}
-    for lhs, rhs in resolved.items():
-        refs = set()
-        for node in walk(rhs):
-            if isinstance(node, AbsRef):
-                refs.add(node.addr)
-            elif isinstance(node, RangeArg):
-                refs.update(_range_cells(node.range, extent, None))
-        deps[lhs] = refs
-    return deps
-
-
-def _cycle_members(deps: dict) -> set:
-    """Strongly connected components of size > 1, plus self-loops.
-    Iterative Tarjan."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    cyclic = set()
-
-    for root in deps:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(d for d in deps[root] if d in deps)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = lowlink[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(d for d in deps[child] if d in deps))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1:
-                    cyclic.update(comp)
-                elif comp[0] in deps[comp[0]]:
-                    cyclic.add(comp[0])
-    return cyclic
-
-
-def _topo_order(deps: dict, tie_break=None, resolved=frozenset()) -> list:
-    """Kahn's algorithm over the non-resolved nodes.  Edges into `resolved`
-    nodes (cycle members, whose values are already fixed) do not count."""
-    indeg = {n: 0 for n in deps if n not in resolved}
-    dependents = {n: [] for n in indeg}
-    for n in indeg:
-        for d in deps[n]:
-            if d in indeg:
-                indeg[n] += 1
-                dependents[d].append(n)
-    key = tie_break or (lambda a: (a.sheet, a.row, a.col))
-    ready = sorted((n for n, d in indeg.items() if d == 0), key=key)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        fresh = []
-        for m in dependents[node]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                fresh.append(m)
-        for m in sorted(fresh, key=key):
-            ready.append(m)
-    return order
+    including the defined cells inside range arguments."""
+    g = _Graph(s)
+    return {a: set(g.precedents(a)) for a in g.rhs}
 
 
 def _to_number(v):
@@ -234,8 +208,17 @@ def _arith(op: str, lv, rv):
         return float(v)
     except ZeroDivisionError:
         return CellError(DIV0)
-    except (OverflowError, ValueError):
+    except OverflowError:
+        return CellError(NUM)
+    except ValueError:
         return CellError(VALUE)
+
+
+def _finite(v):
+    """An arithmetic result past the float range is #NUM!, never inf."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return CellError(NUM)
+    return v
 
 
 def _compare(op: str, lv, rv):
@@ -260,17 +243,6 @@ def _compare(op: str, lv, rv):
         return lv >= rv
     except TypeError:
         return CellError(VALUE)
-
-
-def _flatten_args(args, cell_value, extent, defined):
-    values = []
-    for arg in args:
-        if isinstance(arg, RangeArg):
-            for a in _range_cells(arg.range, extent, defined):
-                values.append(cell_value(a))
-        else:
-            values.append(arg)
-    return values
 
 
 def _numeric_args(values, skip_empty=True):
@@ -317,7 +289,9 @@ def _call(func, values):
             if func == "EXP":
                 return math.exp(n)
             return math.log(n)
-        except (ValueError, OverflowError):
+        except OverflowError:
+            return CellError(NUM)
+        except ValueError:
             return CellError(VALUE)
     if func == "MOD":
         if len(values) != 2:
@@ -328,7 +302,10 @@ def _call(func, values):
                 return v
         if b == 0:
             return CellError(DIV0)
-        return a - b * math.floor(a / b)
+        try:
+            return a - b * math.floor(a / b)
+        except OverflowError:
+            return CellError(NUM)
     if func == "IF":
         if len(values) not in (2, 3):
             return CellError(VALUE)
@@ -358,7 +335,7 @@ def _truthy(v):
     return bool(v)
 
 
-def _eval_formula(f: Formula, cell_value, extent, defined):
+def _eval_formula(f: Formula, g: _Graph, grid: dict):
     if isinstance(f, Number):
         return f.value
     if isinstance(f, Text):
@@ -368,7 +345,7 @@ def _eval_formula(f: Formula, cell_value, extent, defined):
     if isinstance(f, Empty):
         return None
     if isinstance(f, AbsRef):
-        v = cell_value(f.addr)
+        v = grid.get(f.addr)
         # a reference to an empty cell reads as 0, as in a spreadsheet
         return 0.0 if v is None else v
     if isinstance(f, (RelRef, ElemRef)):
@@ -376,45 +353,35 @@ def _eval_formula(f: Formula, cell_value, extent, defined):
     if isinstance(f, NameRef):
         return CellError(REF)
     if isinstance(f, Neg):
-        v = _to_number(_eval_formula(f.operand, cell_value, extent, defined))
+        v = _to_number(_eval_formula(f.operand, g, grid))
         return v if isinstance(v, CellError) else -v
     if isinstance(f, Binary):
-        lv = _eval_formula(f.left, cell_value, extent, defined)
-        rv = _eval_formula(f.right, cell_value, extent, defined)
+        lv = _eval_formula(f.left, g, grid)
+        rv = _eval_formula(f.right, g, grid)
         if f.op in ("+", "-", "*", "/", "^"):
-            return _arith(f.op, lv, rv)
+            return _finite(_arith(f.op, lv, rv))
         return _compare(f.op, lv, rv)
     if isinstance(f, Call):
-        args = [a if isinstance(a, RangeArg)
-                else _eval_formula(a, cell_value, extent, defined)
-                for a in f.args]
-        return _call(f.func, _flatten_args(args, cell_value, extent, defined))
+        values = []
+        for arg in f.args:
+            if isinstance(arg, RangeArg):
+                values.extend(grid[a] for a in g.range_cells(arg.range))
+            else:
+                values.append(_eval_formula(arg, g, grid))
+        return _finite(_call(f.func, values))
     if isinstance(f, RangeArg):
         return CellError(VALUE)
     raise DomainError(f"cannot evaluate node {f!r}")
 
 
-def evaluate(s: EquationSet, tie_break=None) -> dict:
+def evaluate(s: EquationSet) -> dict:
     """Evaluate every cell in dependency order.  Returns a grid mapping each
     defined cell to its value."""
-    resolved = _resolved_rhs(s)
-    extent = _sheet_extent(s)
-    deps = build_deps(s)
-    cyclic = _cycle_members(deps)
-    defined = set(resolved)
-
-    grid: dict[CellAddr, object] = {a: CellError(CYCLE) for a in cyclic}
-
-    def cell_value(a: CellAddr):
-        if a in grid:
-            return grid[a]
-        return None  # undefined cells read as empty
-
-    for a in _topo_order(deps, tie_break, cyclic):
-        grid[a] = _eval_formula(resolved[a], cell_value, extent, defined)
-    return grid
+    g = _Graph(s)
+    return g.evaluate(g.rhs)
 
 
 def evaluate_cell(s: EquationSet, a: CellAddr):
-    grid = evaluate(s)
-    return grid.get(a)
+    """The value of one cell, evaluating only the cells it depends on; None
+    when a is not defined."""
+    return _Graph(s).evaluate([a]).get(a)

@@ -140,9 +140,9 @@ class FormulaParser:
         if upper == "FALSE" and not self.s.at_op("("):
             return Bool(False)
 
-        sheet = self.sheet
+        prefix = None
         if self.s.accept_op("!"):
-            sheet = text
+            prefix = text
             kind, text, pos = self.s.next()
             if kind != ID:
                 raise FormulaSyntaxError("expected reference after sheet prefix", pos)
@@ -155,13 +155,13 @@ class FormulaParser:
                 return Empty()
             return self._call(upper)
         if self.dialect != A1:
-            ref = self._try_r1c1(text, sheet, pos)
+            ref = self._try_r1c1(text, prefix, pos)
             if ref is not None:
                 return ref
         if self.s.at_op("["):
             return self._elem_ref(text)
         if self.dialect != R1C1:
-            cell = cell_label(text, sheet, pos=pos)
+            cell = cell_label(text, prefix or self.sheet, pos=pos)
             if cell is not None:
                 return AbsRef(cell)
         return NameRef(text)
@@ -202,11 +202,13 @@ class FormulaParser:
 
     # -- R1C1 references ----------------------------------------------------
 
-    def _try_r1c1(self, text: str, sheet: str, pos):
-        cell = cell_label(text, sheet, r1c1=True, pos=pos)
+    def _try_r1c1(self, text: str, prefix: str | None, pos):
+        cell = cell_label(text, prefix or self.sheet, r1c1=True, pos=pos)
         if cell is not None:
             return AbsRef(cell)
         offsets = rel_offsets(self.s, text)
+        if offsets is not None and prefix is not None:
+            raise FormulaSyntaxError("a relative reference takes no sheet prefix", pos)
         return None if offsets is None else RelRef(*offsets)
 
 

@@ -356,10 +356,8 @@ class Interpreter:
         if name == "propose_layout":
             return propose_layout(self._want_set(args[0], "propose_layout"))
         if name == "diff":
-            a = self._want_set(args[0], "diff")
-            b = self._want_set(args[1], "diff")
-            mode = args[2] if len(args) > 2 else "absolute"
-            return algebra.diff(a, b, mode)
+            return algebra.diff(self._want_set(args[0], "diff"),
+                                self._want_set(args[1], "diff"))
         if name == "stylecheck":
             return algebra.stylecheck_unique(self._want_set(args[0], "stylecheck"))
         if name == "export_csv":

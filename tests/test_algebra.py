@@ -378,9 +378,7 @@ class TestDiff:
     def test_relative_mode_ignores_copy_fill(self):
         a = make_set(("D2", "C2-B2"), ("D3", "C3-B3"))
         b = parse_document("D2 = RC[-1]-RC[-2]\nD3 = RC[-1]-RC[-2]")
-        assert diff(a, b, mode="relative").empty
-        # absolute mode resolves the offsets first, so these compare equal too
-        assert diff(a, b, mode="absolute").empty
+        assert diff(a, b).empty
 
     def test_unknown_mode(self, accounts):
         with pytest.raises(DomainError):

@@ -66,7 +66,7 @@ class TestDiff:
             .replace("C3-B3", "RC[-1]-RC[-2]"))
         other = str(tmp_path / "rel.exc")
         save(relative, other)
-        assert main(["diff", "--relative", accounts_file, other]) == 0
+        assert main(["diff", accounts_file, other]) == 0
 
 
 class TestStylecheck:

@@ -12,6 +12,7 @@ from sheetalgebra import (
     union,
 )
 from sheetalgebra.errors import DomainError
+from sheetalgebra.fileio import format_value
 
 from conftest import make_set, rand_cell_set
 
@@ -25,6 +26,10 @@ class TestBuildDeps:
     def test_range_args_expand(self):
         s = make_set(("A1", "1"), ("A2", "2"), ("A3", "SUM(A1:A2)"))
         assert build_deps(s)[addr("A3")] == {addr("A1"), addr("A2")}
+
+    def test_ranges_hold_only_defined_cells(self):
+        s = make_set(("A1", "1"), ("A3", "3"), ("B1", "SUM(A1:A9)"))
+        assert build_deps(s)[addr("B1")] == {addr("A1"), addr("A3")}
 
     def test_relative_refs_resolved_first(self):
         s = make_set(("B5", "R[-1]C+1", "r1c1"))
@@ -63,6 +68,17 @@ class TestErrors:
     def test_error_display(self):
         assert str(CellError("DIV0")) == "#DIV0!"
 
+    def test_non_finite_results_are_num(self):
+        s = make_set(("A1", "1e308"), ("A2", "A1*10"), ("A3", "A2-A2"),
+                     ("A4", "MOD(1e308,1e-10)"), ("A5", "SUM(1e308,1e308)"),
+                     ("A6", "0-1e308*10"), ("A7", "MAX(1e308*10,1)"),
+                     ("A8", "10^400"), ("A9", "EXP(1000)"), ("A10", "1e308/1e-10"))
+        grid = evaluate(s)
+        assert grid[addr("A1")] == 1e308
+        for a in ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10"):
+            assert grid[addr(a)] == CellError("NUM"), a
+        assert {format_value(v) for a, v in grid.items() if a != addr("A1")} == {"#NUM!"}
+
 
 class TestCycles:
     def test_two_cell_cycle(self):
@@ -100,6 +116,15 @@ class TestSemantics:
     def test_sum_unbounded_column(self):
         s = make_set(("A1", "1"), ("A2", "2"), ("B1", "SUM(A:A)"))
         assert evaluate(s)[addr("B1")] == 3.0
+
+    def test_overlapping_rectangles_count_a_cell_once(self):
+        s = make_set(("A1", "1"), ("A2", "2"), ("A3", "4"), ("B1", "SUM((A1:A2,A2:A3))"))
+        assert evaluate(s)[addr("B1")] == 7.0
+
+    def test_sum_over_the_whole_grid_reads_defined_cells(self):
+        s = make_set(("A1", "1"), ("C7", "2"), ("XFD1048576", "4"),
+                     ("Sheet2!B2", "SUM(Sheet1!A1:XFD1048576)"))
+        assert evaluate(s)[addr("Sheet2!B2")] == 7.0
 
     def test_booleans(self):
         s = make_set(("A1", "2>1"), ("A2", "IF(A1,10,20)"),
@@ -140,15 +165,19 @@ class TestSemantics:
 
 
 class TestOrderIndependence:
-    def test_two_tie_breaks_agree(self):
+    """Values do not depend on evaluation order: evaluate_cell walks the
+    graph from one cell, in another order than the whole-sheet pass."""
+
+    def test_one_cell_agrees_with_the_whole_sheet(self):
         rng = random.Random(41)
-        by_rows = lambda a: (a.sheet, a.row, a.col)
-        by_cols = lambda a: (a.sheet, a.col, a.row)
         for _ in range(200):
             s = rand_cell_set(rng, evaluable=True)
-            assert evaluate(s, by_rows) == evaluate(s, by_cols)
+            grid = evaluate(s)
+            for eq in s:
+                assert evaluate_cell(s, eq.lhs) == grid[eq.lhs]
 
-    def test_reversed_tie_break_on_cyclic_sets(self):
+    def test_one_cell_agrees_on_cyclic_sets(self):
         s = make_set(("A1", "B1"), ("B1", "A1"), ("C1", "A1+1"), ("D1", "7"))
-        rev = lambda a: (a.sheet, -a.row, -a.col)
-        assert evaluate(s) == evaluate(s, rev)
+        grid = evaluate(s)
+        for a in ("A1", "B1", "C1", "D1"):
+            assert evaluate_cell(s, addr(a)) == grid[addr(a)]

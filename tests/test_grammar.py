@@ -54,6 +54,8 @@ BOUNDED_CASES = [
     (parse_document, "x[1e400] = 1"),
     (parse_formula, "x[1e400]"),
     (partial(parse_formula, dialect=R1C1), "R[1e400]C"),
+    (partial(parse_formula, dialect=R1C1), "Sheet2!RC[1]"),
+    (partial(parse_formula, dialect=CANONICAL), "Sheet2!R[-1]C"),
     (parse_formula, "SUM(1e400:2)"),
     (parse_listing, "Sheet1[ {1e400} >< {1} ] = 1"),
     (parse_script, "x shift (1e400, 0)."),

@@ -232,7 +232,7 @@ class TestRangeLaws:
     @given(range_sets())
     @settings(max_examples=50)
     def test_grouped_listing_re_expands(self, s):
-        assert diff(parse_listing(show(s, grouped=True)), s, "relative").empty
+        assert diff(parse_listing(show(s, grouped=True)), s).empty
 
     @given(range_sets(), st.integers(min_value=0, max_value=5),
            st.integers(min_value=0, max_value=5))
