@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .errors import DomainError
-from .formula import substitute_names, to_absolute
+from .errors import DomainError, SubstitutionError
+from .formula import at_offset
 from .model import (
     MAX_COL,
     MAX_ROW,
@@ -28,17 +27,18 @@ from .model import (
     Empty,
     EquationSet,
     Formula,
+    Here,
     NameRef,
     Neg,
     Number,
     RangeArg,
     RelRef,
     Text,
-    walk,
+    children,
+    enumerate_range,
 )
 
 DIV0, CYCLE, VALUE, REF, NUM = "DIV0", "CYCLE", "VALUE", "REF", "NUM"
-_col = attrgetter("col")
 
 
 @dataclass(frozen=True)
@@ -50,68 +50,69 @@ class CellError:
 
 
 class _Graph:
-    """A sheet as an evaluation graph, built once per call.  Each formula is
-    resolved once (relative references made absolute, names substituted),
-    each distinct range is read once as the defined cells it holds, and each
-    cell's precedents are listed once.  All three happen on first use, so a
-    walk from one cell touches only the cells it depends on."""
+    """A sheet as an evaluation graph on (sheet, col, row) keys, built once
+    per call.  A formula is evaluated where it stands: a relative reference
+    is read at its offset from the cell and a defined name as its range, so
+    no tree is rebuilt.  Each distinct range is read once as its defined
+    cells, and each cell's precedents are listed once, both on first use, so
+    a walk from one cell touches only the cells it depends on."""
 
     def __init__(self, s: EquationSet):
-        self.rhs = {}
-        self.formulas = {}
-        self.ranges = {}
-        self.deps = {}
-        self.names = s.names
-        # sheet -> (sorted rows, row -> its cells sorted by column); the
-        # canonical order of s is by sheet, row and column, so appending in
-        # that order keeps both sorted
+        self.addrs, self.formulas, self.ranges, self.deps = {}, {}, {}, {}
+        # a defined name stands for a reference or, as a call's argument, a range
+        self.names = {name: AbsRef(enumerate_range(rng)[0]) if rng.is_single_cell()
+                      else RangeArg(rng) for name, rng in s.names.items()}
+        # sheet -> (sorted rows, row -> its keys sorted); the canonical order
+        # of s is by sheet, row and column, so appending keeps both sorted
         self.index = {}
         for eq in s:
             a = eq.lhs
             if not isinstance(a, CellAddr):
                 raise DomainError("evaluation expects cell left-hand sides")
-            self.rhs[a] = eq.rhs
+            k = (a.sheet, a.col, a.row)
+            self.addrs[k] = a
+            self.formulas[k] = eq.rhs
             rows, by_row = self.index.setdefault(a.sheet, ([], {}))
             if a.row not in by_row:
                 rows.append(a.row)
                 by_row[a.row] = []
-            by_row[a.row].append(a)
+            by_row[a.row].append(k)
 
-    def formula(self, a: CellAddr) -> Formula:
-        f = self.formulas.get(a)
-        if f is None:
-            f = self.formulas[a] = substitute_names(to_absolute(self.rhs[a], a), self.names)
-        return f
-
-    def range_cells(self, rng) -> list:
-        """The defined cells of a range, rectangle by rectangle and row-major
-        within each, each cell once."""
-        cells = self.ranges.get(rng)
+    def range_cells(self, rng, k) -> list:
+        """The defined cells of a range read at cell k, rectangle by
+        rectangle and row-major within each, each cell once."""
+        bounds = tuple([_bounds(rect, k) for rect in rng.rects])
+        cells = self.ranges.get(bounds)
         if cells is None:
             cells = []
-            for rect in rng.rects:
-                rows, by_row = self.index.get(rect.sheet, ((), {}))
-                lo = bisect_left(rows, rect.row_lo or 1)
-                hi = bisect_right(rows, rect.row_hi or MAX_ROW)
-                for r in rows[lo:hi]:
+            for sheet, col_lo, col_hi, row_lo, row_hi in bounds:
+                rows, by_row = self.index.get(sheet, ((), {}))
+                for r in rows[bisect_left(rows, row_lo or 1):bisect_right(rows, row_hi or MAX_ROW)]:
                     line = by_row[r]
-                    c_lo = bisect_left(line, rect.col_lo or 1, key=_col)
-                    c_hi = bisect_right(line, rect.col_hi or MAX_COL, key=_col)
-                    cells.extend(line[c_lo:c_hi])
-            cells = self.ranges[rng] = list(dict.fromkeys(cells))
+                    cells.extend(line[bisect_left(line, (sheet, col_lo or 1, r)):
+                                      bisect_right(line, (sheet, col_hi or MAX_COL, r))])
+            cells = self.ranges[bounds] = list(dict.fromkeys(cells))
         return cells
 
-    def precedents(self, a: CellAddr) -> list:
-        """Every cell a's formula references, and the defined cells of its
-        ranges."""
-        refs = self.deps.get(a)
+    def precedents(self, k) -> list:
+        """Every cell k's formula references, and the defined cells of its
+        ranges.  Raises as resolving the formula at k would: on a HERE
+        marker, then on an offset off the grid, then on a range that is not
+        a call's argument."""
+        refs = self.deps.get(k)
         if refs is None:
-            refs = self.deps[a] = []
-            for node in walk(self.formula(a)):
-                if isinstance(node, AbsRef):
-                    refs.append(node.addr)
-                elif isinstance(node, RangeArg):
-                    refs.extend(self.range_cells(node.range))
+            refs = self.deps[k] = []
+            nodes, loose = _refs(self.formulas[k], self.names)
+            for node in nodes:
+                if isinstance(node, RelRef):
+                    refs.append(at_offset(k, node.d_col, node.d_row))
+                elif isinstance(node, AbsRef):
+                    a = node.addr
+                    refs.append((a.sheet, a.col, a.row))
+                else:
+                    refs.extend(self.range_cells(node.range, k))
+            if loose:
+                raise SubstitutionError("range is only allowed as a function argument")
         return refs
 
     def components(self, roots):
@@ -121,7 +122,7 @@ class _Graph:
         index, low = {}, {}
         stack, on_stack = [], set()
         for root in roots:
-            if root in index or root not in self.rhs:
+            if root in index or root not in self.formulas:
                 continue
             index[root] = low[root] = len(index)
             stack.append(root)
@@ -130,7 +131,7 @@ class _Graph:
             while work:
                 node, it = work[-1]
                 for child in it:
-                    if child not in self.rhs:
+                    if child not in self.formulas:
                         continue
                     if child not in index:
                         index[child] = low[child] = len(index)
@@ -153,24 +154,59 @@ class _Graph:
                         yield comp
 
     def evaluate(self, roots) -> dict:
-        """Values of the cells reachable from roots.  Cells on a cycle are
-        #CYCLE!; the others are computed after their precedents."""
+        """Values of the cells reachable from roots, by key.  Cells on a
+        cycle are #CYCLE!; the others are computed after their precedents."""
         grid = {}
         for comp in self.components(roots):
-            a = comp[0]
-            if len(comp) > 1 or a in self.precedents(a):
+            k = comp[0]
+            if len(comp) > 1 or k in self.precedents(k):
                 for b in comp:
                     grid[b] = CellError(CYCLE)
             else:
-                grid[a] = _eval_formula(self.formula(a), self, grid)
+                grid[k] = _eval_formula(self.formulas[k], k, self, grid)
         return grid
+
+
+def _refs(f: Formula, names: dict) -> tuple:
+    """One walk over a right-hand side: its AbsRef, RelRef and RangeArg
+    nodes, a defined name read as its node from names, and whether a range
+    stands outside a call.  Raises on a HERE marker."""
+    refs, loose = [], False
+    stack = [(f, False)]
+    while stack:
+        node, in_call = stack.pop()
+        if isinstance(node, NameRef):
+            node = names.get(node.name, node)
+        if isinstance(node, (AbsRef, RelRef)):
+            refs.append(node)
+        elif isinstance(node, RangeArg):
+            loose = loose or not in_call
+            refs.append(node)
+        elif isinstance(node, ElemRef):
+            if any(isinstance(sub, Here) for sub in node.subs):
+                raise DomainError("formula contains HERE markers; resolve them first")
+        else:
+            in_call = isinstance(node, Call)
+            stack.extend((kid, in_call) for kid in reversed(children(node)))
+    return refs, loose
+
+
+def _bounds(rect, k) -> tuple:
+    """A rectangle's (sheet, col_lo, col_hi, row_lo, row_hi), a relative one
+    read at cell k."""
+    if rect.sheet is not None:
+        return rect.sheet, rect.col_lo, rect.col_hi, rect.row_lo, rect.row_hi
+    sheet, col_lo, row_lo = at_offset(k, rect.col_lo, rect.row_lo)
+    _, col_hi, row_hi = at_offset(k, rect.col_hi, rect.row_hi)
+    return sheet, col_lo, col_hi, row_lo, row_hi
 
 
 def build_deps(s: EquationSet) -> dict:
     """Dependency graph: cell -> set of cells its formula references,
     including the defined cells inside range arguments."""
     g = _Graph(s)
-    return {a: set(g.precedents(a)) for a in g.rhs}
+    return {a: {g.addrs.get(p) or CellAddr(*p) for p in g.precedents(k)}
+            for k, a in g.addrs.items()}
 
 
 def _to_number(v):
@@ -335,42 +371,45 @@ def _truthy(v):
     return bool(v)
 
 
-def _eval_formula(f: Formula, g: _Graph, grid: dict):
-    if isinstance(f, Number):
-        return f.value
-    if isinstance(f, Text):
-        return f.value
-    if isinstance(f, Bool):
-        return f.value
-    if isinstance(f, Empty):
-        return None
-    if isinstance(f, AbsRef):
-        v = grid.get(f.addr)
-        # a reference to an empty cell reads as 0, as in a spreadsheet
-        return 0.0 if v is None else v
-    if isinstance(f, (RelRef, ElemRef)):
-        return CellError(REF)
-    if isinstance(f, NameRef):
-        return CellError(REF)
-    if isinstance(f, Neg):
-        v = _to_number(_eval_formula(f.operand, g, grid))
-        return v if isinstance(v, CellError) else -v
+def _eval_formula(f: Formula, k: tuple, g: _Graph, grid: dict):
+    """The value of formula f standing at cell k."""
     if isinstance(f, Binary):
-        lv = _eval_formula(f.left, g, grid)
-        rv = _eval_formula(f.right, g, grid)
+        lv = _eval_formula(f.left, k, g, grid)
+        rv = _eval_formula(f.right, k, g, grid)
         if f.op in ("+", "-", "*", "/", "^"):
             return _finite(_arith(f.op, lv, rv))
         return _compare(f.op, lv, rv)
+    if isinstance(f, RelRef):
+        # precedents checked that the offset stays on the grid
+        v = grid.get((k[0], k[1] + f.d_col, k[2] + f.d_row))
+        # a reference to an empty cell reads as 0, as in a spreadsheet
+        return 0.0 if v is None else v
+    if isinstance(f, AbsRef):
+        a = f.addr
+        v = grid.get((a.sheet, a.col, a.row))
+        return 0.0 if v is None else v
+    if isinstance(f, (Number, Text, Bool)):
+        return f.value
+    if isinstance(f, Empty):
+        return None
+    if isinstance(f, NameRef):
+        ref = g.names.get(f.name)
+        return CellError(REF) if ref is None else _eval_formula(ref, k, g, grid)
+    if isinstance(f, ElemRef):
+        return CellError(REF)
+    if isinstance(f, Neg):
+        v = _to_number(_eval_formula(f.operand, k, g, grid))
+        return v if isinstance(v, CellError) else -v
     if isinstance(f, Call):
         values = []
         for arg in f.args:
+            if isinstance(arg, NameRef):
+                arg = g.names.get(arg.name, arg)
             if isinstance(arg, RangeArg):
-                values.extend(grid[a] for a in g.range_cells(arg.range))
+                values.extend(grid[b] for b in g.range_cells(arg.range, k))
             else:
-                values.append(_eval_formula(arg, g, grid))
+                values.append(_eval_formula(arg, k, g, grid))
         return _finite(_call(f.func, values))
-    if isinstance(f, RangeArg):
-        return CellError(VALUE)
     raise DomainError(f"cannot evaluate node {f!r}")
 
 
@@ -378,10 +417,11 @@ def evaluate(s: EquationSet) -> dict:
     """Evaluate every cell in dependency order.  Returns a grid mapping each
     defined cell to its value."""
     g = _Graph(s)
-    return g.evaluate(g.rhs)
+    return {g.addrs[k]: v for k, v in g.evaluate(g.formulas).items()}
 
 
 def evaluate_cell(s: EquationSet, a: CellAddr):
     """The value of one cell, evaluating only the cells it depends on; None
     when a is not defined."""
-    return _Graph(s).evaluate([a]).get(a)
+    k = (a.sheet, a.col, a.row)
+    return _Graph(s).evaluate([k]).get(k)

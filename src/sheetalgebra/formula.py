@@ -148,7 +148,7 @@ class FormulaParser:
                 raise FormulaSyntaxError("expected reference after sheet prefix", pos)
             upper = text.upper()
 
-        if self.s.at_op("("):
+        if self.s.at_op("(") and prefix is None:
             if upper == "EMPTY" and self.s.peek(1)[1] == ")":
                 self.s.next()
                 self.s.next()
@@ -158,12 +158,14 @@ class FormulaParser:
             ref = self._try_r1c1(text, prefix, pos)
             if ref is not None:
                 return ref
-        if self.s.at_op("["):
-            return self._elem_ref(text)
-        if self.dialect != R1C1:
+        if self.dialect != R1C1 and not self.s.at_op("["):
             cell = cell_label(text, prefix or self.sheet, pos=pos)
             if cell is not None:
                 return AbsRef(cell)
+        if prefix is not None:
+            raise FormulaSyntaxError("expected a cell reference after sheet prefix", pos)
+        if self.s.at_op("["):
+            return self._elem_ref(text)
         return NameRef(text)
 
     def _call(self, func: str) -> Formula:
@@ -365,6 +367,15 @@ def contains_here(f: Formula) -> bool:
     )
 
 
+def at_offset(k: tuple, d_col: int, d_row: int) -> tuple:
+    """The cell (sheet, col, row) at an offset from cell k."""
+    sheet, col, row = k
+    col, row = col + d_col, row + d_row
+    if not on_grid(col, row):
+        raise OutOfGridError(f"reference leaves the grid at {CellAddr(*k)}: col={col} row={row}")
+    return sheet, col, row
+
+
 def _resolver(anchor: CellAddr | None):
     """The mover that makes relative references and ranges absolute at the
     anchor."""
@@ -375,10 +386,7 @@ def _resolver(anchor: CellAddr | None):
             return p
         if anchor is None:
             raise AnchorError("a relative reference needs an anchor to name a cell")
-        col, row = anchor.col + col, anchor.row + row
-        if not on_grid(col, row):
-            raise OutOfGridError(f"reference leaves the grid at {anchor}: col={col} row={row}")
-        return anchor.sheet, col, row
+        return at_offset((anchor.sheet, anchor.col, anchor.row), col, row)
 
     return lambda lo, hi: (fix(lo), fix(hi))
 

@@ -86,6 +86,21 @@ class LayoutSet:
                     raise LayoutError("layout footprints overlap")
         self.directives = directives
         self._by_name = by_name
+        self._footprints = rects
+
+    def elem_at(self, a: CellAddr) -> ArrayElem | None:
+        """The array element laid out at cell a; None when no footprint
+        holds it."""
+        for d, rect in zip(self.directives, self._footprints):
+            if rect.contains(a):
+                anchor = d.anchor
+                if d.arity == 1:
+                    (lo, _), = d.index_box
+                    off = a.row - anchor.row if d.orientation == DOWN else a.col - anchor.col
+                    return ArrayElem(d.array, (lo + off,))
+                (lo1, _), (lo2, _) = d.index_box
+                return ArrayElem(d.array, (lo1 + (a.row - anchor.row), lo2 + (a.col - anchor.col)))
+        return None
 
     def get(self, array: str) -> LayoutDirective | None:
         return self._by_name.get(array)
@@ -123,15 +138,7 @@ def elem_to_cell(d: LayoutDirective, subs: tuple) -> CellAddr:
 
 def cell_to_elem(d: LayoutDirective, a: CellAddr) -> ArrayElem | None:
     """Inverse of elem_to_cell; None when the cell is outside the footprint."""
-    if not d.footprint().contains(a):
-        return None
-    anchor = d.anchor
-    if d.arity == 1:
-        (lo, _), = d.index_box
-        off = a.row - anchor.row if d.orientation == DOWN else a.col - anchor.col
-        return ArrayElem(d.array, (lo + off,))
-    (lo1, _), (lo2, _) = d.index_box
-    return ArrayElem(d.array, (lo1 + (a.row - anchor.row), lo2 + (a.col - anchor.col)))
+    return LayoutSet([d]).elem_at(a)
 
 
 def resolve_here(subs: tuple, at: tuple) -> tuple:
@@ -186,17 +193,10 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
     if layouts is None:
         layouts = LayoutSet(cells.layouts)
 
-    def to_elem(a: CellAddr):
-        for d in layouts:
-            elem = cell_to_elem(d, a)
-            if elem is not None:
-                return elem
-        return None
-
     def decompile_formula(f: Formula) -> Formula:
         def fix(node):
             if isinstance(node, AbsRef):
-                elem = to_elem(node.addr)
+                elem = layouts.elem_at(node.addr)
                 if elem is not None:
                     return ElemRef(elem.name, elem.subs)
             return node
@@ -207,7 +207,7 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
     for eq in cells:
         lhs = eq.lhs
         if isinstance(lhs, CellAddr):
-            elem = to_elem(lhs)
+            elem = layouts.elem_at(lhs)
             if elem is not None:
                 lhs = elem
         rhs = eq.rhs

@@ -168,14 +168,9 @@ class CellRange:
         return any(r.contains(a) for r in self.rects)
 
     def is_single_cell(self) -> bool:
-        cells = []
-        for r in self.rects:
-            if not r.bounded:
-                return False
-            cells.extend(r.cells())
-            if len(set(cells)) > 1:
-                return False
-        return len(set(cells)) == 1
+        return (all(r.bounded and r.col_lo == r.col_hi and r.row_lo == r.row_hi
+                    for r in self.rects)
+                and len({(r.sheet, r.col_lo, r.row_lo) for r in self.rects}) == 1)
 
     def __str__(self):
         from .formula import print_range

@@ -4,14 +4,22 @@ import random
 import pytest
 
 from sheetalgebra import (
+    Binary,
     CellError,
+    CellRange,
+    ElemRef,
+    Equation,
+    EquationSet,
+    Here,
+    NameRef,
+    RelRef,
     addr,
     build_deps,
     evaluate,
     evaluate_cell,
     union,
 )
-from sheetalgebra.errors import DomainError
+from sheetalgebra.errors import DomainError, OutOfGridError, SubstitutionError
 from sheetalgebra.fileio import format_value
 
 from conftest import make_set, rand_cell_set
@@ -162,6 +170,55 @@ class TestSemantics:
     def test_rejects_array_lhs(self):
         with pytest.raises(DomainError):
             evaluate(make_set(("y[1]", "1")))
+        with pytest.raises(DomainError):
+            evaluate_cell(make_set(("y[1]", "1")), addr("A1"))
+
+
+TWO_CELLS = {"x": CellRange.box(addr("A1"), addr("A2"))}
+HERE_REF = ElemRef("x", (Here(0),))
+
+FAULTS = [
+    pytest.param(make_set(("A1", "R[-1]C", "r1c1")), "A1", OutOfGridError,
+                 id="relative-ref-off-grid"),
+    pytest.param(make_set(("A1", "1"), ("B2", "SUM(R[-1]C[-1]:R[-2]C[-1])", "r1c1")), "B2",
+                 OutOfGridError, id="relative-range-off-grid"),
+    pytest.param(make_set(("A1", "1"), ("A2", "2"), ("B1", "x+1"), names=TWO_CELLS),
+                 "B1", SubstitutionError, id="range-name-outside-call"),
+    pytest.param(EquationSet([Equation(addr("B1"), HERE_REF)]), "B1",
+                 DomainError, id="here-marker"),
+    # two faults in one formula raise in the order resolving it finds them:
+    # a HERE marker, then an offset off the grid, then a range outside a call
+    pytest.param(make_set(("B1", "x+R[-5]C", "r1c1"), names=TWO_CELLS), "B1",
+                 OutOfGridError, id="off-grid-before-range-name"),
+    pytest.param(EquationSet([Equation(addr("B1"), Binary("+", RelRef(0, -5), HERE_REF))]),
+                 "B1", DomainError, id="here-marker-before-off-grid"),
+    pytest.param(EquationSet([Equation(addr("B1"), Binary("+", NameRef("x"), HERE_REF))],
+                             TWO_CELLS), "B1", DomainError, id="here-marker-before-range-name"),
+]
+
+
+class TestErrorContract:
+    """A faulty formula raises the same class from evaluate and evaluate_cell;
+    with two faults, the class of the one resolving the formula meets first."""
+
+    @pytest.mark.parametrize("s, target, error", FAULTS)
+    def test_fault_raises(self, s, target, error):
+        with pytest.raises(error) as whole:
+            evaluate(s)
+        assert whole.type is error
+        with pytest.raises(error) as one:
+            evaluate_cell(s, addr(target))
+        assert one.type is error
+
+    def test_off_grid_message_names_the_cell(self):
+        with pytest.raises(OutOfGridError, match=r"at B2: col=1 row=0"):
+            evaluate(make_set(("B2", "SUM(R[-1]C[-1]:R[-2]C[-1])", "r1c1")))
+
+    def test_deep_chain_evaluates(self):
+        # 400 terms: nothing on the way recurses deeper than the tree
+        s = make_set(("A1", "+".join(["1"] * 400)))
+        assert evaluate(s)[addr("A1")] == 400.0
+        assert evaluate_cell(s, addr("A1")) == 400.0
 
 
 class TestOrderIndependence:

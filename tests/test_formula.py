@@ -207,6 +207,14 @@ class TestSubstituteNames:
         out = substitute_names(Call("SUM", (NameRef("costs"),)), {"costs": rng})
         assert out == Call("SUM", (RangeArg(rng),))
 
+    def test_single_cell_is_read_off_the_bounds(self):
+        b1 = CellRange.cell(addr("B1"))
+        assert b1.union(b1).is_single_cell()
+        assert not b1.union(CellRange.cell(addr("B2"))).is_single_cell()
+        assert not CellRange.box(addr("B1"), addr("B2")).is_single_cell()
+        assert not CellRange.columns(2, 2).is_single_cell()
+        assert not CellRange.box(addr("A1"), addr("XFD1048576")).is_single_cell()
+
     def test_unknown_name_passes_through(self):
         assert substitute_names(NameRef("unknown"), {}) == NameRef("unknown")
 

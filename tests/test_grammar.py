@@ -56,6 +56,11 @@ BOUNDED_CASES = [
     (partial(parse_formula, dialect=R1C1), "R[1e400]C"),
     (partial(parse_formula, dialect=R1C1), "Sheet2!RC[1]"),
     (partial(parse_formula, dialect=CANONICAL), "Sheet2!R[-1]C"),
+    (parse_formula, "Sheet2!x[1]"),
+    (parse_formula, "Sheet2!foo"),
+    (parse_formula, "Sheet2!RC"),
+    (partial(parse_formula, dialect=R1C1), "Sheet2!R[1]"),
+    (parse_formula, "Sheet2!SUM(1)"),
     (parse_formula, "SUM(1e400:2)"),
     (parse_listing, "Sheet1[ {1e400} >< {1} ] = 1"),
     (parse_script, "x shift (1e400, 0)."),

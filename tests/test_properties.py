@@ -2,6 +2,7 @@
 operator laws, using hypothesis-generated inputs."""
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from sheetalgebra import (
     CellRange,
     Equation,
     EquationSet,
+    NameRef,
     Number,
     RangeArg,
     Rect,
@@ -34,12 +36,15 @@ from sheetalgebra import (
     shift,
     show,
     simplify,
+    substitute_names,
     to_absolute,
     to_relative,
     union,
 )
-from sheetalgebra.errors import CrossSheetError, DomainError
+from sheetalgebra.errors import CrossSheetError, DomainError, SheetError
 from sheetalgebra.formula import formula_groups
+
+from conftest import rand_cell_set
 
 # -- formula strategy -------------------------------------------------------
 
@@ -244,3 +249,77 @@ class TestRangeLaws:
         moved = {frozenset(a.offset(dx, dy) for a in cells)
                  for cells in partition(formula_groups(s))}
         assert partition(formula_groups(shift(s, dx, dy))) == moved
+
+
+# -- the evaluator against formulas resolved one cell at a time -------------
+
+
+def copied_columns():
+    """A relative formula over RelRefs, a relative SUM range and two defined
+    names, copied down five to eight cells of column C, over constants in
+    A1:B12.  Every copy has the same faults, so the top one raises first
+    both ways."""
+    rel = st.builds(RelRef, st.integers(min_value=-2, max_value=0),
+                    st.integers(min_value=-3, max_value=3))
+    offset = st.integers(min_value=-3, max_value=3)
+    rel_sum = st.builds(
+        lambda c, r1, r2: Call("SUM", (RangeArg(CellRange((
+            Rect(None, c, 0, min(r1, r2), max(r1, r2)),))),)),
+        st.integers(min_value=-2, max_value=0), offset, offset)
+    # w outside a call is a fault, raised after any offset off the grid
+    named = st.sampled_from([NameRef("k"), Call("SUM", (NameRef("w"),)), NameRef("w")])
+    formula = st.recursive(
+        st.one_of(numbers, rel, rel_sum, named),
+        lambda inner: st.builds(Binary, st.sampled_from("+-*/"), inner, inner),
+        max_leaves=6)
+    constants = st.dictionaries(
+        st.builds(lambda c, r: CellAddr("Sheet1", c, r),
+                  st.integers(min_value=1, max_value=2),
+                  st.integers(min_value=1, max_value=12)),
+        numbers, max_size=12)
+    names = {"k": CellRange.cell(CellAddr("Sheet1", 1, 1)),
+             "w": CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", 2, 2))}
+
+    def build(f, top, n, consts):
+        column = [Equation(CellAddr("Sheet1", 3, r), f) for r in range(top, top + n)]
+        return EquationSet([Equation(a, v) for a, v in consts.items()] + column, names)
+
+    return st.builds(build, formula, st.integers(min_value=1, max_value=4),
+                     st.integers(min_value=5, max_value=8), constants)
+
+
+def _outcome(build):
+    """Each value's repr, so floats compare bit for bit, or the error's
+    class."""
+    try:
+        return {a: repr(v) for a, v in evaluate(build()).items()}
+    except SheetError as e:
+        return type(e)
+
+
+def _agrees_with_resolved(s):
+    def resolved():
+        return EquationSet([Equation(eq.lhs, substitute_names(to_absolute(eq.rhs, eq.lhs), s.names))
+                            for eq in s], s.names)
+
+    assert _outcome(lambda: s) == _outcome(resolved)
+
+
+class TestEvaluateWhereItStands:
+    """evaluate reads relative references at their offsets; it agrees with
+    evaluate of the same sheet resolved one formula at a time."""
+
+    @given(range_sets())
+    @settings(max_examples=50)
+    def test_ranges(self, s):
+        _agrees_with_resolved(s)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=50)
+    def test_random_cells(self, seed):
+        _agrees_with_resolved(rand_cell_set(random.Random(seed), evaluable=True))
+
+    @given(copied_columns())
+    @settings(max_examples=100)
+    def test_copied_column(self, s):
+        _agrees_with_resolved(s)
