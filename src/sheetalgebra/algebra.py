@@ -18,6 +18,7 @@ from .errors import (
     NotFoundError,
     OutOfGridError,
 )
+from .evaluator import binary
 from .formula import (
     canonical_text,
     formula_groups,
@@ -94,7 +95,7 @@ def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     for eq in s:
         lhs = eq.lhs
         if isinstance(lhs, CellAddr):
-            lhs = CellAddr(*move((lhs.sheet, lhs.col, lhs.row)))
+            lhs = CellAddr(*move(lhs))
         out.append(Equation(lhs, map_refs(eq.rhs, move_box)))
     return EquationSet(out, s.names, s.layouts)
 
@@ -116,8 +117,7 @@ def map_range(s: EquationSet, src: CellRange, dst: CellRange) -> EquationSet:
     if len(src_cells) != len(dst_cells):
         raise CardinalityError(
             f"source has {len(src_cells)} cells, target has {len(dst_cells)}")
-    moves = {(a.sheet, a.col, a.row): (b.sheet, b.col, b.row)
-             for a, b in zip(src_cells, dst_cells)}
+    moves = dict(zip(src_cells, dst_cells))
     if len(set(moves.values())) != len(moves):
         raise CardinalityError("mapping correspondence is not injective")
 
@@ -143,8 +143,7 @@ def map_range(s: EquationSet, src: CellRange, dst: CellRange) -> EquationSet:
     for eq in s:
         lhs = eq.lhs
         if isinstance(lhs, CellAddr):
-            p = (lhs.sheet, lhs.col, lhs.row)
-            lhs = CellAddr(*carry(p, p)[0])
+            lhs = moves.get(lhs, lhs)
         if lhs in out:
             raise CollisionError(f"two equations land on {lhs} after mapping")
         out[lhs] = Equation(lhs, map_refs(eq.rhs, carry))
@@ -286,39 +285,6 @@ def _is_num(f, v=None):
     return isinstance(f, Number) and (v is None or f.value == v)
 
 
-def _fold_binary(op: str, a: float, b: float):
-    try:
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
-            if b == 0:
-                return None
-            v = a / b
-        elif op == "^":
-            v = a ** b
-        else:
-            if op == "=":
-                return Bool(a == b)
-            if op == "<>":
-                return Bool(a != b)
-            if op == "<":
-                return Bool(a < b)
-            if op == "<=":
-                return Bool(a <= b)
-            if op == ">":
-                return Bool(a > b)
-            return Bool(a >= b)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return None
-    if isinstance(v, complex) or v != v or v in (float("inf"), float("-inf")):
-        return None
-    return Number(v)
-
-
 def simplify_formula(f: Formula) -> Formula:
     """Bottom-up algebraic simplification to a fixpoint: unit/zero laws,
     double negation, and constant folding of operator nodes."""
@@ -332,9 +298,12 @@ def simplify_formula(f: Formula) -> Formula:
         if isinstance(node, Binary):
             op, left, right = node.op, node.left, node.right
             if _is_num(left) and _is_num(right):
-                folded = _fold_binary(op, left.value, right.value)
-                if folded is not None:
-                    return folded
+                # fold as the evaluator computes it; an error value stays unfolded
+                v = binary(op, left.value, right.value)
+                if isinstance(v, bool):
+                    return Bool(v)
+                if isinstance(v, float):
+                    return Number(v)
             if op == "+":
                 if _is_num(right, 0):
                     return left

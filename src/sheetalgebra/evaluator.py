@@ -50,33 +50,31 @@ class CellError:
 
 
 class _Graph:
-    """A sheet as an evaluation graph on (sheet, col, row) keys, built once
-    per call.  A formula is evaluated where it stands: a relative reference
-    is read at its offset from the cell and a defined name as its range, so
-    no tree is rebuilt.  Each distinct range is read once as its defined
-    cells, and each cell's precedents are listed once, both on first use, so
-    a walk from one cell touches only the cells it depends on."""
+    """A sheet as an evaluation graph on its cells, built once per call.  A
+    formula is evaluated where it stands: a relative reference is read at
+    its offset from the cell and a defined name as its range, so no tree is
+    rebuilt.  Each distinct range is read once as its defined cells, and
+    each cell's precedents are listed once, both on first use, so a walk
+    from one cell touches only the cells it depends on."""
 
     def __init__(self, s: EquationSet):
-        self.addrs, self.formulas, self.ranges, self.deps = {}, {}, {}, {}
+        self.formulas, self.ranges, self.deps = {}, {}, {}
         # a defined name stands for a reference or, as a call's argument, a range
         self.names = {name: AbsRef(enumerate_range(rng)[0]) if rng.is_single_cell()
                       else RangeArg(rng) for name, rng in s.names.items()}
-        # sheet -> (sorted rows, row -> its keys sorted); the canonical order
+        # sheet -> (sorted rows, row -> its cells sorted); the canonical order
         # of s is by sheet, row and column, so appending keeps both sorted
         self.index = {}
         for eq in s:
             a = eq.lhs
             if not isinstance(a, CellAddr):
                 raise DomainError("evaluation expects cell left-hand sides")
-            k = (a.sheet, a.col, a.row)
-            self.addrs[k] = a
-            self.formulas[k] = eq.rhs
+            self.formulas[a] = eq.rhs
             rows, by_row = self.index.setdefault(a.sheet, ([], {}))
             if a.row not in by_row:
                 rows.append(a.row)
                 by_row[a.row] = []
-            by_row[a.row].append(k)
+            by_row[a.row].append(a)
 
     def range_cells(self, rng, k) -> list:
         """The defined cells of a range read at cell k, rectangle by
@@ -107,8 +105,7 @@ class _Graph:
                 if isinstance(node, RelRef):
                     refs.append(at_offset(k, node.d_col, node.d_row))
                 elif isinstance(node, AbsRef):
-                    a = node.addr
-                    refs.append((a.sheet, a.col, a.row))
+                    refs.append(node.addr)
                 else:
                     refs.extend(self.range_cells(node.range, k))
             if loose:
@@ -154,7 +151,7 @@ class _Graph:
                         yield comp
 
     def evaluate(self, roots) -> dict:
-        """Values of the cells reachable from roots, by key.  Cells on a
+        """Values of the cells reachable from roots, by cell.  Cells on a
         cycle are #CYCLE!; the others are computed after their precedents."""
         grid = {}
         for comp in self.components(roots):
@@ -195,7 +192,7 @@ def _bounds(rect, k) -> tuple:
     """A rectangle's (sheet, col_lo, col_hi, row_lo, row_hi), a relative one
     read at cell k."""
     if rect.sheet is not None:
-        return rect.sheet, rect.col_lo, rect.col_hi, rect.row_lo, rect.row_hi
+        return rect
     sheet, col_lo, row_lo = at_offset(k, rect.col_lo, rect.row_lo)
     _, col_hi, row_hi = at_offset(k, rect.col_hi, rect.row_hi)
     return sheet, col_lo, col_hi, row_lo, row_hi
@@ -205,8 +202,7 @@ def build_deps(s: EquationSet) -> dict:
     """Dependency graph: cell -> set of cells its formula references,
     including the defined cells inside range arguments."""
     g = _Graph(s)
-    return {a: {g.addrs.get(p) or CellAddr(*p) for p in g.precedents(k)}
-            for k, a in g.addrs.items()}
+    return {a: set(g.precedents(a)) for a in g.formulas}
 
 
 def _to_number(v):
@@ -279,6 +275,13 @@ def _compare(op: str, lv, rv):
         return lv >= rv
     except TypeError:
         return CellError(VALUE)
+
+
+def binary(op: str, lv, rv):
+    """The value of lv op rv for a binary operator op."""
+    if op in ("+", "-", "*", "/", "^"):
+        return _finite(_arith(op, lv, rv))
+    return _compare(op, lv, rv)
 
 
 def _numeric_args(values, skip_empty=True):
@@ -371,22 +374,17 @@ def _truthy(v):
     return bool(v)
 
 
-def _eval_formula(f: Formula, k: tuple, g: _Graph, grid: dict):
+def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
     """The value of formula f standing at cell k."""
     if isinstance(f, Binary):
-        lv = _eval_formula(f.left, k, g, grid)
-        rv = _eval_formula(f.right, k, g, grid)
-        if f.op in ("+", "-", "*", "/", "^"):
-            return _finite(_arith(f.op, lv, rv))
-        return _compare(f.op, lv, rv)
+        return binary(f.op, _eval_formula(f.left, k, g, grid), _eval_formula(f.right, k, g, grid))
     if isinstance(f, RelRef):
         # precedents checked that the offset stays on the grid
         v = grid.get((k[0], k[1] + f.d_col, k[2] + f.d_row))
         # a reference to an empty cell reads as 0, as in a spreadsheet
         return 0.0 if v is None else v
     if isinstance(f, AbsRef):
-        a = f.addr
-        v = grid.get((a.sheet, a.col, a.row))
+        v = grid.get(f.addr)
         return 0.0 if v is None else v
     if isinstance(f, (Number, Text, Bool)):
         return f.value
@@ -417,11 +415,10 @@ def evaluate(s: EquationSet) -> dict:
     """Evaluate every cell in dependency order.  Returns a grid mapping each
     defined cell to its value."""
     g = _Graph(s)
-    return {g.addrs[k]: v for k, v in g.evaluate(g.formulas).items()}
+    return g.evaluate(g.formulas)
 
 
 def evaluate_cell(s: EquationSet, a: CellAddr):
     """The value of one cell, evaluating only the cells it depends on; None
     when a is not defined."""
-    k = (a.sheet, a.col, a.row)
-    return _Graph(s).evaluate([k]).get(k)
+    return _Graph(s).evaluate([a]).get(a)

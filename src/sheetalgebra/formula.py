@@ -57,6 +57,7 @@ from .model import (
     RelRef,
     Text,
     col_to_letters,
+    enumerate_range,
     map_refs,
     on_grid,
     transform,
@@ -102,7 +103,7 @@ class FormulaParser:
 
     def _unary(self):
         if self.s.accept_op("-"):
-            operand = self._unary()
+            operand = self.s.nested(self._unary)
             if isinstance(operand, Number):
                 return Number(-operand.value)
             return Neg(operand)
@@ -111,7 +112,7 @@ class FormulaParser:
     def _power(self):
         base = self._primary()
         if self.s.accept_op("^"):
-            return Binary("^", base, self._unary())
+            return Binary("^", base, self.s.nested(self._unary))
         return base
 
     # -- primaries ----------------------------------------------------------
@@ -125,7 +126,7 @@ class FormulaParser:
             return Text(unquote_string(text))
         if kind == OP and text == "(":
             self.s.next()
-            inner = self.expression()
+            inner = self.s.nested(self.expression)
             self.s.expect_op(")")
             return inner
         if kind == ID:
@@ -176,7 +177,7 @@ class FormulaParser:
                 if at_range(self.s):
                     args.append(RangeArg(read_range(self.s, self.sheet, self.dialect)))
                 else:
-                    args.append(self.expression())
+                    args.append(self.s.nested(self.expression))
                 if not self.s.accept_op(","):
                     break
         self.s.expect_op(")")
@@ -367,13 +368,14 @@ def contains_here(f: Formula) -> bool:
     )
 
 
-def at_offset(k: tuple, d_col: int, d_row: int) -> tuple:
-    """The cell (sheet, col, row) at an offset from cell k."""
-    sheet, col, row = k
+def at_offset(a: CellAddr, d_col: int, d_row: int) -> CellAddr:
+    """The cell at an offset from cell a."""
+    sheet, col, row = a
     col, row = col + d_col, row + d_row
     if not on_grid(col, row):
-        raise OutOfGridError(f"reference leaves the grid at {CellAddr(*k)}: col={col} row={row}")
-    return sheet, col, row
+        raise OutOfGridError(f"reference leaves the grid at {a}: col={col} row={row}")
+    # on the grid, as just checked, and on a's sheet, so it needs no second check
+    return CellAddr._make((sheet, col, row))
 
 
 def _resolver(anchor: CellAddr | None):
@@ -386,7 +388,7 @@ def _resolver(anchor: CellAddr | None):
             return p
         if anchor is None:
             raise AnchorError("a relative reference needs an anchor to name a cell")
-        return at_offset((anchor.sheet, anchor.col, anchor.row), col, row)
+        return at_offset(anchor, col, row)
 
     return lambda lo, hi: (fix(lo), fix(hi))
 
@@ -453,8 +455,6 @@ def substitute_names(f: Formula, names: dict) -> Formula:
         if isinstance(node, NameRef) and node.name in names:
             rng = names[node.name]
             if rng.is_single_cell():
-                from .model import enumerate_range
-
                 return AbsRef(enumerate_range(rng)[0])
             return RangeArg(rng)
         return node

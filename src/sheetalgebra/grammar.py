@@ -21,6 +21,7 @@ from .model import (
     DEFAULT_SHEET,
     MAX_COL,
     MAX_INT_DIGITS,
+    MAX_NESTING,
     MAX_ROW,
     ArrayElem,
     CellAddr,
@@ -73,6 +74,7 @@ class TokenStream:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         j = min(self.i + ahead, len(self.tokens) - 1)
@@ -119,6 +121,16 @@ class TokenStream:
     @property
     def at_eof(self):
         return self.peek()[0] == EOF
+
+    def nested(self, read):
+        """read() one nesting level deeper; past MAX_NESTING levels the text
+        is a syntax error, so no reader recurses without bound."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
+        out = read()
+        self.depth -= 1
+        return out
 
 
 def unquote_string(text: str) -> str:

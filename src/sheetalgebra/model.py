@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import BoundednessError, ConflictError, DomainError
+from .errors import BoundednessError, ConflictError, DomainError, SubstitutionError
 
 DEFAULT_SHEET = "Sheet1"
 
 MAX_COL = 16384      # XFD
 MAX_ROW = 1048576
 MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
+MAX_NESTING = 64     # levels a formula or script nests, Excel's own limit
 A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
 
 
@@ -42,18 +44,20 @@ def letters_to_col(s: str) -> int:
     return n
 
 
-@dataclass(frozen=True, order=True)
-class CellAddr:
-    sheet: str
-    col: int
-    row: int
+class CellAddr(namedtuple("CellAddr", "sheet col row")):
+    """A cell, the tuple (sheet, col, row): it is its own key, and it orders
+    by sheet, column and row.  Build it checked; `_make` skips the checks
+    and is only for a cell whose coordinates were just checked."""
 
-    def __post_init__(self):
-        if not on_grid(self.col, self.row):
+    __slots__ = ()
+
+    def __new__(cls, sheet: str, col: int, row: int):
+        if not on_grid(col, row):
             raise DomainError(f"cell coordinates must lie in 1..{MAX_COL}, 1..{MAX_ROW}: "
-                              f"col={self.col} row={self.row}")
-        if not self.sheet:
+                              f"col={col} row={row}")
+        if not sheet:
             raise DomainError("sheet name must be nonempty")
+        return tuple.__new__(cls, (sheet, col, row))
 
     def offset(self, d_col: int, d_row: int) -> "CellAddr":
         return CellAddr(self.sheet, self.col + d_col, self.row + d_row)
@@ -90,26 +94,23 @@ def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
     return CellAddr(sheet, label_coord(m[1], MAX_COL), label_coord(m[2], MAX_ROW))
 
 
-@dataclass(frozen=True)
-class Rect:
-    """One rectangle of a range.  None bounds mean unbounded on that side.
-    In a formula a bounded rectangle may be relative: its sheet is None and
-    its bounds are offsets from the formula's cell."""
+class Rect(namedtuple("Rect", "sheet col_lo col_hi row_lo row_hi")):
+    """One rectangle of a range, the tuple (sheet, col_lo, col_hi, row_lo,
+    row_hi).  None bounds mean unbounded on that side.  In a formula a
+    bounded rectangle may be relative: its sheet is None and its bounds are
+    offsets from the formula's cell."""
 
-    sheet: str | None
-    col_lo: int | None
-    col_hi: int | None
-    row_lo: int | None
-    row_hi: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for lo, hi, cap in ((self.col_lo, self.col_hi, MAX_COL),
-                            (self.row_lo, self.row_hi, MAX_ROW)):
+    def __new__(cls, sheet: str | None, col_lo: int | None, col_hi: int | None,
+                row_lo: int | None, row_hi: int | None):
+        for lo, hi, cap in ((col_lo, col_hi, MAX_COL), (row_lo, row_hi, MAX_ROW)):
             for v in (lo, hi):
-                if v is not None and self.sheet is not None and not 0 < v <= cap:
+                if v is not None and sheet is not None and not 0 < v <= cap:
                     raise DomainError(f"range bound must lie in 1..{cap}, got {v}")
             if lo is not None and hi is not None and lo > hi:
                 raise DomainError(f"empty rectangle: {lo}..{hi}")
+        return tuple.__new__(cls, (sheet, col_lo, col_hi, row_lo, row_hi))
 
     @property
     def bounded(self) -> bool:
@@ -360,8 +361,7 @@ def map_refs(f: Formula, fn) -> Formula:
 
     def move(node):
         if isinstance(node, AbsRef):
-            a = node.addr
-            p = (a.sheet, a.col, a.row)
+            p = node.addr
         elif isinstance(node, RelRef):
             p = (None, node.d_col, node.d_row)
         elif isinstance(node, RangeArg):
@@ -405,7 +405,6 @@ def is_constant(f: Formula) -> bool:
 
 def validate_range_args(f: Formula):
     """RangeArg nodes are legal only directly under a Call."""
-    from .errors import SubstitutionError
 
     def check(node, under_call):
         if isinstance(node, RangeArg) and not under_call:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .evaluator import evaluate
 from .fileio import export_csv, format_value, load, save
-from .formula import CANONICAL, canonical_text, fmt_number, parse_formula
+from .formula import CANONICAL, canonical_text, parse_formula
 from .grammar import (
     ID,
     NUM,
@@ -184,7 +184,7 @@ class ScriptParser:
             return Lit(int(v) if v == int(v) else v)
         if kind == OP and text == "(":
             self.s.next()
-            inner = self.expression()
+            inner = self.s.nested(self.expression)
             self.s.expect_op(")")
             return inner
         if kind == ID:
@@ -194,7 +194,7 @@ class ScriptParser:
                 args = []
                 if not self.s.at_op(")"):
                     while True:
-                        args.append(self.expression())
+                        args.append(self.s.nested(self.expression))
                         if not self.s.accept_op(","):
                             break
                 self.s.expect_op(")")
@@ -267,8 +267,6 @@ MAX_SET_LINES = 40
 
 
 def format_script_value(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, EquationSet):
         lines = show(v).splitlines()
         if len(lines) > MAX_SET_LINES:
@@ -285,11 +283,7 @@ def format_script_value(v) -> str:
         if v and all(hasattr(item, "canonical_formula") for item in v):
             return violations_text(v)
         return "\n".join(format_script_value(item) for item in v)
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, float):
-        return fmt_number(v)
-    return str(v)
+    return format_value(v)
 
 
 class Interpreter:

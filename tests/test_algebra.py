@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,10 @@ from sheetalgebra import (
     AbsRef,
     ArrayElem,
     Binary,
+    Bool,
     CellRange,
+    Equation,
+    EquationSet,
     NameRef,
     Number,
     RelRef,
@@ -40,6 +44,7 @@ from sheetalgebra.errors import (
     NotFoundError,
     OutOfGridError,
 )
+from sheetalgebra.model import BINARY_OPS
 
 from conftest import make_set, rand_cell_set
 
@@ -349,6 +354,19 @@ class TestSimplify:
     def test_division_by_zero_not_folded(self):
         f = parse_formula("1/0")
         assert simplify_formula(f) == f
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_folds_as_the_evaluator_computes(self, op):
+        operands = (0.0, -0.0, 1e308, -8.0, 1 / 3, 400.0)
+        for x, y in itertools.product(operands, repeat=2):
+            f = Binary(op, Number(x), Number(y))
+            v = evaluate(EquationSet([Equation(addr("A1"), f)]))[addr("A1")]
+            if isinstance(v, bool):
+                assert simplify_formula(f) == Bool(v)
+            elif isinstance(v, float):
+                assert simplify_formula(f) == Number(v)  # bit for bit
+            else:
+                assert simplify_formula(f) == f
 
     def test_double_negation(self):
         from sheetalgebra import Neg

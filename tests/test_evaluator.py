@@ -5,6 +5,7 @@ import pytest
 
 from sheetalgebra import (
     Binary,
+    CellAddr,
     CellError,
     CellRange,
     ElemRef,
@@ -17,6 +18,7 @@ from sheetalgebra import (
     build_deps,
     evaluate,
     evaluate_cell,
+    parse_document,
     union,
 )
 from sheetalgebra.errors import DomainError, OutOfGridError, SubstitutionError
@@ -38,6 +40,17 @@ class TestBuildDeps:
     def test_ranges_hold_only_defined_cells(self):
         s = make_set(("A1", "1"), ("A3", "3"), ("B1", "SUM(A1:A9)"))
         assert build_deps(s)[addr("B1")] == {addr("A1"), addr("A3")}
+
+    def test_every_cell_is_a_cell_addr(self):
+        s = parse_document("A1 = 1\nA2 = R[-1]C+Z99\nB3 = SUM(R[-2]C[-1]:R[-1]C[-1])+RC[-1]")
+        grid = evaluate(s)
+        assert all(isinstance(a, CellAddr) for a in grid)
+        for a in grid:
+            assert format_value(evaluate_cell(s, a)) == format_value(grid[a])
+        deps = build_deps(s)
+        assert deps[addr("B3")] == {addr("A1"), addr("A2"), addr("A3")}
+        assert all(isinstance(a, CellAddr) for a in deps)
+        assert all(isinstance(p, CellAddr) for ps in deps.values() for p in ps)
 
     def test_relative_refs_resolved_first(self):
         s = make_set(("B5", "R[-1]C+1", "r1c1"))

@@ -34,6 +34,7 @@ from sheetalgebra import (
     save,
 )
 from sheetalgebra.errors import DomainError, FormulaSyntaxError
+from sheetalgebra.model import MAX_NESTING
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sheetalgebra"
 
@@ -64,6 +65,10 @@ BOUNDED_CASES = [
     (parse_formula, "SUM(1e400:2)"),
     (parse_listing, "Sheet1[ {1e400} >< {1} ] = 1"),
     (parse_script, "x shift (1e400, 0)."),
+    (parse_formula, "(" * 164 + "1" + ")" * 164),
+    (parse_formula, "SUM(" * 123 + "1" + ")" * 123),
+    (parse_formula, "^".join(["2"] * 500)),
+    (parse_script, "(" * 400 + "1" + ")" * 400 + "."),
 ]
 
 
@@ -71,6 +76,17 @@ BOUNDED_CASES = [
 def test_bounded_readers_raise_syntax_errors(read, text):
     with pytest.raises(FormulaSyntaxError):
         read(text)
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse_formula, "(" * MAX_NESTING + "1" + ")" * MAX_NESTING),
+    (parse_formula, "SUM(" * MAX_NESTING + "1" + ")" * MAX_NESTING),
+    (parse_formula, "^".join(["2"] * (MAX_NESTING + 1))),
+    (parse_formula, "-" * MAX_NESTING + "A1"),
+    (parse_script, "(" * MAX_NESTING + "1" + ")" * MAX_NESTING + "."),
+], ids=["parentheses", "calls", "power", "minus", "script"])
+def test_nesting_up_to_the_limit_reads(read, text):
+    read(text)
 
 
 @pytest.mark.parametrize("build", [
