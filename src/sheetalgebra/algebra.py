@@ -15,18 +15,23 @@ from .errors import (
     ConflictError,
     DomainError,
     EquivalenceError,
+    FormulaSyntaxError,
     NotFoundError,
     OutOfGridError,
 )
 from .evaluator import binary
 from .formula import (
+    CANONICAL,
     canonical_text,
     formula_groups,
+    parse_formula,
     relative_form,
     substitute_names,
     to_absolute,
 )
 from .model import (
+    ARITH_OPS,
+    MAX_NESTING,
     ArrayElem,
     Binary,
     Bool,
@@ -39,8 +44,9 @@ from .model import (
     Neg,
     Number,
     Rect,
-    children,
+    depth,
     enumerate_range,
+    fold,
     is_constant,
     lhs_sort_key,
     map_refs,
@@ -250,7 +256,8 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
     pattern matches only the exact cells it names, while a relative pattern
     matches every copy.  Single bottom-up pass that builds each relative
     form from those of the children; inserted replacements are not
-    rescanned."""
+    rescanned.  A result nested deeper than the readers read is a
+    FormulaSyntaxError, so that `save` never writes what `load` refuses."""
 
     out = []
     for eq in s:
@@ -258,40 +265,52 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
         key = relative_form(pattern, anchor)
         swap = (replacement, relative_form(replacement, anchor))
 
-        def go(node):
-            # node rewritten, and the relative form of what it became
-            kids = children(node)
-            if not kids:
-                rel = relative_form(node, anchor)
-            else:
-                done = [go(k) for k in kids]
-                if any(new is not k for k, (new, _) in zip(kids, done)):
-                    node = rebuild(node, tuple(new for new, _ in done))
-                rel = rebuild(node, tuple(r for _, r in done))
+        # each node folds to what it became and that one's relative form
+        def leaf(node):
+            rel = relative_form(node, anchor)
             return swap if rel == key else (node, rel)
 
-        out.append(Equation(eq.lhs, go(eq.rhs)[0]))
+        def inner(node, kids, done):
+            if any(new is not k for k, (new, _) in zip(kids, done)):
+                node = rebuild(node, tuple(new for new, _ in done))
+            rel = rebuild(node, tuple(r for _, r in done))
+            return swap if rel == key else (node, rel)
+
+        rhs = fold(eq.rhs, leaf, inner)[0]
+        if rhs is not eq.rhs and depth(rhs) > MAX_NESTING:
+            # only so deep a tree can print as text nested past the readers' limit
+            try:
+                parse_formula(canonical_text(rhs), CANONICAL)
+            except FormulaSyntaxError as e:
+                raise FormulaSyntaxError(f"replacing in {eq.lhs} gives a formula that does "
+                                         f"not read back: {e}") from None
+        out.append(Equation(eq.lhs, rhs))
     return EquationSet(out, s.names, s.layouts)
 
 
 # ---------------------------------------------------------------------------
 # Simplifier
 
-_ZERO = Number(0.0)
-_ONE = Number(1.0)
-
 
 def _is_num(f, v=None):
     return isinstance(f, Number) and (v is None or f.value == v)
 
 
+def _certainly_numeric(f) -> bool:
+    """Whether f's value is a number or an error whatever the cells hold: a
+    number literal, a negation or an arithmetic operator's result."""
+    return isinstance(f, (Number, Neg)) or (isinstance(f, Binary) and f.op in ARITH_OPS)
+
+
 def simplify_formula(f: Formula) -> Formula:
-    """Bottom-up algebraic simplification to a fixpoint: unit/zero laws,
-    double negation, and constant folding of operator nodes."""
+    """Bottom-up algebraic simplification to a fixpoint: unit laws, double
+    negation, and constant folding of operator nodes.  A law that drops an
+    operator applies only where the operand kept is certainly a number or
+    an error, as the operator's result is, so that every value stays."""
 
     def rule(node):
         if isinstance(node, Neg):
-            if isinstance(node.operand, Neg):
+            if isinstance(node.operand, Neg) and _certainly_numeric(node.operand.operand):
                 return node.operand.operand
             if isinstance(node.operand, Number):
                 return Number(-node.operand.value)
@@ -304,27 +323,13 @@ def simplify_formula(f: Formula) -> Formula:
                     return Bool(v)
                 if isinstance(v, float):
                     return Number(v)
-            if op == "+":
-                if _is_num(right, 0):
-                    return left
-                if _is_num(left, 0):
-                    return right
-            elif op == "-":
-                if _is_num(right, 0):
-                    return left
-            elif op == "*":
-                if _is_num(right, 1):
-                    return left
-                if _is_num(left, 1):
-                    return right
-                if _is_num(right, 0) or _is_num(left, 0):
-                    return _ZERO
-            elif op == "/":
-                if _is_num(right, 1):
-                    return left
-            elif op == "^":
-                if _is_num(right, 1):
-                    return left
+            kept = None
+            if _is_num(right, 0 if op in ("+", "-") else 1) and op in ARITH_OPS:
+                kept = left
+            elif op == "+" and _is_num(left, 0) or op == "*" and _is_num(left, 1):
+                kept = right
+            if kept is not None and _certainly_numeric(kept):
+                return kept
         return node
 
     while True:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, SubstitutionError
 from .formula import at_offset
 from .model import (
+    ARITH_OPS,
     MAX_COL,
     MAX_ROW,
     AbsRef,
@@ -279,7 +280,7 @@ def _compare(op: str, lv, rv):
 
 def binary(op: str, lv, rv):
     """The value of lv op rv for a binary operator op."""
-    if op in ("+", "-", "*", "/", "^"):
+    if op in ARITH_OPS:
         return _finite(_arith(op, lv, rv))
     return _compare(op, lv, rv)
 

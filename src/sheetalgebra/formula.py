@@ -66,11 +66,18 @@ from .model import (
 )
 
 
+# binding power of each binary operator and of unary minus, shared by the
+# reader and the printer; ^ is right-associative
+_PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+         "+": 2, "-": 2, "*": 3, "/": 3, "^": 5}
+_PREC_NEG = 4
+
+
 class FormulaParser:
-    """Recursive-descent parser over a shared token stream.  A range (A1:B2,
-    A:C, 2:4, Sheet2!A1:B2, or a parenthesized list of those) may appear only
-    as a whole call argument, in the forms `print_range` writes, in every
-    dialect."""
+    """Precedence-climbing parser over a shared token stream, on the
+    printer's `_PREC` table.  A range (A1:B2, A:C, 2:4, Sheet2!A1:B2, or a
+    parenthesized list of those) may appear only as a whole call argument,
+    in the forms `print_range` writes, in every dialect."""
 
     def __init__(self, stream: TokenStream, dialect: str = A1,
                  sheet: str = DEFAULT_SHEET):
@@ -78,42 +85,33 @@ class FormulaParser:
         self.dialect = dialect
         self.sheet = sheet
 
-    # -- precedence ladder --------------------------------------------------
-
     def expression(self) -> Formula:
-        left = self._additive()
-        while self.s.at_op("=", "<>", "<", "<=", ">", ">="):
-            op = self.s.next()[1]
-            left = Binary(op, left, self._additive())
-        return left
+        return self._climb(1)
 
-    def _additive(self):
-        left = self._multiplicative()
-        while self.s.at_op("+", "-"):
-            op = self.s.next()[1]
-            left = Binary(op, left, self._multiplicative())
-        return left
-
-    def _multiplicative(self):
-        left = self._unary()
-        while self.s.at_op("*", "/"):
-            op = self.s.next()[1]
-            left = Binary(op, left, self._unary())
-        return left
-
-    def _unary(self):
-        if self.s.accept_op("-"):
-            operand = self.s.nested(self._unary)
-            if isinstance(operand, Number):
-                return Number(-operand.value)
-            return Neg(operand)
-        return self._power()
-
-    def _power(self):
-        base = self._primary()
-        if self.s.accept_op("^"):
-            return Binary("^", base, self.s.nested(self._unary))
-        return base
+    def _climb(self, min_prec: int) -> Formula:
+        """An operand, then every binary operator that binds at least
+        min_prec with its right operand.  Unary minus binds its operand at
+        _PREC_NEG, so -2^2 is -(2^2), and folds into a number literal; the
+        operands of '-' and '^' are one nesting level deeper."""
+        s = self.s
+        if s.accept_op("-"):
+            operand = s.nested(self._climb, _PREC_NEG)
+            left = Number(-operand.value) if isinstance(operand, Number) else Neg(operand)
+        else:
+            left = self._primary()
+        tokens = s.tokens
+        while True:
+            kind, op, _ = tokens[s.i]
+            if kind != OP:
+                return left
+            p = _PREC.get(op)
+            if p is None or p < min_prec:
+                return left
+            s.i += 1
+            if op == "^":
+                left = Binary(op, left, s.nested(self._climb, p))
+            else:
+                left = Binary(op, left, self._climb(p + 1))
 
     # -- primaries ----------------------------------------------------------
 
@@ -136,10 +134,8 @@ class FormulaParser:
     def _identifier_primary(self) -> Formula:
         _, text, pos = self.s.next()
         upper = text.upper()
-        if upper == "TRUE" and not self.s.at_op("("):
-            return Bool(True)
-        if upper == "FALSE" and not self.s.at_op("("):
-            return Bool(False)
+        if upper in ("TRUE", "FALSE") and not self.s.at_op("("):
+            return Bool(upper == "TRUE")
 
         prefix = None
         if self.s.accept_op("!"):
@@ -249,11 +245,6 @@ def _rel_r1c1(d_col: int, d_row: int) -> str:
     r = "R" if d_row == 0 else f"R[{d_row}]"
     c = "C" if d_col == 0 else f"C[{d_col}]"
     return r + c
-
-
-_PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-         "+": 2, "-": 2, "*": 3, "/": 3, "^": 5}
-_PREC_NEG = 4
 
 
 def print_range(r: CellRange) -> str:

@@ -42,43 +42,51 @@ CANONICAL = "canonical"
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<str>"(?:[^"]|"")*")
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|<>|\\/|><|\.\.|[-+*/^=<>(),:\[\]{}!@.;])
+    (?:\s+|\#[^\n]*)*  # whitespace and comments, skipped
+    (?: (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+      | (?P<str>"(?:[^"]|"")*")
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op><=|>=|<>|\\/|><|\.\.|[-+*/^=<>(),:\[\]{}!@.;])
+      | (?P<eof>.|\Z)  # a character that starts no token, or the end
+    )
     """,
     re.VERBOSE,
 )
 
 
 def tokenize(src: str):
+    """(kind, text, offset) for each token of src, then an EOF token.  Every
+    offset matches, so the tokens follow one another without a gap."""
     tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unknown token {src[pos]!r}", pos)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append((EOF, "", n))
+        if kind == EOF:
+            break
+        append((kind, m[kind], m.start(kind)))
+    if m[EOF]:
+        raise FormulaSyntaxError(f"unknown token {m[EOF]!r}", m.start(EOF))
+    append((EOF, "", len(src)))
     return tokens
 
 
+_LOOKAHEAD = 4  # EOF tokens past the end, more than any reader looks ahead
+
+
 class TokenStream:
+    """The tokens of `src`, walked by index.  The list ends in EOF tokens
+    enough for every lookahead, so no read checks its bounds; `next` stays
+    on the first EOF."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = tokenize(src)
+        self.tokens += self.tokens[-1:] * _LOOKAHEAD
         self.i = 0
         self.depth = 0
 
     def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.i + ahead]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -87,12 +95,14 @@ class TokenStream:
         return tok
 
     def at_op(self, *ops, ahead=0):
-        kind, text, _ = self.peek(ahead)
-        return kind == OP and text in ops
+        tok = self.tokens[self.i + ahead]
+        return tok[0] == OP and tok[1] in ops
 
     def accept_op(self, *ops):
-        if self.at_op(*ops):
-            return self.next()
+        tok = self.tokens[self.i]
+        if tok[0] == OP and tok[1] in ops:
+            self.i += 1
+            return tok
         return None
 
     def expect_op(self, op):
@@ -112,23 +122,18 @@ class TokenStream:
         if kind != ID or text != word:
             raise FormulaSyntaxError(f"expected {word!r}, found {text or 'end of input'!r}", pos)
 
-    def mark(self):
-        return self.i
-
-    def reset(self, mark):
-        self.i = mark
-
     @property
     def at_eof(self):
-        return self.peek()[0] == EOF
+        return self.tokens[self.i][0] == EOF
 
-    def nested(self, read):
-        """read() one nesting level deeper; past MAX_NESTING levels the text
-        is a syntax error, so no reader recurses without bound."""
+    def nested(self, read, *args):
+        """read(*args) one nesting level deeper; past MAX_NESTING levels the
+        text is a syntax error, so no reader recurses without bound."""
         if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", self.peek()[2])
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
+                                     self.tokens[self.i][2])
         self.depth += 1
-        out = read()
+        out = read(*args)
         self.depth -= 1
         return out
 
@@ -186,7 +191,9 @@ def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
     if not on_grid(col, row):
         raise FormulaSyntaxError(f"cell {text} lies outside columns A..XFD, rows 1..{MAX_ROW}",
                                  pos)
-    return CellAddr(sheet, col, row)
+    if not sheet:
+        return CellAddr(sheet, col, row)  # which refuses the empty sheet name
+    return CellAddr._make((sheet, col, row))
 
 
 def rel_offsets(stream: TokenStream, text: str) -> tuple[int, int] | None:
@@ -197,13 +204,13 @@ def rel_offsets(stream: TokenStream, text: str) -> tuple[int, int] | None:
     if upper == "RC":
         return _offset(stream), 0
     if upper == "R" and stream.at_op("["):
-        mark = stream.mark()
+        mark = stream.i
         d_row = _offset(stream)
         kind, ctext, _ = stream.peek()
         if kind == ID and ctext in ("C", "c"):
             stream.next()
             return _offset(stream), d_row
-        stream.reset(mark)  # not R[..]C: an element of an array R
+        stream.i = mark  # not R[..]C: an element of an array R
     return None
 
 
@@ -261,7 +268,7 @@ def read_range(stream: TokenStream, sheet: str = DEFAULT_SHEET,
         sheet = stream.next()[1]
         stream.next()
     elif dialect in (R1C1, CANONICAL) and stream.peek()[0] == ID:
-        mark = stream.mark()
+        mark = stream.i
         lo = rel_offsets(stream, stream.next()[1])
         if lo is not None:
             stream.expect_op(":")
@@ -272,7 +279,7 @@ def read_range(stream: TokenStream, sheet: str = DEFAULT_SHEET,
                                          pos)
             return CellRange((Rect(None, min(lo[0], hi[0]), max(lo[0], hi[0]),
                                    min(lo[1], hi[1]), max(lo[1], hi[1])),))
-        stream.reset(mark)
+        stream.i = mark
     kind, text, pos = stream.peek()
     if kind == NUM:
         lo = _row(stream)

@@ -12,6 +12,7 @@ import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import is_not
 
 from .errors import BoundednessError, ConflictError, DomainError, SubstitutionError
 
@@ -289,29 +290,97 @@ class NameRef(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+def _tree_eq(a: Formula, b) -> bool:
+    """Structural equality of the operator trees a and b.  It walks down
+    the left operands and keeps the other pairs still to compare on a
+    stack, so that no tree is too deep to compare."""
+    todo = []
+    while True:
+        if a is not b:
+            t = type(a)
+            if type(b) is not t:
+                return False
+            if t is Binary:
+                if a.op != b.op:
+                    return False
+                todo.append((a.right, b.right))
+                a, b = a.left, b.left
+                continue
+            if t is Neg:
+                a, b = a.operand, b.operand
+                continue
+            if t is Call:
+                if a.func != b.func or len(a.args) != len(b.args):
+                    return False
+                todo += zip(a.args, b.args)
+            elif not a == b:  # a leaf; its __eq__ is cheaper than __ne__
+                return False
+        if not todo:
+            return True
+        a, b = todo.pop()
+
+
+def _tree_hash(f: Formula) -> int:
+    """A hash of f's nodes, each without its children, in one walk that
+    goes down the left operands and keeps the others on a stack."""
+    heads = []
+    todo = []
+    while True:
+        t = type(f)
+        if t is Binary:
+            heads.append(f.op)
+            todo.append(f.right)
+            f = f.left
+            continue
+        if t is Neg:
+            heads.append(None)
+            f = f.operand
+            continue
+        if t is Call:
+            heads += (f.func, len(f.args))
+            todo += f.args
+        else:
+            heads.append(f)
+        if not todo:
+            return hash(tuple(heads))
+        f = todo.pop()
+
+
+# The operator nodes compare and hash without recursion; the other nodes
+# have no children.
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
     operand: Formula
 
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
-BINARY_OPS = ("+", "-", "*", "/", "^", "=", "<>", "<", "<=", ">", ">=")
+
+ARITH_OPS = ("+", "-", "*", "/", "^")
+BINARY_OPS = ARITH_OPS + ("=", "<>", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binary(Formula):
     op: str
     left: Formula
     right: Formula
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
     def __post_init__(self):
         if self.op not in BINARY_OPS:
             raise DomainError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Formula):
     func: str
     args: tuple
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True)
@@ -320,35 +389,60 @@ class RangeArg(Formula):
 
 
 def children(f: Formula) -> tuple:
-    if isinstance(f, Neg):
-        return (f.operand,)
-    if isinstance(f, Binary):
+    t = type(f)
+    if t is Binary:
         return (f.left, f.right)
-    if isinstance(f, Call):
+    if t is Neg:
+        return (f.operand,)
+    if t is Call:
         return f.args
     return ()
 
 
 def rebuild(f: Formula, kids: tuple) -> Formula:
-    if isinstance(f, Neg):
-        return Neg(kids[0])
-    if isinstance(f, Binary):
+    t = type(f)
+    if t is Binary:
         return Binary(f.op, kids[0], kids[1])
-    if isinstance(f, Call):
+    if t is Neg:
+        return Neg(kids[0])
+    if t is Call:
         return Call(f.func, tuple(kids))
     return f
 
 
+def fold(f: Formula, leaf, inner):
+    """f folded bottom-up: leaf(node) at a node without children, and
+    inner(node, its children, their results) at the others.  It keeps its
+    own stack of nodes rather than recursing, so no tree is too deep."""
+    kids = children(f)
+    if not kids:
+        return leaf(f)
+    stack = [(f, kids, [])]  # (node, children, results of those done so far)
+    while True:
+        node, kids, results = stack[-1]
+        for k in kids[len(results):]:
+            grandkids = children(k)
+            if grandkids:
+                stack.append((k, grandkids, []))
+                break
+            results.append(leaf(k))
+        else:
+            stack.pop()
+            out = inner(node, kids, results)
+            if not stack:
+                return out
+            stack[-1][2].append(out)
+
+
 def transform(f: Formula, fn) -> Formula:
     """Bottom-up rewrite: children first, then fn applied to the rebuilt node."""
-    kids = children(f)
-    if kids:
-        new_kids = [transform(k, fn) for k in kids]
-        for a, b in zip(kids, new_kids):
-            if a is not b:
-                f = rebuild(f, tuple(new_kids))
-                break
-    return fn(f)
+
+    def step(node, kids, new_kids):
+        if any(map(is_not, kids, new_kids)):
+            node = rebuild(node, tuple(new_kids))
+        return fn(node)
+
+    return fold(f, fn, step)
 
 
 def map_refs(f: Formula, fn) -> Formula:
@@ -395,6 +489,11 @@ def walk(f: Formula):
         stack.extend(reversed(children(node)))
 
 
+def depth(f: Formula) -> int:
+    """The number of nodes on the longest path from f's root to a leaf."""
+    return fold(f, lambda leaf: 1, lambda node, kids, depths: 1 + max(depths))
+
+
 def is_constant(f: Formula) -> bool:
     """True when the formula references nothing: only literals and operators."""
     return all(
@@ -405,15 +504,13 @@ def is_constant(f: Formula) -> bool:
 
 def validate_range_args(f: Formula):
     """RangeArg nodes are legal only directly under a Call."""
-
-    def check(node, under_call):
+    todo = [(f, False)]
+    while todo:
+        node, under_call = todo.pop()
         if isinstance(node, RangeArg) and not under_call:
             raise SubstitutionError("range is only allowed as a function argument")
-        is_call = isinstance(node, Call)
-        for k in children(node):
-            check(k, is_call)
-
-    check(f, False)
+        is_call = type(node) is Call
+        todo.extend([(k, is_call) for k in children(node)])
 
 
 # ---------------------------------------------------------------------------

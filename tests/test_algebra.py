@@ -22,14 +22,19 @@ from sheetalgebra import (
     diff,
     evaluate,
     extract,
+    canonical_text,
+    load,
     lookup,
     map_range,
     parse_document,
     parse_formula,
+    parse_listing,
     quotient,
     replace,
     replicate,
+    save,
     shift,
+    show,
     simplify,
     simplify_formula,
     stylecheck_unique,
@@ -42,9 +47,10 @@ from sheetalgebra.errors import (
     DomainError,
     EquivalenceError,
     NotFoundError,
+    FormulaSyntaxError,
     OutOfGridError,
 )
-from sheetalgebra.model import BINARY_OPS
+from sheetalgebra.model import BINARY_OPS, MAX_NESTING
 
 from conftest import make_set, rand_cell_set
 
@@ -339,17 +345,62 @@ class TestReplace:
         assert replace(accounts, parse_formula("Z9"), Number(1.0)) == accounts
 
 
+    def test_result_nested_past_the_readers_is_refused(self):
+        s = parse_document("B1 = " + "-" * MAX_NESTING + "A1")
+        with pytest.raises(FormulaSyntaxError):
+            replace(s, parse_formula("A1"), parse_formula("-C1"))
+
+    def test_result_nested_to_the_limit_saves_and_loads(self, tmp_path):
+        s = parse_document("B1 = " + "-" * (MAX_NESTING - 1) + "A1")
+        out = replace(s, parse_formula("A1"), parse_formula("-C1"))
+        path = str(tmp_path / "deep.exc")
+        save(out, path)
+        assert load(path) == out
+        assert canonical_text(out.get(addr("B1")).rhs) == "-" * MAX_NESTING + "C1"
+
+
+def test_long_chain_goes_through_every_rewrite():
+    # a flat chain is 600 levels deep as a tree, though its text nests nothing
+    chain = "+".join(["A1"] * 600)
+    s = parse_document(f"A1 = 1\nB1 = {chain}\nB2 = {chain.replace('A1', 'A2')}")
+    other = replace(s, parse_formula("A1"), parse_formula("C1"))
+    assert [lhs for lhs, _, _ in diff(s, other).changed] == [addr("B1")]
+    assert shift(s, 1, 1).get(addr("C2")).rhs == parse_formula(chain.replace("A1", "B2"))
+    assert len(stylecheck_unique(s)) == 1
+    assert simplify(s) == s
+    assert diff(parse_listing(show(s, grouped=True)), s).empty
+
+
 class TestSimplify:
     def test_unit_laws(self):
-        assert simplify_formula(parse_formula("A1+0")) == AbsRef(addr("A1"))
-        assert simplify_formula(parse_formula("1*A1")) == AbsRef(addr("A1"))
-        assert simplify_formula(parse_formula("A1*0")) == Number(0.0)
-        assert simplify_formula(parse_formula("A1/1")) == AbsRef(addr("A1"))
+        # a law drops an operator only where what it keeps is a number or an error
+        for text, simpler in [("(A1*B1)+0", "A1*B1"), ("0+-A1", "-A1"), ("(A1-B1)-0", "A1-B1"),
+                              ("1*(A1/B1)", "A1/B1"), ("(A1+B1)/1", "A1+B1"),
+                              ("(A1^B1)^1", "A1^B1"), ("2*1", "2")]:
+            assert simplify_formula(parse_formula(text)) == parse_formula(simpler), text
+        # a cell or a call may hold text, a truth value or nothing
+        for text in ("A1+0", "1*A1", "A1/1", "A1^1", "A1*0", "0*(A1*B1)", "SUM(A1)+0",
+                     "(A1=B1)*1"):
+            f = parse_formula(text)
+            assert simplify_formula(f) == f, text
+
+    @pytest.mark.parametrize("doc", [
+        "A1 = 1/0\nB1 = A1*0",
+        'A1 = "x"\nB1 = A1+0',
+        'A1 = "x"\nB1 = --A1',
+        "A1 = TRUE\nB1 = 1*A1",
+    ])
+    def test_keeps_values(self, doc):
+        def typed_values(s):  # True == 1.0, so each value is compared with its type
+            return {a: (type(v), v) for a, v in evaluate(s).items()}
+
+        s = parse_document(doc)
+        assert typed_values(simplify(s)) == typed_values(s)
 
     def test_constant_folding(self):
         assert simplify_formula(parse_formula("2+3*4")) == Number(14.0)
-        assert simplify_formula(parse_formula("(1+1)*(A1+0)")) == \
-            parse_formula("2*A1")
+        assert simplify_formula(parse_formula("(1+1)*(A1*B1+0)")) == \
+            parse_formula("2*(A1*B1)")
 
     def test_division_by_zero_not_folded(self):
         f = parse_formula("1/0")
@@ -371,7 +422,11 @@ class TestSimplify:
     def test_double_negation(self):
         from sheetalgebra import Neg
 
-        assert simplify_formula(Neg(Neg(AbsRef(addr("B2"))))) == AbsRef(addr("B2"))
+        product = parse_formula("B2*C2")
+        assert simplify_formula(Neg(Neg(product))) == product
+        # --B2 is 0 where B2 is empty and #VALUE! where it holds text
+        twice = Neg(Neg(AbsRef(addr("B2"))))
+        assert simplify_formula(twice) == twice
 
     def test_preserves_evaluation(self):
         rng = random.Random(27)

@@ -34,48 +34,51 @@ from sheetalgebra import (
     save,
 )
 from sheetalgebra.errors import DomainError, FormulaSyntaxError
+from sheetalgebra.grammar import tokenize
 from sheetalgebra.model import MAX_NESTING
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sheetalgebra"
 
 
-BOUNDED_CASES = [
-    (parse_formula, "1e400"),
-    (parse_document, "A1 = 1e400"),
-    (parse_script, "1e400."),
-    (parse_formula, "x[2.5]"),
-    (parse_formula, "SUM(2:4.5)"),
-    (parse_formula, "ZZZZZZZZZZZZZ1"),
-    (parse_formula, "XFE1"),
-    (parse_formula, "A1048577"),
-    (partial(parse_formula, dialect=R1C1), "R1C16385"),
-    (parse_formula, "SUM(A:XFE)"),
-    (parse_listing, "Sheet1[ {1} >< { 1..5 by 0 } ] = 1"),
-    (parse_document, "layout a[1e400:2] as A1"),
-    (parse_document, "x[1e400] = 1"),
-    (parse_formula, "x[1e400]"),
-    (partial(parse_formula, dialect=R1C1), "R[1e400]C"),
-    (partial(parse_formula, dialect=R1C1), "Sheet2!RC[1]"),
-    (partial(parse_formula, dialect=CANONICAL), "Sheet2!R[-1]C"),
-    (parse_formula, "Sheet2!x[1]"),
-    (parse_formula, "Sheet2!foo"),
-    (parse_formula, "Sheet2!RC"),
-    (partial(parse_formula, dialect=R1C1), "Sheet2!R[1]"),
-    (parse_formula, "Sheet2!SUM(1)"),
-    (parse_formula, "SUM(1e400:2)"),
-    (parse_listing, "Sheet1[ {1e400} >< {1} ] = 1"),
-    (parse_script, "x shift (1e400, 0)."),
-    (parse_formula, "(" * 164 + "1" + ")" * 164),
-    (parse_formula, "SUM(" * 123 + "1" + ")" * 123),
-    (parse_formula, "^".join(["2"] * 500)),
-    (parse_script, "(" * 400 + "1" + ")" * 400 + "."),
+BOUNDED_CASES = [  # (reader, text, offset of the error)
+    (parse_formula, "1e400", 0),
+    (parse_document, "A1 = 1e400", 5),
+    (parse_script, "1e400.", 0),
+    (parse_formula, "x[2.5]", 2),
+    (parse_formula, "SUM(2:4.5)", 6),
+    (parse_formula, "ZZZZZZZZZZZZZ1", 0),
+    (parse_formula, "XFE1", 0),
+    (parse_formula, "A1048577", 0),
+    (partial(parse_formula, dialect=R1C1), "R1C16385", 0),
+    (parse_formula, "SUM(A:XFE)", 6),
+    (parse_listing, "Sheet1[ {1} >< { 1..5 by 0 } ] = 1", 17),
+    (parse_document, "layout a[1e400:2] as A1", 9),
+    (parse_document, "x[1e400] = 1", 2),
+    (parse_formula, "x[1e400]", 2),
+    (partial(parse_formula, dialect=R1C1), "R[1e400]C", 2),
+    (partial(parse_formula, dialect=R1C1), "Sheet2!RC[1]", 7),
+    (partial(parse_formula, dialect=CANONICAL), "Sheet2!R[-1]C", 7),
+    (parse_formula, "Sheet2!x[1]", 7),
+    (parse_formula, "Sheet2!foo", 7),
+    (parse_formula, "Sheet2!RC", 7),
+    (partial(parse_formula, dialect=R1C1), "Sheet2!R[1]", 7),
+    (parse_formula, "Sheet2!SUM(1)", 7),
+    (parse_formula, "SUM(1e400:2)", 4),
+    (parse_listing, "Sheet1[ {1e400} >< {1} ] = 1", 9),
+    (parse_script, "x shift (1e400, 0).", 9),
+    (parse_formula, "(" * 164 + "1" + ")" * 164, 65),
+    (parse_formula, "SUM(" * 123 + "1" + ")" * 123, 260),
+    (parse_formula, "^".join(["2"] * 500), 130),
+    (parse_script, "(" * 400 + "1" + ")" * 400 + ".", 65),
 ]
 
 
-@pytest.mark.parametrize("read, text", BOUNDED_CASES, ids=[t for _, t in BOUNDED_CASES])
-def test_bounded_readers_raise_syntax_errors(read, text):
-    with pytest.raises(FormulaSyntaxError):
+@pytest.mark.parametrize("read, text, offset", BOUNDED_CASES,
+                         ids=[t for _, t, _ in BOUNDED_CASES])
+def test_bounded_readers_raise_syntax_errors(read, text, offset):
+    with pytest.raises(FormulaSyntaxError) as caught:
         read(text)
+    assert caught.value.pos == offset
 
 
 @pytest.mark.parametrize("read, text", [
@@ -87,6 +90,18 @@ def test_bounded_readers_raise_syntax_errors(read, text):
 ], ids=["parentheses", "calls", "power", "minus", "script"])
 def test_nesting_up_to_the_limit_reads(read, text):
     read(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("A1 = 1 # x", [("id", "A1", 0), ("op", "=", 3), ("num", "1", 5), ("eof", "", 10)]),
+    ("A1 = 1 \t\n ", [("id", "A1", 0), ("op", "=", 3), ("num", "1", 5), ("eof", "", 10)]),
+    ('B1 = "a # b"#c', [("id", "B1", 0), ("op", "=", 3), ("str", '"a # b"', 5), ("eof", "", 14)]),
+    ("A1 = 1 # one\nB1 = 2", [("id", "A1", 0), ("op", "=", 3), ("num", "1", 5),
+                              ("id", "B1", 13), ("op", "=", 16), ("num", "2", 18),
+                              ("eof", "", 19)]),
+], ids=["comment-at-end", "trailing-whitespace", "hash-in-string", "comment-between"])
+def test_tokens_and_offsets(text, tokens):
+    assert tokenize(text) == tokens
 
 
 @pytest.mark.parametrize("build", [
