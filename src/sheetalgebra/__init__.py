@@ -79,7 +79,6 @@ from .model import (
     col_to_letters,
     enumerate_range,
     letters_to_col,
-    range_contains,
 )
 from .script import Interpreter, eval_script, parse_script, repl
 

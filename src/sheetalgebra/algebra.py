@@ -26,6 +26,7 @@ from .formula import (
     formula_groups,
     parse_formula,
     relative_form,
+    relativizer,
     substitute_names,
     to_absolute,
 )
@@ -44,14 +45,15 @@ from .model import (
     Neg,
     Number,
     Rect,
+    check_subscripts,
     depth,
     enumerate_range,
     fold,
     is_constant,
     lhs_sort_key,
     map_refs,
+    move_node,
     on_grid,
-    range_contains,
     rebuild,
     transform,
 )
@@ -109,7 +111,7 @@ def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
 def extract(s: EquationSet, r: CellRange) -> EquationSet:
     """Keep exactly the equations whose left-hand sides lie within the range."""
     kept = [eq for eq in s
-            if isinstance(eq.lhs, CellAddr) and range_contains(r, eq.lhs)]
+            if isinstance(eq.lhs, CellAddr) and r.contains(eq.lhs)]
     return EquationSet(kept, s.names, s.layouts)
 
 
@@ -162,6 +164,7 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
     their subscripts."""
     if lo > hi:
         raise DomainError(f"empty replication range {lo}:{hi}")
+    check_subscripts((lo, hi))  # so each new subscript k is checked here, once
     if not s.all_array_lhs():
         raise DomainError("replicate applies to sets with array left-hand sides only")
     defined = {lhs.name for lhs in s.lhs_set()}
@@ -169,12 +172,12 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
     out = []
     for k in range(lo, hi + 1):
         def extend(node):
-            if isinstance(node, ElemRef) and node.name in defined:
-                return ElemRef(node.name, node.subs + (k,))
+            if type(node) is ElemRef and node.name in defined:
+                return ElemRef._make((node.name, node.subs + (k,)))
             return node
 
         for eq in s:
-            lhs = ArrayElem(eq.lhs.name, eq.lhs.subs + (k,))
+            lhs = ArrayElem._make((eq.lhs.name, eq.lhs.subs + (k,)))
             out.append(Equation(lhs, transform(eq.rhs, extend)))
     return EquationSet(out, s.names, s.layouts)
 
@@ -189,16 +192,12 @@ def quotient(s: EquationSet, lo: int, hi: int) -> EquationSet:
         raise DomainError("quotient applies to sets with array left-hand sides only")
     defined = {lhs.name for lhs in s.lhs_set()}
 
-    def strip(f: Formula) -> Formula:
-        def fix(node):
-            if isinstance(node, ElemRef) and node.name in defined:
-                if len(node.subs) < 2:
-                    raise EquivalenceError(
-                        f"{node.name} has no dimension left to project away")
-                return ElemRef(node.name, node.subs[:-1])
-            return node
-
-        return transform(f, fix)
+    def strip(node):
+        if type(node) is ElemRef and node.name in defined:
+            if len(node.subs) < 2:
+                raise EquivalenceError(f"{node.name} has no dimension left to project away")
+            return ElemRef._make((node.name, node.subs[:-1]))
+        return node
 
     projected: dict[ArrayElem, Formula] = {}
     fibers: dict[ArrayElem, set[int]] = {}
@@ -209,8 +208,8 @@ def quotient(s: EquationSet, lo: int, hi: int) -> EquationSet:
                 f"final subscript of {eq.lhs} lies outside {lo}:{hi}")
         if len(eq.lhs.subs) < 2:
             raise DomainError(f"{eq.lhs} has only one dimension; nothing to project")
-        base = ArrayElem(eq.lhs.name, eq.lhs.subs[:-1])
-        stripped = strip(eq.rhs)
+        base = ArrayElem._make((eq.lhs.name, eq.lhs.subs[:-1]))
+        stripped = transform(eq.rhs, strip)
         if base in projected:
             if projected[base] != stripped:
                 raise EquivalenceError(
@@ -264,10 +263,11 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
         anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
         key = relative_form(pattern, anchor)
         swap = (replacement, relative_form(replacement, anchor))
+        relativize = None if anchor is None else relativizer(anchor, strict=False)
 
         # each node folds to what it became and that one's relative form
         def leaf(node):
-            rel = relative_form(node, anchor)
+            rel = node if relativize is None else move_node(relativize, node)
             return swap if rel == key else (node, rel)
 
         def inner(node, kids, done):

@@ -173,18 +173,19 @@ def _refs(f: Formula, names: dict) -> tuple:
     stack = [(f, False)]
     while stack:
         node, in_call = stack.pop()
-        if isinstance(node, NameRef):
+        if type(node) is NameRef:
             node = names.get(node.name, node)
-        if isinstance(node, (AbsRef, RelRef)):
+        t = type(node)
+        if t is AbsRef or t is RelRef:
             refs.append(node)
-        elif isinstance(node, RangeArg):
+        elif t is RangeArg:
             loose = loose or not in_call
             refs.append(node)
-        elif isinstance(node, ElemRef):
+        elif t is ElemRef:
             if any(isinstance(sub, Here) for sub in node.subs):
                 raise DomainError("formula contains HERE markers; resolve them first")
         else:
-            in_call = isinstance(node, Call)
+            in_call = t is Call
             stack.extend((kid, in_call) for kid in reversed(children(node)))
     return refs, loose
 
@@ -377,34 +378,35 @@ def _truthy(v):
 
 def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
     """The value of formula f standing at cell k."""
-    if isinstance(f, Binary):
+    t = type(f)
+    if t is Binary:
         return binary(f.op, _eval_formula(f.left, k, g, grid), _eval_formula(f.right, k, g, grid))
-    if isinstance(f, RelRef):
+    if t is RelRef:
         # precedents checked that the offset stays on the grid
         v = grid.get((k[0], k[1] + f.d_col, k[2] + f.d_row))
         # a reference to an empty cell reads as 0, as in a spreadsheet
         return 0.0 if v is None else v
-    if isinstance(f, AbsRef):
+    if t is AbsRef:
         v = grid.get(f.addr)
         return 0.0 if v is None else v
-    if isinstance(f, (Number, Text, Bool)):
+    if t is Number or t is Text or t is Bool:
         return f.value
-    if isinstance(f, Empty):
+    if t is Empty:
         return None
-    if isinstance(f, NameRef):
+    if t is NameRef:
         ref = g.names.get(f.name)
         return CellError(REF) if ref is None else _eval_formula(ref, k, g, grid)
-    if isinstance(f, ElemRef):
+    if t is ElemRef:
         return CellError(REF)
-    if isinstance(f, Neg):
+    if t is Neg:
         v = _to_number(_eval_formula(f.operand, k, g, grid))
         return v if isinstance(v, CellError) else -v
-    if isinstance(f, Call):
+    if t is Call:
         values = []
         for arg in f.args:
-            if isinstance(arg, NameRef):
+            if type(arg) is NameRef:
                 arg = g.names.get(arg.name, arg)
-            if isinstance(arg, RangeArg):
+            if type(arg) is RangeArg:
                 values.extend(grid[b] for b in g.range_cells(arg.range, k))
             else:
                 values.append(_eval_formula(arg, k, g, grid))

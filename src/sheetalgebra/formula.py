@@ -305,39 +305,40 @@ def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None 
         return str(s)
 
     def go(node: Formula, min_prec: int) -> str:
-        if isinstance(node, Number):
+        t = type(node)
+        if t is Number:
             text = _formula_number(node.value)
             # a negative base of ^ reads back only in parentheses: -2^2 is -(2^2)
             return f"({text})" if text[0] == "-" and _PREC_NEG < min_prec else text
-        if isinstance(node, Text):
+        if t is Text:
             return quote_string(node.value)
-        if isinstance(node, Bool):
+        if t is Bool:
             return "TRUE" if node.value else "FALSE"
-        if isinstance(node, Empty):
+        if t is Empty:
             return "EMPTY()"
-        if isinstance(node, AbsRef):
+        if t is AbsRef:
             return ref_abs(node.addr)
-        if isinstance(node, RelRef):
+        if t is RelRef:
             return _rel_r1c1(node.d_col, node.d_row)
-        if isinstance(node, ElemRef):
+        if t is ElemRef:
             if spaced_elems:
                 return f"{node.name}[ {', '.join(sub_text(s) for s in node.subs)} ]"
             return f"{node.name}[{','.join(sub_text(s) for s in node.subs)}]"
-        if isinstance(node, NameRef):
+        if t is NameRef:
             return node.name
-        if isinstance(node, Neg):
+        if t is Neg:
             text = "-" + go(node.operand, _PREC_NEG)
             return f"({text})" if _PREC_NEG < min_prec else text
-        if isinstance(node, Binary):
+        if t is Binary:
             p = _PREC[node.op]
             if node.op == "^":
                 text = go(node.left, p + 1) + node.op + go(node.right, p)
             else:
                 text = go(node.left, p) + node.op + go(node.right, p + 1)
             return f"({text})" if p < min_prec else text
-        if isinstance(node, Call):
+        if t is Call:
             return f"{node.func}({','.join(go(a, 0) for a in node.args)})"
-        if isinstance(node, RangeArg):
+        if t is RangeArg:
             return _range_text(node.range, home)
         raise DomainError(f"unprintable node {node!r}")
 
@@ -384,7 +385,7 @@ def _resolver(anchor: CellAddr | None):
     return lambda lo, hi: (fix(lo), fix(hi))
 
 
-def _relativizer(anchor: CellAddr, strict: bool):
+def relativizer(anchor: CellAddr, strict: bool):
     """The mover that makes bounded references on the anchor's sheet offsets
     from the anchor.  Whole columns and rows stay absolute; so do references
     on other sheets, which strict refuses."""
@@ -414,7 +415,7 @@ def to_relative(f: Formula, anchor: CellAddr) -> Formula:
     """Turn every absolute reference and bounded range into offsets from the
     anchor.  Cross-sheet references cannot be made relative; whole columns
     and rows stay absolute."""
-    return map_refs(f, _relativizer(anchor, strict=True))
+    return map_refs(f, relativizer(anchor, strict=True))
 
 
 def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
@@ -423,7 +424,7 @@ def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
     and whole columns and rows stay absolute."""
     if anchor is None:
         return f
-    return map_refs(f, _relativizer(anchor, strict=False))
+    return map_refs(f, relativizer(anchor, strict=False))
 
 
 def formula_groups(s) -> dict:

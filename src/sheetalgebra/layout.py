@@ -22,6 +22,7 @@ from .model import (
     Formula,
     Here,
     Rect,
+    check_subscripts,
     transform,
 )
 
@@ -42,6 +43,7 @@ class LayoutDirective:
         for lo, hi in self.index_box:
             if lo > hi:
                 raise DomainError(f"empty index range {lo}:{hi}")
+            check_subscripts((lo, hi))  # elem_at builds inside lo..hi unchecked
         if len(self.index_box) == 1 and self.orientation not in (DOWN, RIGHT):
             raise DomainError("1-D layout needs a down/right orientation")
 
@@ -97,9 +99,10 @@ class LayoutSet:
                 if d.arity == 1:
                     (lo, _), = d.index_box
                     off = a.row - anchor.row if d.orientation == DOWN else a.col - anchor.col
-                    return ArrayElem(d.array, (lo + off,))
+                    return ArrayElem._make((d.array, (lo + off,)))
                 (lo1, _), (lo2, _) = d.index_box
-                return ArrayElem(d.array, (lo1 + (a.row - anchor.row), lo2 + (a.col - anchor.col)))
+                return ArrayElem._make(
+                    (d.array, (lo1 + (a.row - anchor.row), lo2 + (a.col - anchor.col))))
         return None
 
     def get(self, array: str) -> LayoutDirective | None:
@@ -193,15 +196,12 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
     if layouts is None:
         layouts = LayoutSet(cells.layouts)
 
-    def decompile_formula(f: Formula) -> Formula:
-        def fix(node):
-            if isinstance(node, AbsRef):
-                elem = layouts.elem_at(node.addr)
-                if elem is not None:
-                    return ElemRef(elem.name, elem.subs)
-            return node
-
-        return transform(f, fix)
+    def to_elem(node):
+        if type(node) is AbsRef:
+            elem = layouts.elem_at(node.addr)
+            if elem is not None:
+                return ElemRef._make(elem)  # its subscripts were checked
+        return node
 
     out = []
     for eq in cells:
@@ -212,6 +212,6 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
                 lhs = elem
         rhs = eq.rhs
         if not contains_here(rhs):
-            rhs = decompile_formula(rhs)
+            rhs = transform(rhs, to_elem)
         out.append(Equation(lhs, rhs))
     return EquationSet(out, cells.names, tuple(layouts))

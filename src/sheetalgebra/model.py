@@ -12,6 +12,7 @@ import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from operator import is_not
 
 from .errors import BoundednessError, ConflictError, DomainError, SubstitutionError
@@ -22,7 +23,12 @@ MAX_COL = 16384      # XFD
 MAX_ROW = 1048576
 MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
 MAX_NESTING = 64     # levels a formula or script nests, Excel's own limit
+SUBSCRIPT_LIMIT = 10 ** MAX_INT_DIGITS  # the least integer past MAX_INT_DIGITS digits
 A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
+
+_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_bits = struct.Struct("<d").pack
 
 
 def col_to_letters(n: int) -> str:
@@ -195,78 +201,56 @@ def enumerate_range(r: CellRange) -> list[CellAddr]:
     return out
 
 
-def range_contains(r: CellRange, a: CellAddr) -> bool:
-    return r.contains(a)
-
-
-@dataclass(frozen=True, order=True)
-class ArrayElem:
-    name: str
-    subs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.subs:
-            raise DomainError("array element needs at least one subscript")
-        _check_subscripts(self.subs)
-
-    def __str__(self):
-        return f"{self.name}[{','.join(str(s) for s in self.subs)}]"
-
-
-def _check_subscripts(subs: tuple) -> None:
-    """Subscripts and HERE offsets have at most MAX_INT_DIGITS digits, as
-    the reader reads them."""
-    if any(abs(s.offset if isinstance(s, Here) else s) >= 10 ** MAX_INT_DIGITS for s in subs):
-        raise DomainError(f"a subscript in {subs} has more than {MAX_INT_DIGITS} digits")
-
-
 # ---------------------------------------------------------------------------
 # Formula trees
 
 
-class Formula:
+class Formula(tuple):
+    """A formula tree node: a named tuple of its fields that equals only a
+    node of its own type, so Text("x") differs from NameRef("x") and from
+    the tuple ("x",), and no two types meet as dict keys.  A node builds
+    checked; its `_make` skips the checks and is only for fields that were
+    just checked or come from a node that was."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other):  # tuple's own __ne__ would ignore the type
+        return not self.__eq__(other)
+
+
+class Number(Formula, namedtuple("Number", "value")):
+    __slots__ = ()
+
+    # structural equality is bitwise on the IEEE double
+    def __eq__(self, other):
+        return type(other) is Number and _bits(self.value) == _bits(other.value)
+
+    def __hash__(self):
+        return hash(_bits(self.value))
+
+
+class Text(Formula, namedtuple("Text", "value")):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Number(Formula):
-    value: float
-
-    # structural equality is bitwise on the IEEE double
-    def _bits(self):
-        return struct.pack("<d", self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, Number) and self._bits() == other._bits()
-
-    def __hash__(self):
-        return hash(self._bits())
+class Bool(Formula, namedtuple("Bool", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Text(Formula):
-    value: str
+class Empty(Formula, namedtuple("Empty", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bool(Formula):
-    value: bool
+class AbsRef(Formula, namedtuple("AbsRef", "addr")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Empty(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class AbsRef(Formula):
-    addr: CellAddr
-
-
-@dataclass(frozen=True)
-class RelRef(Formula):
-    d_col: int
-    d_row: int
+class RelRef(Formula, namedtuple("RelRef", "d_col d_row")):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -276,18 +260,23 @@ class Here:
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class ElemRef(Formula):
-    name: str
-    subs: tuple  # each entry: int or Here
-
-    def __post_init__(self):
-        _check_subscripts(self.subs)
+def check_subscripts(subs: tuple) -> None:
+    """Refuse a subscript or HERE offset longer than the reader reads."""
+    for s in subs:
+        if abs(s.offset if type(s) is Here else s) >= SUBSCRIPT_LIMIT:
+            raise DomainError(f"a subscript in {subs} has more than {MAX_INT_DIGITS} digits")
 
 
-@dataclass(frozen=True)
-class NameRef(Formula):
-    name: str
+class ElemRef(Formula, namedtuple("ElemRef", "name subs")):
+    __slots__ = ()  # each subscript: an int or a Here
+
+    def __new__(cls, name: str, subs: tuple):
+        check_subscripts(subs)
+        return _new(cls, (name, subs))
+
+
+class NameRef(Formula, namedtuple("NameRef", "name")):
+    __slots__ = ()
 
 
 def _tree_eq(a: Formula, b) -> bool:
@@ -313,7 +302,7 @@ def _tree_eq(a: Formula, b) -> bool:
                 if a.func != b.func or len(a.args) != len(b.args):
                     return False
                 todo += zip(a.args, b.args)
-            elif not a == b:  # a leaf; its __eq__ is cheaper than __ne__
+            elif not (a == b if t is Number else _tuple_eq(a, b)):  # two leaves of type t
                 return False
         if not todo:
             return True
@@ -348,44 +337,32 @@ def _tree_hash(f: Formula) -> int:
 
 # The operator nodes compare and hash without recursion; the other nodes
 # have no children.
-@dataclass(frozen=True, eq=False)
-class Neg(Formula):
-    operand: Formula
-
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
+class Neg(Formula, namedtuple("Neg", "operand")):
+    __slots__ = ()
+    __eq__, __hash__ = _tree_eq, _tree_hash
 
 
 ARITH_OPS = ("+", "-", "*", "/", "^")
 BINARY_OPS = ARITH_OPS + ("=", "<>", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True, eq=False)
-class Binary(Formula):
-    op: str
-    left: Formula
-    right: Formula
+class Binary(Formula, namedtuple("Binary", "op left right")):
+    __slots__ = ()
+    __eq__, __hash__ = _tree_eq, _tree_hash
 
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
-
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise DomainError(f"unknown operator {self.op!r}")
+    def __new__(cls, op: str, left: Formula, right: Formula):
+        if op not in BINARY_OPS:
+            raise DomainError(f"unknown operator {op!r}")
+        return _new(cls, (op, left, right))
 
 
-@dataclass(frozen=True, eq=False)
-class Call(Formula):
-    func: str
-    args: tuple
-
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
+class Call(Formula, namedtuple("Call", "func args")):
+    __slots__ = ()
+    __eq__, __hash__ = _tree_eq, _tree_hash
 
 
-@dataclass(frozen=True)
-class RangeArg(Formula):
-    range: CellRange
+class RangeArg(Formula, namedtuple("RangeArg", "range")):
+    __slots__ = ()
 
 
 def children(f: Formula) -> tuple:
@@ -400,13 +377,15 @@ def children(f: Formula) -> tuple:
 
 
 def rebuild(f: Formula, kids: tuple) -> Formula:
+    """f with the children kids in place of its own.  Its other fields are
+    as they were checked when f was built, so the node is not checked again."""
     t = type(f)
     if t is Binary:
-        return Binary(f.op, kids[0], kids[1])
+        return _new(Binary, (f.op, kids[0], kids[1]))
     if t is Neg:
-        return Neg(kids[0])
+        return _new(Neg, (kids[0],))
     if t is Call:
-        return Call(f.func, tuple(kids))
+        return _new(Call, (f.func, tuple(kids)))
     return f
 
 
@@ -452,23 +431,26 @@ def map_refs(f: Formula, fn) -> Formula:
     a box, whose unbounded sides have None coordinates that fn keeps.  A
     relative reference or rectangle has sheet None and offsets from the
     formula's cell, and stays relative while fn keeps sheet None."""
+    return transform(f, partial(move_node, fn))
 
-    def move(node):
-        if isinstance(node, AbsRef):
-            p = node.addr
-        elif isinstance(node, RelRef):
-            p = (None, node.d_col, node.d_row)
-        elif isinstance(node, RangeArg):
-            rects = tuple([_move_rect(r, fn) for r in node.range.rects])
-            return node if rects == node.range.rects else RangeArg(CellRange(rects))
-        else:
-            return node
-        q = fn(p, p)[0]
-        if q == p:
-            return node
-        return RelRef(q[1], q[2]) if q[0] is None else AbsRef(CellAddr(*q))
 
-    return transform(f, move)
+def move_node(fn, node: Formula) -> Formula:
+    """One node with its own references moved through fn, as map_refs moves
+    them; a node that is no reference or range comes back as it is."""
+    t = type(node)
+    if t is AbsRef:
+        p = node.addr
+    elif t is RelRef:
+        p = (None, node.d_col, node.d_row)
+    elif t is RangeArg:
+        rects = tuple([_move_rect(r, fn) for r in node.range.rects])
+        return node if rects == node.range.rects else RangeArg(CellRange(rects))
+    else:
+        return node
+    q = fn(p, p)[0]
+    if q == p:
+        return node
+    return RelRef(q[1], q[2]) if q[0] is None else AbsRef(CellAddr(*q))
 
 
 def _move_rect(r: Rect, fn) -> Rect:
@@ -496,10 +478,7 @@ def depth(f: Formula) -> int:
 
 def is_constant(f: Formula) -> bool:
     """True when the formula references nothing: only literals and operators."""
-    return all(
-        isinstance(n, (Number, Text, Bool, Empty, Neg, Binary))
-        for n in walk(f)
-    )
+    return all(isinstance(n, (Number, Text, Bool, Empty, Neg, Binary)) for n in walk(f))
 
 
 def validate_range_args(f: Formula):
@@ -517,10 +496,29 @@ def validate_range_args(f: Formula):
 # Equations and equation sets
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: "CellAddr | ArrayElem"
-    rhs: Formula
+class ArrayElem(namedtuple("ArrayElem", "name subs")):
+    """An array element, the tuple (name, subs); it orders by name and
+    subscripts.  Like a formula node, it equals only its own type and builds
+    checked, and its `_make` is only for subscripts already checked."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = Formula.__eq__, Formula.__ne__, tuple.__hash__
+
+    def __new__(cls, name: str, subs: tuple):
+        if not subs:
+            raise DomainError("array element needs at least one subscript")
+        check_subscripts(subs)
+        return _new(cls, (name, subs))
+
+    def __str__(self):
+        return f"{self.name}[{','.join(str(s) for s in self.subs)}]"
+
+
+class Equation(namedtuple("Equation", "lhs rhs")):
+    """lhs = rhs: a cell or an ArrayElem defined by a formula."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = Formula.__eq__, Formula.__ne__, tuple.__hash__
 
 
 def lhs_sort_key(lhs):

@@ -12,6 +12,7 @@ from sheetalgebra import (
     Number,
     RelRef,
     addr,
+    evaluate,
     parse_document,
     parse_formula,
 )
@@ -87,6 +88,12 @@ def eq(lhs_text, rhs_text, dialect="a1"):
 
 def make_set(*pairs, names=None, layouts=()):
     return EquationSet([eq(*p) for p in pairs], names, layouts)
+
+
+def typed_values(s: EquationSet) -> dict:
+    """The values of s, each with its type: True == 1.0, so a truth value
+    turned into a number would pass a comparison of the values alone."""
+    return {a: (type(v), v) for a, v in evaluate(s).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from sheetalgebra.errors import (
 )
 from sheetalgebra.model import BINARY_OPS, MAX_NESTING
 
-from conftest import make_set, rand_cell_set
+from conftest import make_set, rand_cell_set, typed_values
 
 
 class TestUnion:
@@ -276,6 +276,13 @@ class TestReplicate:
         with pytest.raises(DomainError):
             replicate(make_set(("y[1]", "1")), 3, 2)
 
+    @pytest.mark.parametrize("k", [10**18, -(10**18)])
+    def test_index_past_the_readers_digits(self, k):
+        # the new subscripts are built unchecked, so the bounds are checked first
+        s = parse_document("a[1] = 1, b[1] = a[1]")
+        with pytest.raises(DomainError):
+            replicate(s, k, k)
+
 
 class TestQuotient:
     def test_inverse_of_replicate(self):
@@ -391,9 +398,6 @@ class TestSimplify:
         "A1 = TRUE\nB1 = 1*A1",
     ])
     def test_keeps_values(self, doc):
-        def typed_values(s):  # True == 1.0, so each value is compared with its type
-            return {a: (type(v), v) for a, v in evaluate(s).items()}
-
         s = parse_document(doc)
         assert typed_values(simplify(s)) == typed_values(s)
 
@@ -432,7 +436,7 @@ class TestSimplify:
         rng = random.Random(27)
         for _ in range(200):
             s = rand_cell_set(rng, evaluable=True)
-            assert evaluate(simplify(s)) == evaluate(s)
+            assert typed_values(simplify(s)) == typed_values(s)
 
 
 class TestDiff:

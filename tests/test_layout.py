@@ -85,6 +85,15 @@ class TestLayoutSet:
         with pytest.raises(DomainError):
             down("a", 3, 2, "A1")
 
+    def test_index_bound_past_the_readers_digits_rejected(self):
+        # elem_at builds its elements unchecked, so the bounds are checked here
+        down("a", 1, 10**18 - 1, "A1")
+        for lo, hi in ((1, 10**18), (-(10**18), 1)):
+            with pytest.raises(DomainError):
+                down("a", lo, hi, "A1")
+        with pytest.raises(DomainError):
+            LayoutDirective("a", ((1, 2), (1, 10**18)), addr("A1"), None)
+
 
 class TestCompile:
     def test_accounts_golden(self, accounts_s, accounts):

@@ -1,21 +1,36 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from sheetalgebra import (
+    AbsRef,
+    ArrayElem,
+    Binary,
+    Bool,
+    Call,
     CellAddr,
     CellRange,
     ElemRef,
+    Empty,
+    Equation,
     EquationSet,
     Here,
+    NameRef,
+    Neg,
+    Number,
+    RangeArg,
     Rect,
+    RelRef,
+    Text,
     addr,
     col_to_letters,
     enumerate_range,
     letters_to_col,
-    range_contains,
 )
 from sheetalgebra.errors import BoundednessError, ConflictError, DomainError
+from sheetalgebra.formula import formula_groups
 
 from conftest import eq
 
@@ -101,24 +116,24 @@ class TestEnumerateRange:
             cells = enumerate_range(box)
             assert len(cells) == m * n
             assert len(set(cells)) == m * n
-            assert all(range_contains(box, a) for a in cells)
+            assert all(box.contains(a) for a in cells)
 
 
 class TestRangeContains:
     def test_column_band_excludes(self):
-        assert not range_contains(CellRange.columns(1, 3), addr("D2"))
+        assert not CellRange.columns(1, 3).contains(addr("D2"))
 
     def test_extract_box_keeps_c2(self):
-        assert range_contains(CellRange.box(addr("A1"), addr("D2")), addr("C2"))
+        assert CellRange.box(addr("A1"), addr("D2")).contains(addr("C2"))
 
     def test_non_contiguous(self):
         r = CellRange.columns(1, 1).union(CellRange.columns(3, 4))
-        assert range_contains(r, addr("C5"))
-        assert not range_contains(r, addr("B5"))
+        assert r.contains(addr("C5"))
+        assert not r.contains(addr("B5"))
 
     def test_sheet_must_match(self):
         r = CellRange.box(addr("A1"), addr("D9"))
-        assert not range_contains(r, addr("Other!B2"))
+        assert not r.contains(addr("Other!B2"))
 
 
 class TestEquationSet:
@@ -145,9 +160,73 @@ class TestSubscripts:
     def test_subscript_the_reader_refuses_is_refused(self):
         # the reader takes at most 18 digits, so save never writes more
         ElemRef("x", (10**18 - 1, Here(-(10**18 - 1))))
+        ArrayElem("x", (10**18 - 1, -(10**18 - 1)))
         for subs in ((10**18,), (1, Here(10**18)), (-(10**18),)):
             with pytest.raises(DomainError):
                 ElemRef("x", subs)
+        for subs in ((10**18,), (1, -(10**18)), ()):
+            with pytest.raises(DomainError):
+                ArrayElem("x", subs)
+
+    def test_unknown_operator_is_refused(self):
+        with pytest.raises(DomainError):
+            Binary("?", Number(1.0), Number(2.0))
+
+
+def chain(n, last=1.0):
+    """1+2+...+(n-1)+last, a flat chain of n terms."""
+    f = Number(1.0)
+    for i in range(2, n):
+        f = Binary("+", f, Number(float(i)))
+    return Binary("+", f, Number(last))
+
+
+NODES = [
+    Number(-0.0), Text("x"), Bool(False), Empty(), AbsRef(addr("Other!B2")), RelRef(-1, 2),
+    ElemRef("x", (1, Here(-1))), NameRef("rate"), Neg(RelRef(0, 1)),
+    Binary("*", Number(2.0), Call("SUM", (RangeArg(CellRange.columns(1, 2)), Number(1.0)))),
+    ArrayElem("x", (1, 2)), Equation(addr("A1"), Binary("^", RelRef(0, -1), Number(2.0))),
+]
+
+
+class TestNodeIdentity:
+    """A node is a tuple of its fields, but equals only a node of its own type."""
+
+    @pytest.mark.parametrize("a, b", [
+        (Text("x"), NameRef("x")),
+        (AbsRef(addr("A1")), (addr("A1"),)),
+        (Bool(True), Number(1.0)),
+        (Number(0.0), Number(-0.0)),
+        (ArrayElem("x", (1,)), ("x", (1,))),
+    ])
+    def test_equal_fields_of_another_type_differ(self, a, b):
+        assert tuple(a) == tuple(b)
+        assert not a == b and a != b
+        assert not b == a and b != a
+        assert len({a: 1, b: 2}) == 2
+
+    def test_types_stay_apart_in_formula_groups(self):
+        rhs = [Text("x"), NameRef("x"), Bool(True), Number(1.0), Number(0.0), Number(-0.0)]
+        s = EquationSet([Equation(CellAddr("Sheet1", 1, row), f)
+                         for row, f in enumerate(rhs * 2, 1)])
+        groups = formula_groups(s)
+        assert sorted(type(rel).__name__ for _, rel in groups) == \
+            ["Bool", "NameRef", "Number", "Number", "Number", "Text"]
+        assert all(len(eqs) == 2 for eqs in groups.values())
+
+    def test_long_chain_compares_and_hashes(self):
+        a, b, c = chain(3000), chain(3000), chain(3000, last=-1.0)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert Equation(addr("A1"), a) == Equation(addr("A1"), b)
+        assert Equation(addr("A1"), a) != Equation(addr("A1"), c)
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+    def test_copies_keep_type_and_equality(self, node):
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node), copy.copy(node)):
+            assert type(twin) is type(node)
+            assert twin == node and not twin != node
+            assert hash(twin) == hash(node)
 
 
 class TestRect:

@@ -168,7 +168,8 @@ class TestLaws:
         assert a.keys() == b.keys()
         for k in a:
             x, y = a[k], b[k]
-            if isinstance(x, float) and isinstance(y, float):
+            assert type(x) is type(y), k  # True == 1.0, so the types are compared too
+            if isinstance(x, float):
                 assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
             else:
                 assert x == y
