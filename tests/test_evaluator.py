@@ -24,7 +24,12 @@ from sheetalgebra import (
 from sheetalgebra.errors import DomainError, OutOfGridError, SubstitutionError
 from sheetalgebra.fileio import format_value
 
-from conftest import make_set, rand_cell_set
+from conftest import make_set, rand_cell_set, typed_values
+
+
+def value_of(text):
+    """The typed value of one formula written in A1."""
+    return typed_values(make_set(("A1", text)))[addr("A1")]
 
 
 class TestBuildDeps:
@@ -99,6 +104,19 @@ class TestErrors:
         for a in ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10"):
             assert grid[addr(a)] == CellError("NUM"), a
         assert {format_value(v) for a, v in grid.items() if a != addr("A1")} == {"#NUM!"}
+
+    @pytest.mark.parametrize("text, tag", [
+        ("MOD(1,0)", "DIV0"), ("0^-1", "DIV0"),
+        ('MOD("a",1)', "VALUE"), ("MOD(1)", "VALUE"), ("ABS(1,2)", "VALUE"),
+        ("NOT(1,2)", "VALUE"), ("IF(1)", "VALUE"), ("FOO(1)", "VALUE"),
+        ("SQRT(-1)", "VALUE"), ("LN(0)", "VALUE"), ("(-8)^(1/3)", "VALUE"),
+        ("IF(1/0,1,2)", "DIV0"), ("IF(0,1,1/0)", "DIV0"), ("AND(TRUE,1/0)", "DIV0"),
+        # the left operand's error comes first, text reading as #VALUE!
+        ('"a"+1/0', "VALUE"), ('1/0+"a"', "DIV0"),
+        ('"a"<1', "VALUE"), ("X[1]", "REF"),
+    ])
+    def test_error_rules(self, text, tag):
+        assert value_of(text) == (CellError, CellError(tag))
 
 
 class TestCycles:
@@ -175,6 +193,15 @@ class TestSemantics:
         grid = evaluate(s)
         assert grid[addr("A1")] == 1024.0
         assert grid[addr("A2")] == pytest.approx(math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize("text, value", [
+        ("MIN()", 0.0), ("SUM(EMPTY(),1)", 1.0), ("MOD(-7,3)", 2.0),
+        ("IF(FALSE,1)", False), ("AND()", True), ("OR(0,EMPTY())", False),
+        ('NOT("")', True), ('"a"<"b"', True), ("EMPTY()=0", True),
+        ('"a"=1', False), ("-TRUE", -1.0),
+    ])
+    def test_value_rules(self, text, value):
+        assert value_of(text) == (type(value), value)
 
     def test_string_equality(self):
         s = make_set(("A1", '"x"'), ("A2", 'A1="x"'))
