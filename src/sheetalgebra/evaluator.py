@@ -10,13 +10,13 @@ CellError("CYCLE") while off-cycle cells still evaluate.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError, SubstitutionError
-from .formula import at_offset
+from .formula import at_offset, name_node
 from .model import (
-    ARITH_OPS,
     MAX_COL,
     MAX_ROW,
     AbsRef,
@@ -36,7 +36,6 @@ from .model import (
     RelRef,
     Text,
     children,
-    enumerate_range,
 )
 
 DIV0, CYCLE, VALUE, REF, NUM = "DIV0", "CYCLE", "VALUE", "REF", "NUM"
@@ -60,9 +59,7 @@ class _Graph:
 
     def __init__(self, s: EquationSet):
         self.formulas, self.ranges, self.deps = {}, {}, {}
-        # a defined name stands for a reference or, as a call's argument, a range
-        self.names = {name: AbsRef(enumerate_range(rng)[0]) if rng.is_single_cell()
-                      else RangeArg(rng) for name, rng in s.names.items()}
+        self.names = {name: name_node(rng) for name, rng in s.names.items()}
         # sheet -> (sorted rows, row -> its cells sorted); the canonical order
         # of s is by sheet, row and column, so appending keeps both sorted
         self.index = {}
@@ -219,43 +216,50 @@ def _to_number(v):
     return CellError(VALUE)
 
 
-def _arith(op: str, lv, rv):
-    a, b = _to_number(lv), _to_number(rv)
-    if isinstance(a, CellError):
-        return a
-    if isinstance(b, CellError):
-        return b
+# The numeric operators and functions: each a function of floats, which
+# _apply makes into a cell value; a fixed-arity function with its count.
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}
+_FIXED = {"ABS": (1, abs), "SQRT": (1, math.sqrt), "EXP": (1, math.exp),
+          "LN": (1, math.log),
+          # the sign of MOD follows the divisor
+          "MOD": (2, lambda a, b: a - b * math.floor(a / b))}
+# SUM, MIN and MAX skip empty cells and give 0 when there are no numbers
+_AGGREGATES = {"SUM": lambda *xs: float(sum(xs)),
+               "MIN": lambda *xs: min(xs, default=0.0),
+               "MAX": lambda *xs: max(xs, default=0.0)}
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _apply(fn, *args):
+    """fn of args read as numbers, as a cell value: the only place a float
+    computation becomes one.  The first argument that is an error, or text
+    (#VALUE!), is the result; a zero divisor gives #DIV0!, a result past
+    the float range #NUM!, and an undefined or complex result #VALUE!."""
+    nums = []
+    for v in args:
+        n = v if type(v) is float else _to_number(v)
+        if type(n) is CellError:
+            return n
+        nums.append(n)
     try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                return CellError(DIV0)
-            return a / b
-        v = a ** b
-        if isinstance(v, complex):
-            return CellError(VALUE)
-        return float(v)
+        r = fn(*nums)
     except ZeroDivisionError:
         return CellError(DIV0)
     except OverflowError:
         return CellError(NUM)
     except ValueError:
         return CellError(VALUE)
+    if type(r) is complex:
+        return CellError(VALUE)
+    return r if math.isfinite(r) else CellError(NUM)
 
 
-def _finite(v):
-    """An arithmetic result past the float range is #NUM!, never inf."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return CellError(NUM)
-    return v
-
-
-def _compare(op: str, lv, rv):
+def binary(op: str, lv, rv):
+    """The value of lv op rv for a binary operator op."""
+    fn = _ARITH.get(op)
+    if fn is not None:
+        return _apply(fn, lv, rv)
     for v in (lv, rv):
         if isinstance(v, CellError):
             return v
@@ -265,115 +269,38 @@ def _compare(op: str, lv, rv):
         return lv == rv
     if op == "<>":
         return lv != rv
-    if type(lv) is not type(rv):
-        return CellError(VALUE)
-    try:
-        if op == "<":
-            return lv < rv
-        if op == "<=":
-            return lv <= rv
-        if op == ">":
-            return lv > rv
-        return lv >= rv
-    except TypeError:
-        return CellError(VALUE)
-
-
-def binary(op: str, lv, rv):
-    """The value of lv op rv for a binary operator op."""
-    if op in ARITH_OPS:
-        return _finite(_arith(op, lv, rv))
-    return _compare(op, lv, rv)
-
-
-def _numeric_args(values, skip_empty=True):
-    nums = []
-    for v in values:
-        if isinstance(v, CellError):
-            return v
-        if v is None and skip_empty:
-            continue
-        n = _to_number(v)
-        if isinstance(n, CellError):
-            return n
-        nums.append(n)
-    return nums
+    # an ordering compares two floats, two texts or two truth values
+    return _ORDERINGS[op](lv, rv) if type(lv) is type(rv) else CellError(VALUE)
 
 
 def _call(func, values):
-    if func == "SUM":
-        nums = _numeric_args(values)
-        return nums if isinstance(nums, CellError) else float(sum(nums))
-    if func in ("MIN", "MAX"):
-        nums = _numeric_args(values)
-        if isinstance(nums, CellError):
-            return nums
-        if not nums:
-            return 0.0
-        return float(min(nums) if func == "MIN" else max(nums))
-    if func in ("ABS", "SQRT", "EXP", "LN", "NOT"):
-        if len(values) != 1:
-            return CellError(VALUE)
-        v = values[0]
-        if isinstance(v, CellError):
-            return v
-        if func == "NOT":
-            return not _truthy(v)
-        n = _to_number(v)
-        if isinstance(n, CellError):
-            return n
-        try:
-            if func == "ABS":
-                return abs(n)
-            if func == "SQRT":
-                return math.sqrt(n)
-            if func == "EXP":
-                return math.exp(n)
-            return math.log(n)
-        except OverflowError:
-            return CellError(NUM)
-        except ValueError:
-            return CellError(VALUE)
-    if func == "MOD":
-        if len(values) != 2:
-            return CellError(VALUE)
-        a, b = (_to_number(v) for v in values)
-        for v in (a, b):
-            if isinstance(v, CellError):
-                return v
-        if b == 0:
-            return CellError(DIV0)
-        try:
-            return a - b * math.floor(a / b)
-        except OverflowError:
-            return CellError(NUM)
+    fixed = _FIXED.get(func)
+    if fixed is not None:
+        count, fn = fixed
+        return _apply(fn, *values) if len(values) == count else CellError(VALUE)
+    fn = _AGGREGATES.get(func)
+    if fn is not None:
+        return _apply(fn, *[v for v in values if v is not None])
+    # a value other than an error is false when it is FALSE, 0, empty or
+    # empty text, as Python's truth of it
     if func == "IF":
         if len(values) not in (2, 3):
             return CellError(VALUE)
         cond = values[0]
         if isinstance(cond, CellError):
             return cond
-        if _truthy(cond):
+        if cond:
             return values[1]
         return values[2] if len(values) == 3 else False
     if func in ("AND", "OR"):
-        bools = []
         for v in values:
             if isinstance(v, CellError):
                 return v
-            bools.append(_truthy(v))
-        return all(bools) if func == "AND" else any(bools)
+        return (all if func == "AND" else any)(map(bool, values))
+    if func == "NOT" and len(values) == 1:
+        v = values[0]
+        return v if isinstance(v, CellError) else not v
     return CellError(VALUE)
-
-
-def _truthy(v):
-    if isinstance(v, bool):
-        return v
-    if v is None:
-        return False
-    if isinstance(v, float):
-        return v != 0
-    return bool(v)
 
 
 def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
@@ -410,7 +337,7 @@ def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
                 values.extend(grid[b] for b in g.range_cells(arg.range, k))
             else:
                 values.append(_eval_formula(arg, k, g, grid))
-        return _finite(_call(f.func, values))
+        return _call(f.func, values)
     raise DomainError(f"cannot evaluate node {f!r}")
 
 

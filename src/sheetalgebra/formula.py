@@ -96,7 +96,7 @@ class FormulaParser:
         s = self.s
         if s.accept_op("-"):
             operand = s.nested(self._climb, _PREC_NEG)
-            left = Number(-operand.value) if isinstance(operand, Number) else Neg(operand)
+            left = Number._make((-operand.value,)) if isinstance(operand, Number) else Neg(operand)
         else:
             left = self._primary()
         tokens = s.tokens
@@ -118,7 +118,7 @@ class FormulaParser:
     def _primary(self) -> Formula:
         kind, text, pos = self.s.peek()
         if kind == NUM:
-            return Number(read_number(self.s))
+            return Number._make((read_number(self.s),))
         if kind == STR:
             self.s.next()
             return Text(unquote_string(text))
@@ -438,17 +438,20 @@ def formula_groups(s) -> dict:
     return groups
 
 
+def name_node(rng) -> Formula:
+    """The node a defined name of range rng stands for: a single-cell name a
+    plain reference, a multi-cell name a range argument (only legal inside a
+    function call)."""
+    return AbsRef(enumerate_range(rng)[0]) if rng.is_single_cell() else RangeArg(rng)
+
+
 def substitute_names(f: Formula, names: dict) -> Formula:
-    """Replace defined names by their ranges: single-cell names become plain
-    references, multi-cell names become range arguments (only legal inside a
-    function call).  Unknown names pass through."""
+    """Replace defined names by the nodes they stand for (`name_node`).
+    Unknown names pass through."""
 
     def fix(node):
         if isinstance(node, NameRef) and node.name in names:
-            rng = names[node.name]
-            if rng.is_single_cell():
-                return AbsRef(enumerate_range(rng)[0])
-            return RangeArg(rng)
+            return name_node(names[node.name])
         return node
 
     out = transform(f, fix)

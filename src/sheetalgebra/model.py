@@ -8,6 +8,7 @@ operations elsewhere always build new sets.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from collections import namedtuple
@@ -224,6 +225,11 @@ class Formula(tuple):
 
 class Number(Formula, namedtuple("Number", "value")):
     __slots__ = ()
+
+    def __new__(cls, value: float):
+        if not math.isfinite(value):
+            raise DomainError(f"number {value} is not finite")
+        return _new(cls, (value,))
 
     # structural equality is bitwise on the IEEE double
     def __eq__(self, other):
@@ -591,9 +597,6 @@ class EquationSet:
 
     def with_names(self, names: dict) -> "EquationSet":
         return EquationSet(self._eqs.values(), names, self._layouts)
-
-    def sheets(self) -> set[str]:
-        return {eq.lhs.sheet for eq in self._eqs.values() if isinstance(eq.lhs, CellAddr)}
 
     def all_array_lhs(self) -> bool:
         return all(isinstance(lhs, ArrayElem) for lhs in self._eqs)

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -171,6 +172,11 @@ class TestSubscripts:
     def test_unknown_operator_is_refused(self):
         with pytest.raises(DomainError):
             Binary("?", Number(1.0), Number(2.0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_refused(self, value):
+        with pytest.raises(DomainError):
+            Number(value)
 
 
 def chain(n, last=1.0):

@@ -13,16 +13,21 @@ from sheetalgebra import (
     R1C1,
     AbsRef,
     Binary,
+    Bool,
     Call,
     CellAddr,
+    CellError,
     CellRange,
+    Empty,
     Equation,
     EquationSet,
     NameRef,
+    Neg,
     Number,
     RangeArg,
     Rect,
     RelRef,
+    Text,
     canonical_text,
     col_to_letters,
     diff,
@@ -42,7 +47,9 @@ from sheetalgebra import (
     union,
 )
 from sheetalgebra.errors import CrossSheetError, DomainError, SheetError
+from sheetalgebra.fileio import format_value
 from sheetalgebra.formula import formula_groups
+from sheetalgebra.model import BINARY_OPS
 
 from conftest import rand_cell_set
 
@@ -324,3 +331,49 @@ class TestEvaluateWhereItStands:
     @settings(max_examples=100)
     def test_copied_column(self, s):
         _agrees_with_resolved(s)
+
+
+# -- the value layer's contract ---------------------------------------------
+
+FUNCTIONS = ("SUM", "MIN", "MAX", "ABS", "SQRT", "EXP", "LN", "MOD",
+             "IF", "AND", "OR", "NOT", "FOO")
+
+
+def value_documents():
+    """Up to six cells of A1:C3 whose formulas mix every operator, the
+    twelve functions and an unknown one over numbers (some near the float
+    range's ends), text, truth values, EMPTY(), 1/0, references into A1:C3
+    and, as a call's argument, the range A1:C3."""
+    cell = st.builds(lambda c, r: CellAddr("Sheet1", c, r),
+                     st.integers(min_value=1, max_value=3),
+                     st.integers(min_value=1, max_value=3))
+    whole = RangeArg(CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", 3, 3)))
+    leaves = st.one_of(
+        numbers,
+        st.sampled_from([0.0, -0.0, 0.5, -8.0, 1e-308, 1e308, -1e308]).map(Number),
+        st.sampled_from(["", "a", "b"]).map(Text),
+        st.booleans().map(Bool),
+        st.just(Empty()),
+        st.just(Binary("/", Number(1.0), Number(0.0))),
+        cell.map(AbsRef))
+
+    def nodes(inner):
+        args = st.lists(st.one_of(inner, st.just(whole)), max_size=3).map(tuple)
+        return st.one_of(st.builds(Binary, st.sampled_from(BINARY_OPS), inner, inner),
+                         st.builds(Neg, inner),
+                         st.builds(Call, st.sampled_from(FUNCTIONS), args))
+
+    formula = st.recursive(leaves, nodes, max_leaves=8)
+    return st.dictionaries(cell, formula, min_size=1, max_size=6).map(
+        lambda eqs: EquationSet(Equation(a, f) for a, f in eqs.items()))
+
+
+class TestValueContract:
+    @given(value_documents())
+    @settings(max_examples=200)
+    def test_every_value_is_a_cell_value_that_prints(self, s):
+        for a, v in evaluate(s).items():
+            t = type(v)
+            assert (v is None or t in (str, bool, CellError)
+                    or t is float and math.isfinite(v)), (a, v)
+            assert type(format_value(v)) is str
