@@ -50,15 +50,20 @@ class CellError:
 
 
 class _Graph:
-    """A sheet as an evaluation graph on its cells, built once per call.  A
-    formula is evaluated where it stands: a relative reference is read at
-    its offset from the cell and a defined name as its range, so no tree is
-    rebuilt.  Each distinct range is read once as its defined cells, and
-    each cell's precedents are listed once, both on first use, so a walk
-    from one cell touches only the cells it depends on."""
+    """A sheet as an evaluation graph on its defined cells and the distinct
+    ranges read at them, built once per call.  A formula is evaluated where
+    it stands: a relative reference is read at its offset from the cell and
+    a defined name as its range, so no tree is rebuilt.  A cell depends on
+    the nodes of the ranges it reads.  Each node's precedents are listed
+    once, on first use, so a walk from one cell touches only the nodes it
+    depends on."""
 
     def __init__(self, s: EquationSet):
-        self.formulas, self.ranges, self.deps = {}, {}, {}
+        self.formulas, self.deps = {}, {}
+        # range node -> (the range node it extends or None, its other cells);
+        # (sheet, col_lo, col_hi, row_lo) -> the last rows of its ranges, sorted
+        self.spans, self.starts = {}, {}
+        self.states = {None: _NOTHING}  # range node -> its aggregate state
         self.names = {name: name_node(rng) for name, rng in s.names.items()}
         # sheet -> (sorted rows, row -> its cells sorted); the canonical order
         # of s is by sheet, row and column, so appending keeps both sorted
@@ -74,27 +79,61 @@ class _Graph:
                 by_row[a.row] = []
             by_row[a.row].append(a)
 
-    def range_cells(self, rng, k) -> list:
-        """The defined cells of a range read at cell k, rectangle by
-        rectangle and row-major within each, each cell once."""
-        bounds = tuple([_bounds(rect, k) for rect in rng.rects])
-        cells = self.ranges.get(bounds)
-        if cells is None:
+    def span(self, rng, k) -> tuple:
+        """The node of range rng read at cell k, keyed by its rectangles'
+        bounds.  On first use, a one-rectangle range extends the longest
+        range of the graph with its sheet, columns and first row, and lists
+        the defined cells of its other rows; another range lists all its
+        defined cells.  Either lists them rectangle by rectangle and
+        row-major within each, each cell once."""
+        node = tuple([_bounds(rect, k) for rect in rng.rects])
+        if node not in self.spans:
+            pred, rects = None, node
+            if len(node) == 1:
+                start, row_hi = node[0][:4], node[0][4]
+                ends = self.starts.setdefault(start, [])
+                i = bisect_left(ends, row_hi)
+                if i:
+                    pred = (start + (ends[i - 1],),)
+                    rects = (start[:3] + (ends[i - 1] + 1, row_hi),)
+                ends.insert(i, row_hi)
             cells = []
-            for sheet, col_lo, col_hi, row_lo, row_hi in bounds:
+            for sheet, col_lo, col_hi, row_lo, row_hi in rects:
                 rows, by_row = self.index.get(sheet, ((), {}))
-                for r in rows[bisect_left(rows, row_lo or 1):bisect_right(rows, row_hi or MAX_ROW)]:
+                for r in rows[bisect_left(rows, row_lo):bisect_right(rows, row_hi)]:
                     line = by_row[r]
-                    cells.extend(line[bisect_left(line, (sheet, col_lo or 1, r)):
-                                      bisect_right(line, (sheet, col_hi or MAX_COL, r))])
-            cells = self.ranges[bounds] = list(dict.fromkeys(cells))
-        return cells
+                    cells.extend(line[bisect_left(line, (sheet, col_lo, r)):
+                                      bisect_right(line, (sheet, col_hi, r))])
+            cells = list(dict.fromkeys(cells))
+            self.spans[node] = pred, cells
+            self.deps[node] = [pred] + cells if pred else cells
+        return node
+
+    def cells(self, node) -> list:
+        """The defined cells of a range node, in its order."""
+        parts = []
+        while node is not None:
+            node, cells = self.spans[node]
+            parts.append(cells)
+        return [a for cells in reversed(parts) for a in cells]
+
+    def state(self, node, grid):
+        """The aggregate state of a range node's values, folded once, on
+        first use, onto the state of the range it extends."""
+        chain = []
+        while node not in self.states:
+            chain.append(node)
+            node = self.spans[node][0]
+        state = self.states[node]
+        for node in reversed(chain):
+            state = self.states[node] = _fold(state, [grid[a] for a in self.spans[node][1]])
+        return state
 
     def precedents(self, k) -> list:
-        """Every cell k's formula references, and the defined cells of its
-        ranges.  Raises as resolving the formula at k would: on a HERE
-        marker, then on an offset off the grid, then on a range that is not
-        a call's argument."""
+        """Every cell k's formula references, and the nodes of its ranges.
+        Raises as resolving the formula at k would: on a HERE marker, then
+        on an offset off the grid, then on a range that is not a call's
+        argument."""
         refs = self.deps.get(k)
         if refs is None:
             refs = self.deps[k] = []
@@ -105,15 +144,15 @@ class _Graph:
                 elif isinstance(node, AbsRef):
                     refs.append(node.addr)
                 else:
-                    refs.extend(self.range_cells(node.range, k))
+                    refs.append(self.span(node.range, k))
             if loose:
                 raise SubstitutionError("range is only allowed as a function argument")
         return refs
 
     def components(self, roots):
-        """Strongly connected components of the defined cells reachable from
-        roots, by iterative Tarjan.  Each comes after every component it
-        reads, so this is also an evaluation order."""
+        """Strongly connected components of the defined cells and range
+        nodes reachable from roots, by iterative Tarjan.  Each comes after
+        every component it reads, so this is also an evaluation order."""
         index, low = {}, {}
         stack, on_stack = [], set()
         for root in roots:
@@ -126,7 +165,7 @@ class _Graph:
             while work:
                 node, it = work[-1]
                 for child in it:
-                    if child not in self.formulas:
+                    if child not in self.formulas and child not in self.spans:
                         continue
                     if child not in index:
                         index[child] = low[child] = len(index)
@@ -150,14 +189,17 @@ class _Graph:
 
     def evaluate(self, roots) -> dict:
         """Values of the cells reachable from roots, by cell.  Cells on a
-        cycle are #CYCLE!; the others are computed after their precedents."""
+        cycle are #CYCLE!; the others are computed after their precedents.
+        A range node is folded when a cell first reads it, so one on a
+        cycle still folds its cells' values."""
         grid = {}
         for comp in self.components(roots):
             k = comp[0]
             if len(comp) > 1 or k in self.precedents(k):
                 for b in comp:
-                    grid[b] = CellError(CYCLE)
-            else:
+                    if b in self.formulas:
+                        grid[b] = CellError(CYCLE)
+            elif k in self.formulas:
                 grid[k] = _eval_formula(self.formulas[k], k, self, grid)
         return grid
 
@@ -189,19 +231,20 @@ def _refs(f: Formula, names: dict) -> tuple:
 
 def _bounds(rect, k) -> tuple:
     """A rectangle's (sheet, col_lo, col_hi, row_lo, row_hi), a relative one
-    read at cell k."""
-    if rect.sheet is not None:
-        return rect
-    sheet, col_lo, row_lo = at_offset(k, rect.col_lo, rect.row_lo)
-    _, col_hi, row_hi = at_offset(k, rect.col_hi, rect.row_hi)
-    return sheet, col_lo, col_hi, row_lo, row_hi
+    read at cell k, an unbounded side at the grid's edge."""
+    sheet, col_lo, col_hi, row_lo, row_hi = rect
+    if sheet is None:
+        sheet, col_lo, row_lo = at_offset(k, col_lo, row_lo)
+        _, col_hi, row_hi = at_offset(k, col_hi, row_hi)
+    return sheet, col_lo or 1, col_hi or MAX_COL, row_lo or 1, row_hi or MAX_ROW
 
 
 def build_deps(s: EquationSet) -> dict:
     """Dependency graph: cell -> set of cells its formula references,
     including the defined cells inside range arguments."""
     g = _Graph(s)
-    return {a: set(g.precedents(a)) for a in g.formulas}
+    return {a: {c for p in g.precedents(a) for c in (g.cells(p) if p in g.spans else (p,))}
+            for a in g.formulas}
 
 
 def _to_number(v):
@@ -224,10 +267,11 @@ _FIXED = {"ABS": (1, abs), "SQRT": (1, math.sqrt), "EXP": (1, math.exp),
           "LN": (1, math.log),
           # the sign of MOD follows the divisor
           "MOD": (2, lambda a, b: a - b * math.floor(a / b))}
-# SUM, MIN and MAX skip empty cells and give 0 when there are no numbers
-_AGGREGATES = {"SUM": lambda *xs: float(sum(xs)),
-               "MIN": lambda *xs: min(xs, default=0.0),
-               "MAX": lambda *xs: max(xs, default=0.0)}
+# SUM, MIN and MAX read an aggregate state (`_fold`) of their arguments,
+# starting from a range node's state when the first is a range, and from
+# _NOTHING, the state of no value, otherwise
+_AGGREGATES = {"SUM": 0, "MIN": 1, "MAX": 2}
+_NOTHING = (0.0, None, None)
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -255,6 +299,39 @@ def _apply(fn, *args):
     return r if math.isfinite(r) else CellError(NUM)
 
 
+def _fold(state, values):
+    """An aggregate state extended by values in order, empty ones skipped.
+    The state is the first error, text counting as #VALUE!, and before it
+    the sum as a left fold from 0.0, the least number and the greatest
+    (None before the first)."""
+    if type(state) is CellError:
+        return state
+    total, lo, hi = state
+    for v in values:
+        if v is None:
+            continue
+        n = v if type(v) is float else _to_number(v)
+        if type(n) is CellError:
+            return n
+        total += n
+        if lo is None:
+            lo = hi = n
+        elif n < lo:
+            lo = n
+        elif n > hi:
+            hi = n
+    return total, lo, hi
+
+
+def _aggregate(i, state):
+    """The sum (i = 0), min (1) or max (2) of a state, 0 when it holds no
+    number, or its error."""
+    if type(state) is CellError:
+        return state
+    r = state[i]
+    return 0.0 if r is None else r if math.isfinite(r) else CellError(NUM)
+
+
 def binary(op: str, lv, rv):
     """The value of lv op rv for a binary operator op."""
     fn = _ARITH.get(op)
@@ -278,9 +355,6 @@ def _call(func, values):
     if fixed is not None:
         count, fn = fixed
         return _apply(fn, *values) if len(values) == count else CellError(VALUE)
-    fn = _AGGREGATES.get(func)
-    if fn is not None:
-        return _apply(fn, *[v for v in values if v is not None])
     # a value other than an error is false when it is FALSE, 0, empty or
     # empty text, as Python's truth of it
     if func == "IF":
@@ -329,15 +403,20 @@ def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
         v = _to_number(_eval_formula(f.operand, k, g, grid))
         return v if isinstance(v, CellError) else -v
     if t is Call:
-        values = []
-        for arg in f.args:
+        agg = _AGGREGATES.get(f.func)
+        state, values = _NOTHING, []
+        for i, arg in enumerate(f.args):
             if type(arg) is NameRef:
                 arg = g.names.get(arg.name, arg)
-            if type(arg) is RangeArg:
-                values.extend(grid[b] for b in g.range_cells(arg.range, k))
-            else:
+            if type(arg) is not RangeArg:
                 values.append(_eval_formula(arg, k, g, grid))
-        return _call(f.func, values)
+            elif agg is not None and i == 0:
+                state = g.state(g.span(arg.range, k), grid)
+            elif agg is not None or f.func in ("AND", "OR"):
+                values.extend([grid[a] for a in g.cells(g.span(arg.range, k))])
+            else:
+                return CellError(VALUE)  # only SUM, MIN, MAX, AND and OR read a range
+        return _call(f.func, values) if agg is None else _aggregate(agg, _fold(state, values))
     raise DomainError(f"cannot evaluate node {f!r}")
 
 

@@ -220,7 +220,7 @@ class Formula(tuple):
         return type(other) is type(self) and _tuple_eq(self, other)
 
     def __ne__(self, other):  # tuple's own __ne__ would ignore the type
-        return not self.__eq__(other)
+        return type(other) is not type(self) or not _tuple_eq(self, other)
 
 
 class Number(Formula, namedtuple("Number", "value")):
@@ -229,11 +229,14 @@ class Number(Formula, namedtuple("Number", "value")):
     def __new__(cls, value: float):
         if not math.isfinite(value):
             raise DomainError(f"number {value} is not finite")
-        return _new(cls, (value,))
+        return _new(cls, (float(value),))
 
     # structural equality is bitwise on the IEEE double
     def __eq__(self, other):
         return type(other) is Number and _bits(self.value) == _bits(other.value)
+
+    def __ne__(self, other):
+        return type(other) is not Number or _bits(self.value) != _bits(other.value)
 
     def __hash__(self):
         return hash(_bits(self.value))

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria, one test (and one printed
+"""Acceptance gate: nine end-to-end criteria, one test (and one printed
 pass/fail line) each.  Run with `pytest tests/test_acceptance.py -v`.
 
 Golden values marked [DERIVED] were computed by hand or by an independent
@@ -315,3 +315,17 @@ class TestAcceptance:
         assert elapsed < 10.0
         report(8, f"1000 file + 2000 formula roundtrips; "
                   f"100k-equation parse+show in {elapsed:.2f}s")
+
+    def test_9_running_sum_scale(self):
+        # B{r} = SUM(A1:A{r}) over 8000 rows: an evaluator that reads every
+        # range's cells again for each row needs about 40 s
+        rows = 8000
+        text = "\n".join(f"A{r} = {r}\nB{r} = SUM(A1:A{r})" for r in range(1, rows + 1))
+        s = parse_document(text)
+        start = time.perf_counter()
+        grid = evaluate(s)
+        elapsed = time.perf_counter() - start
+        assert grid[addr(f"B{rows}")] == rows * (rows + 1) / 2
+        assert all(grid[addr(f"B{r}")] == r * (r + 1) / 2 for r in range(1, rows + 1))
+        assert elapsed < 5.0
+        report(9, f"{rows}-row running SUM evaluated in {elapsed:.2f}s")

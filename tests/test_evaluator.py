@@ -13,6 +13,7 @@ from sheetalgebra import (
     EquationSet,
     Here,
     NameRef,
+    Number,
     RelRef,
     addr,
     build_deps,
@@ -21,6 +22,7 @@ from sheetalgebra import (
     parse_document,
     union,
 )
+from sheetalgebra.algebra import simplify_formula
 from sheetalgebra.errors import DomainError, OutOfGridError, SubstitutionError
 from sheetalgebra.fileio import format_value
 
@@ -203,6 +205,12 @@ class TestSemantics:
     def test_value_rules(self, text, value):
         assert value_of(text) == (type(value), value)
 
+    def test_number_of_an_int_is_a_float(self):
+        f = Binary("+", Number(1), Number(1.0))
+        assert f == Binary("+", Number(1.0), Number(1.0))
+        assert typed_values(EquationSet([Equation(addr("A1"), f)]))[addr("A1")] == (float, 2.0)
+        assert simplify_formula(f) == Number(2.0)
+
     def test_string_equality(self):
         s = make_set(("A1", '"x"'), ("A2", 'A1="x"'))
         assert evaluate(s)[addr("A2")] is True
@@ -212,6 +220,83 @@ class TestSemantics:
             evaluate(make_set(("y[1]", "1")))
         with pytest.raises(DomainError):
             evaluate_cell(make_set(("y[1]", "1")), addr("A1"))
+
+
+def running_sum(n, seed=7):
+    """A{r} random floats of mixed magnitude, B{r} = SUM(A1:A{r}), and
+    the left fold of the A column at every row."""
+    rng = random.Random(seed)
+    xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12) for _ in range(n)]
+    text = "\n".join(f"A{r} = {x!r}\nB{r} = SUM(A1:A{r})" for r, x in enumerate(xs, 1))
+    folds, acc = [], 0.0
+    for x in xs:
+        acc += x
+        folds.append(acc)
+    return parse_document(text), folds
+
+
+class TestRangeNodes:
+    """Each distinct range is one node of the evaluation graph, holding the
+    aggregate state SUM, MIN and MAX read; a range extends the longest one
+    with its start, so a running sum folds each row once."""
+
+    def test_sum_is_a_left_fold(self):
+        # compensated summation would give 1.0
+        assert value_of("SUM(1e16,1,-1e16)") == (float, 0.0)
+        s = make_set(("A1", "1e16"), ("A2", "1"), ("A3", "-1e16"), ("B1", "SUM(A1:A3)"))
+        assert typed_values(s)[addr("B1")] == (float, 0.0)
+
+    def test_running_sum_is_the_left_fold_at_every_row(self):
+        s, folds = running_sum(3000)
+        got = typed_values(s)
+        for r, acc in enumerate(folds, 1):
+            kind, v = got[addr(f"B{r}")]
+            assert kind is float and v.hex() == acc.hex(), r
+
+    def test_one_cell_agrees_with_the_whole_sheet(self):
+        s, folds = running_sum(500, seed=3)
+        assert evaluate_cell(s, addr("B500")).hex() == evaluate(s)[addr("B500")].hex() \
+            == folds[-1].hex()
+
+    def test_build_deps_lists_the_cells_of_every_range(self):
+        s, _ = running_sum(60)
+        deps = build_deps(s)
+        assert len(deps) == 120
+        for r in range(1, 61):
+            assert deps[addr(f"A{r}")] == set()
+            assert deps[addr(f"B{r}")] == {addr(f"A{i}") for i in range(1, r + 1)}
+
+    def test_first_error_in_row_major_order_wins_across_chained_ranges(self):
+        s = make_set(("A1", "1"), ("A2", "1/0"), ("A3", "2"), ("A4", '"t"'),
+                     *[(f"B{r}", f"SUM(A1:A{r})") for r in range(1, 5)],
+                     *[(f"C{r}", f"MAX(A3:A{r})") for r in range(3, 5)],
+                     ("D1", "5"), ("E1", "1/0"), ("D2", '"t"'),
+                     ("F1", "MIN(D1:E1)"), ("F2", "MIN(D1:E2,1)"))
+        got = typed_values(s)
+        div0, value = (CellError, CellError("DIV0")), (CellError, CellError("VALUE"))
+        assert [got[addr(f"B{r}")] for r in range(1, 5)] == [(float, 1.0), div0, div0, div0]
+        assert [got[addr(f"C{r}")] for r in (3, 4)] == [(float, 2.0), value]
+        # row-major: E1's error comes before D2's text
+        assert got[addr("F1")] == got[addr("F2")] == div0
+
+    def test_a_range_on_a_cycle_still_folds_its_cells(self):
+        s = make_set(("A1", "1/0"), ("A3", "SUM(A1:A3)"), ("B1", "SUM(A1:A3)"))
+        got = typed_values(s)
+        assert got[addr("A3")] == (CellError, CellError("CYCLE"))
+        assert got[addr("B1")] == (CellError, CellError("DIV0"))
+        for a in ("A3", "B1"):
+            assert evaluate_cell(s, addr(a)) == got[addr(a)][1]
+
+    @pytest.mark.parametrize("text, value", [
+        ("MOD(A1:A2)", CellError("VALUE")), ("IF(A1:A2)", CellError("VALUE")),
+        ("ABS(A1:A1)", CellError("VALUE")), ("NOT(A1:A2)", CellError("VALUE")),
+        ("IF(1,2,A1:A2)", CellError("VALUE")),
+        ("SUM(A1:A2)", 10.0), ("MAX(0,A1:A2,A2:A2)", 7.0), ("MIN(A1:A2,A2:A2)", 3.0),
+        ("AND(A1:A2)", True), ("OR(A1:A2,0)", True),
+    ])
+    def test_a_range_is_one_argument(self, text, value):
+        s = make_set(("A1", "7"), ("A2", "3"), ("B1", text))
+        assert typed_values(s)[addr("B1")] == (type(value), value)
 
 
 TWO_CELLS = {"x": CellRange.box(addr("A1"), addr("A2"))}

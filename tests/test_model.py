@@ -227,6 +227,31 @@ class TestNodeIdentity:
         assert Equation(addr("A1"), a) == Equation(addr("A1"), b)
         assert Equation(addr("A1"), a) != Equation(addr("A1"), c)
 
+    @pytest.mark.parametrize("a, b, equal", [
+        (Number(0.0), Number(-0.0), False),
+        (Number(-0.0), Number(-0.0), True),
+        (Number(1.0), Number(1), True),
+        (Number(1.0), Bool(True), False),
+        (Text("x"), NameRef("x"), False),
+        (Empty(), Empty(), True),
+        (AbsRef(addr("A1")), AbsRef(addr("A1")), True),
+        (RelRef(0, 1), RelRef(1, 0), False),
+        (Neg(Number(0.0)), Neg(Number(-0.0)), False),
+        (Binary("+", RelRef(0, 1), Number(0.0)), Binary("+", RelRef(0, 1), Number(0.0)), True),
+        (Binary("+", RelRef(0, 1), Number(0.0)), Binary("+", RelRef(0, 1), Number(-0.0)), False),
+        (Binary("+", Text("x"), Number(1.0)), Binary("-", Text("x"), Number(1.0)), False),
+        (Call("SUM", (Neg(Number(0.0)), Text("x"))), Call("SUM", (Neg(Number(0.0)), Text("x"))), True),
+        (Call("SUM", (Neg(Number(0.0)), Text("x"))), Call("SUM", (Neg(Number(-0.0)), Text("x"))), False),
+        (Call("SUM", (Text("x"),)), Call("SUM", (NameRef("x"),)), False),
+        (chain(500), chain(500), True),
+        (chain(500), chain(500, last=-1.0), False),
+        (Equation(addr("A1"), Number(0.0)), Equation(addr("A1"), Number(-0.0)), False),
+        (ArrayElem("x", (1,)), ArrayElem("x", (1,)), True),
+    ])
+    def test_not_equal_is_the_negation_of_equal(self, a, b, equal):
+        assert (a == b) is equal and (b == a) is equal
+        assert (a != b) is not equal and (b != a) is not equal
+
     @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
     def test_copies_keep_type_and_equality(self, node):
         for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node), copy.copy(node)):
