@@ -237,11 +237,7 @@ def lookup(s: EquationSet, ref, repr: str = RELATIVE):
         return canonical_text(eq.rhs)
     if repr == RELATIVE:
         return eq.rhs
-    anchor = ref if isinstance(ref, CellAddr) else None
-    if anchor is None:
-        absolute = eq.rhs
-    else:
-        absolute = to_absolute(eq.rhs, anchor)
+    absolute = to_absolute(eq.rhs, ref) if isinstance(ref, CellAddr) else eq.rhs
     if repr == ABSOLUTE:
         return absolute
     if repr == SUBSTITUTED:
@@ -362,10 +358,13 @@ class DiffReport:
 
 def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
     """Compare two sets.  Each formula is compared resolved at its own cell,
-    so `C2-B2` and `RC[-1]-RC[-2]` at D2 count as equal.  `mode` is kept for
-    callers that pass it: "relative" compares the same view, because a
-    formula's offsets and its absolute references at one cell determine
-    each other."""
+    so `C2-B2` and `RC[-1]-RC[-2]` at D2 count as equal.  Equal trees at one
+    cell resolve alike, so only formulas whose trees differ are resolved: an
+    unchanged formula is not reported, and raises nothing for a HERE marker
+    or an offset off the grid.
+    `mode` is kept for callers that pass it: "relative" compares the same
+    view, because a formula's offsets and its absolute references at one
+    cell determine each other."""
     if mode not in ("absolute", "relative"):
         raise DomainError(f"unknown diff mode {mode!r}")
     a_lhs, b_lhs = a.lhs_set(), b.lhs_set()
@@ -380,7 +379,7 @@ def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
     changed = []
     for lhs in sorted(a_lhs & b_lhs, key=lhs_sort_key):
         old, new = a.get(lhs), b.get(lhs)
-        if view(old) != view(new):
+        if old.rhs != new.rhs and view(old) != view(new):
             changed.append((lhs, old.rhs, new.rhs))
     return DiffReport(added, removed, tuple(changed))
 

@@ -11,6 +11,7 @@ minimal parentheses.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .errors import (
     AnchorError,
@@ -427,15 +428,18 @@ def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
     return map_refs(f, relativizer(anchor, strict=False))
 
 
-def formula_groups(s) -> dict:
+def formula_groups(s) -> MappingProxyType:
     """The cell equations of s grouped by sheet and relative form, so that
-    copy-filled formulas share one group: (sheet, relative form) -> list of
-    equations, the groups and the equations of each in canonical order."""
-    groups: dict[tuple[str, Formula], list] = {}
-    for eq in s:
-        if isinstance(eq.lhs, CellAddr):
-            groups.setdefault((eq.lhs.sheet, relative_form(eq.rhs, eq.lhs)), []).append(eq)
-    return groups
+    copy-filled formulas share one group: (sheet, relative form) -> tuple of
+    equations, the groups and the equations of each in canonical order.
+    They are built on the first call and kept on the set, which is immutable."""
+    if s._groups is None:
+        groups: dict[tuple[str, Formula], list] = {}
+        for eq in s:
+            if isinstance(eq.lhs, CellAddr):
+                groups.setdefault((eq.lhs.sheet, relative_form(eq.rhs, eq.lhs)), []).append(eq)
+        s._groups = {key: tuple(eqs) for key, eqs in groups.items()}
+    return MappingProxyType(s._groups)
 
 
 def name_node(rng) -> Formula:

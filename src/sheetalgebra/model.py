@@ -227,9 +227,15 @@ class Number(Formula, namedtuple("Number", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
+        if not isinstance(value, (int, float)):  # an int, a float or a bool; no text
+            raise DomainError(f"a number cannot be made of a {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError("an integer past the largest float is not a number") from None
         if not math.isfinite(value):
             raise DomainError(f"number {value} is not finite")
-        return _new(cls, (float(value),))
+        return _new(cls, (value,))
 
     # structural equality is bitwise on the IEEE double
     def __eq__(self, other):
@@ -540,7 +546,7 @@ class EquationSet:
     """Immutable set of equations plus a defined-name table and optional
     layout directives carried along from a source document."""
 
-    __slots__ = ("_eqs", "_names", "_layouts", "_order")
+    __slots__ = ("_eqs", "_names", "_layouts", "_order", "_groups")
 
     def __init__(self, equations=(), names=None, layouts=()):
         eqs = {}
@@ -552,7 +558,7 @@ class EquationSet:
         self._eqs = eqs
         self._names = dict(names) if names else {}
         self._layouts = tuple(layouts)
-        self._order = None  # the canonical order, sorted on first use
+        self._order = self._groups = None  # canonical order and formula_groups, on first use
 
     @property
     def names(self) -> dict:

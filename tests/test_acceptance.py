@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one test (and one printed
+"""Acceptance gate: ten end-to-end criteria, one test (and one printed
 pass/fail line) each.  Run with `pytest tests/test_acceptance.py -v`.
 
 Golden values marked [DERIVED] were computed by hand or by an independent
@@ -19,6 +19,7 @@ from sheetalgebra import (
     LayoutSet,
     Number,
     addr,
+    col_to_letters,
     compile_set,
     decompile_set,
     diff,
@@ -329,3 +330,26 @@ class TestAcceptance:
         assert all(grid[addr(f"B{r}")] == r * (r + 1) / 2 for r in range(1, rows + 1))
         assert elapsed < 5.0
         report(9, f"{rows}-row running SUM evaluated in {elapsed:.2f}s")
+
+    def test_10_report_scale(self):
+        # diff, stylecheck and a grouped listing of a 50k-equation copy-filled
+        # grid against a second parse of its text: resolving every formula on
+        # both sides and grouping the set once per report needs about 2.4 s
+        lines = []
+        for row in range(1, 1001):
+            for col in range(1, 51):
+                rhs = f"{(row * 50 + col) % 97}" if col == 1 or row == 1 else "RC[-1]+R[-1]C"
+                lines.append(f"{col_to_letters(col)}{row} = {rhs}")
+        text = "\n".join(lines)
+        a, b = parse_document(text), parse_document(text)
+        start = time.perf_counter()
+        report_ = diff(a, b)
+        violations = stylecheck_unique(b)
+        listing = show(b, grouped=True)
+        elapsed = time.perf_counter() - start
+        assert len(b) == 50_000 and report_.empty
+        assert len(violations) == 1 and len(violations[0].cells) == 49 * 999
+        assert [line for line in listing.splitlines() if "HERE" in line] == \
+            ["Sheet1[ { 2..50 } >< { 2..1000 } ] = Sheet1[ HERE - 1, HERE ]+Sheet1[ HERE, HERE - 1 ]"]
+        assert elapsed < 1.5
+        report(10, f"diff + stylecheck + grouped listing of 50k equations in {elapsed:.2f}s")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,14 +14,18 @@ from sheetalgebra import (
     ArrayElem,
     Binary,
     Bool,
+    CellAddr,
     CellRange,
+    ElemRef,
     Equation,
     EquationSet,
+    Here,
     NameRef,
     Number,
     RelRef,
     addr,
     diff,
+    discover_groups,
     evaluate,
     extract,
     canonical_text,
@@ -38,6 +44,7 @@ from sheetalgebra import (
     simplify,
     simplify_formula,
     stylecheck_unique,
+    to_absolute,
     union,
 )
 from sheetalgebra.errors import (
@@ -50,6 +57,8 @@ from sheetalgebra.errors import (
     FormulaSyntaxError,
     OutOfGridError,
 )
+from sheetalgebra import algebra, formula
+from sheetalgebra.formula import formula_groups
 from sheetalgebra.model import BINARY_OPS, MAX_NESTING
 
 from conftest import make_set, rand_cell_set, typed_values
@@ -460,6 +469,91 @@ class TestDiff:
     def test_unknown_mode(self, accounts):
         with pytest.raises(DomainError):
             diff(accounts, accounts, mode="bogus")
+
+    def test_only_formulas_whose_trees_differ_are_resolved(self, monkeypatch, accounts):
+        resolved = spy(monkeypatch, algebra, "to_absolute")
+        # equal trees, built apart, in A:C; D2 the same view in R1C1; D3 changed
+        changed = union(parse_document(show(extract(accounts, CellRange.columns(1, 3)))),
+                        parse_document("D2 = RC[-1]-RC[-2]\nD3 = C3+B3"))
+        report = diff(accounts, changed)
+        assert [c[0] for c in report.changed] == [addr("D3")]
+        assert resolved == [addr("D2"), addr("D2"), addr("D3"), addr("D3")]
+
+    def test_changed_formula_holding_here_raises(self):
+        a = parse_document("A1 = x[HERE-1]+1")
+        with pytest.raises(DomainError, match="HERE"):
+            diff(a, parse_document("A1 = x[HERE-1]+2"))
+
+    def test_unchanged_formula_holding_here_is_neither_reported_nor_resolved(self, monkeypatch):
+        # resolving it would raise DomainError, as it did when every cell was resolved
+        resolved = spy(monkeypatch, algebra, "to_absolute")
+        report = diff(parse_document("A1 = x[HERE-1]+1\nB1 = 2"),
+                      parse_document("A1 = x[HERE-1]+1\nB1 = 3"))
+        assert report.changed == ((addr("B1"), Number(2.0), Number(3.0)),)
+        assert resolved == [addr("B1"), addr("B1")]
+
+    def test_unchanged_offset_off_the_grid_is_not_resolved(self):
+        s = parse_document("A1 = RC[-1]")
+        assert diff(s, s).empty
+        with pytest.raises(OutOfGridError):
+            diff(s, parse_document("A1 = RC[-1]+0"))
+
+    def test_here_is_refused_before_an_offset_off_the_grid(self):
+        f = Binary("+", ElemRef("x", (Here(-1),)), RelRef(-5, 0))
+        with pytest.raises(DomainError, match="HERE"):
+            to_absolute(f, addr("A1"))
+        with pytest.raises(OutOfGridError):
+            to_absolute(RelRef(-5, 0), addr("A1"))
+
+
+def spy(monkeypatch, module, name):
+    """Wrap module.name so that each call records its second argument, the
+    cell a formula is taken at; the list of those cells is returned."""
+    seen = []
+    real = getattr(module, name)
+
+    def wrapper(f, anchor, *rest):
+        seen.append(anchor)
+        return real(f, anchor, *rest)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+class TestGroupOnce:
+    """A set groups its formulas by relative form once and keeps the groups."""
+
+    def test_the_reports_on_one_set_take_each_relative_form_once(self, monkeypatch, accounts):
+        s = union(accounts, parse_document("Data[1] = 5\nData[2] = 5"))
+        formed = spy(monkeypatch, formula, "relative_form")
+        stylecheck_unique(s)
+        show(s, grouped=True)
+        discover_groups(s)
+        assert sorted(formed) == sorted(eq.lhs for eq in s if isinstance(eq.lhs, CellAddr))
+
+    def test_the_groups_are_read_only(self, accounts):
+        groups = formula_groups(accounts)
+        assert all(type(eqs) is tuple for eqs in groups.values())
+        with pytest.raises(TypeError):
+            groups[next(iter(groups))] = ()
+        assert formula_groups(accounts) == groups
+
+    def test_a_set_made_from_a_grouped_one_groups_afresh(self, accounts):
+        assert stylecheck_unique(accounts)[0].cells == (addr("D2"), addr("D3"))
+        grown = union(accounts, make_set(("D4", "C4-B4")))
+        assert stylecheck_unique(grown)[0].cells == (addr("D2"), addr("D3"), addr("D4"))
+        moved = shift(accounts, 1, 2)
+        assert stylecheck_unique(moved)[0].cells == (addr("E4"), addr("E5"))
+        named = accounts.with_names({"Profit": CellRange.columns(4, 4)})
+        assert formula_groups(named) == formula_groups(accounts)
+        assert show(named, grouped=True) == show(parse_document(show(named)), grouped=True)
+
+    def test_groups_survive_pickle_and_deepcopy(self, accounts):
+        groups = dict(formula_groups(accounts))
+        for twin in (pickle.loads(pickle.dumps(accounts)), copy.deepcopy(accounts)):
+            assert twin == accounts
+            assert dict(formula_groups(twin)) == groups
+            assert show(twin, grouped=True) == show(accounts, grouped=True)
 
 
 class TestStylecheck:

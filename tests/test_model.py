@@ -178,6 +178,15 @@ class TestSubscripts:
         with pytest.raises(DomainError):
             Number(value)
 
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 10 ** 5000, "1", None],
+                             ids=["10**400", "-10**400", "10**5000", "text", "None"])
+    def test_number_of_no_finite_int_or_float_is_refused(self, value):
+        with pytest.raises(DomainError):
+            Number(value)
+
+    def test_number_of_an_int_a_float_or_a_bool(self):
+        assert [Number(v).value for v in (3, -2.5, True, 2 ** 1023)] == [3.0, -2.5, 1.0, 2.0 ** 1023]
+
 
 def chain(n, last=1.0):
     """1+2+...+(n-1)+last, a flat chain of n terms."""

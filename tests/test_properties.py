@@ -3,6 +3,7 @@ operator laws, using hypothesis-generated inputs."""
 
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,7 @@ from sheetalgebra import (
 from sheetalgebra.errors import CrossSheetError, DomainError, SheetError
 from sheetalgebra.fileio import format_value
 from sheetalgebra.formula import formula_groups
-from sheetalgebra.model import BINARY_OPS
+from sheetalgebra.model import BINARY_OPS, lhs_sort_key
 
 from conftest import rand_cell_set
 
@@ -257,6 +258,76 @@ class TestRangeLaws:
         moved = {frozenset(a.offset(dx, dy) for a in cells)
                  for cells in partition(formula_groups(s))}
         assert partition(formula_groups(shift(s, dx, dy))) == moved
+
+
+# -- diff resolves only the formulas whose trees differ ---------------------
+
+
+def diff_pairs():
+    """Two sets over cells of J10:AN40, where the references of every
+    formula stay on the grid.  A cell's formula in b is the same object as
+    in a, a re-parsed copy, the same view written the other way (offsets
+    made absolute, or same-sheet cells made offsets), or another formula;
+    some cells are in one set only."""
+    cell = st.builds(lambda c, r: CellAddr("Sheet1", c, r),
+                     st.integers(min_value=10, max_value=40),
+                     st.integers(min_value=10, max_value=40))
+    kind = st.sampled_from(["same", "reparsed", "absolute", "relative", "changed",
+                            "only_a", "only_b"])
+    entry = st.tuples(kind, mixed_formulas, st.one_of(numbers, abs_refs, rel_refs))
+
+    def build(entries):
+        a, b = [], []
+        for lhs, (k, f, other) in entries.items():
+            g = f
+            if k == "reparsed":
+                g = parse_formula(canonical_text(f), CANONICAL)
+            elif k == "absolute":
+                g = to_absolute(f, lhs)
+            elif k == "relative":
+                g = to_relative(to_absolute(f, lhs), lhs)
+            elif k == "changed":
+                g = other
+            if k != "only_b":
+                a.append(Equation(lhs, f))
+            if k != "only_a":
+                b.append(Equation(lhs, g))
+        return EquationSet(a), EquationSet(b)
+
+    return st.dictionaries(cell, entry, max_size=8).map(build)
+
+
+def diff_resolving_every_cell(a, b):
+    """The report of a diff that resolves every common formula at its cell."""
+    def view(eq):
+        return to_absolute(eq.rhs, eq.lhs) if isinstance(eq.lhs, CellAddr) else eq.rhs
+
+    a_lhs, b_lhs = a.lhs_set(), b.lhs_set()
+    changed = tuple((lhs, a.get(lhs).rhs, b.get(lhs).rhs)
+                    for lhs in sorted(a_lhs & b_lhs, key=lhs_sort_key)
+                    if view(a.get(lhs)) != view(b.get(lhs)))
+    return (tuple(sorted(b_lhs - a_lhs, key=lhs_sort_key)),
+            tuple(sorted(a_lhs - b_lhs, key=lhs_sort_key)), changed)
+
+
+class TestDiffShortcut:
+    """Comparing trees before resolving them never hides a change."""
+
+    @given(diff_pairs())
+    @settings(max_examples=200)
+    def test_agrees_with_resolving_every_cell(self, pair):
+        a, b = pair
+        report = diff(a, b)
+        assert (report.added, report.removed, report.changed) == diff_resolving_every_cell(a, b)
+
+    @given(diff_pairs())
+    @settings(max_examples=50)
+    def test_two_parses_of_one_text_resolve_nothing(self, pair):
+        text = show(pair[1])
+        with mock.patch("sheetalgebra.algebra.to_absolute", wraps=to_absolute) as resolve:
+            report = diff(parse_document(text), parse_document(text))
+        assert report.empty
+        assert resolve.call_count == 0
 
 
 # -- the evaluator against formulas resolved one cell at a time -------------
