@@ -302,7 +302,8 @@ def simplify_formula(f: Formula) -> Formula:
     """Bottom-up algebraic simplification to a fixpoint: unit laws, double
     negation, and constant folding of operator nodes.  A law that drops an
     operator applies only where the operand kept is certainly a number or
-    an error, as the operator's result is, so that every value stays."""
+    an error, as the operator's result is, so that every value stays.  Each
+    law gives a leaf or an already simplified child, so one pass suffices."""
 
     def rule(node):
         if isinstance(node, Neg):
@@ -328,11 +329,7 @@ def simplify_formula(f: Formula) -> Formula:
                 return kept
         return node
 
-    while True:
-        new = transform(f, rule)
-        if new == f:
-            return new
-        f = new
+    return transform(f, rule)
 
 
 def simplify(s: EquationSet) -> EquationSet:

@@ -17,7 +17,6 @@ import csv
 import os
 
 from .errors import DomainError, FormulaSyntaxError, LoadError
-from .evaluator import CellError
 from .formula import fmt_number
 from .grammar import EntryReader, TokenStream
 from .model import CellAddr, EquationSet
@@ -59,30 +58,28 @@ def save(s: EquationSet, path: str) -> None:
 
 
 def format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, CellError):
-        return str(v)
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
     if isinstance(v, float):
         return fmt_number(v)
-    return str(v)
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "TRUE" if v else "FALSE"
+    return str(v)  # text, or an error as its #TAG!
 
 
 def export_csv(grid: dict, path: str) -> None:
-    """Write the bounding box of a one-sheet value grid as RFC 4180 CSV."""
+    """Write the bounding box of a one-sheet value grid as RFC 4180 CSV, in
+    one row-major pass over the box."""
     sheets = {a.sheet for a in grid}
     if len(sheets) > 1:
         raise DomainError(f"grid spans multiple sheets: {sorted(sheets)}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         if grid:
-            cols = [a.col for a in grid]
-            rows = [a.row for a in grid]
-            sheet = next(iter(sheets))
-            for r in range(min(rows), max(rows) + 1):
-                writer.writerow([
-                    format_value(grid.get(CellAddr(sheet, c, r)))
-                    for c in range(min(cols), max(cols) + 1)
-                ])
+            (sheet,) = sheets
+            _, cols, rows = zip(*grid)
+            cols = range(min(cols), max(cols) + 1)
+            # every cell of the box lies between two cells of the grid, so on it
+            get, cell = grid.get, CellAddr._make
+            writer.writerows([format_value(get(cell((sheet, c, r)))) for c in cols]
+                             for r in range(min(rows), max(rows) + 1))

@@ -11,6 +11,7 @@ minimal parentheses.
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import MappingProxyType
 
 from .errors import (
@@ -59,7 +60,9 @@ from .model import (
     Text,
     col_to_letters,
     enumerate_range,
+    fold,
     map_refs,
+    move_node,
     on_grid,
     transform,
     validate_range_args,
@@ -72,6 +75,7 @@ from .model import (
 _PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
          "+": 2, "-": 2, "*": 3, "/": 3, "^": 5}
 _PREC_NEG = 4
+_PREC_ATOM = 6  # a leaf or a call binds tighter than any operator
 
 
 class FormulaParser:
@@ -282,68 +286,78 @@ def _rect_text(rect: Rect, home: str) -> str:
 
 def print_formula(f: Formula, dialect: str = CANONICAL, anchor: CellAddr | None = None,
                   spaced_elems: bool = False) -> str:
-    """The text of f.  A reference carries its sheet's prefix when its sheet
-    is not the anchor's (without an anchor, not the default sheet).  In A1 a
-    relative reference prints as the cell it names from the anchor."""
+    """The text of f, printed in one bottom-up fold.  A reference carries its
+    sheet's prefix when its sheet is not the anchor's (without an anchor,
+    not the default sheet).  In A1 a relative reference prints as the cell
+    it names from the anchor."""
     home = DEFAULT_SHEET if anchor is None else anchor.sheet
-    if dialect == A1:
-        f = map_refs(f, _resolver(anchor))
+    return fold(f, partial(_leaf_text, dialect, home, anchor, spaced_elems), _inner_text)[0]
 
-    def ref_abs(a: CellAddr) -> str:
-        prefix = "" if a.sheet == home else a.sheet + "!"
-        if dialect == R1C1:
-            return f"{prefix}R{a.row}C{a.col}"
-        return f"{prefix}{col_to_letters(a.col)}{a.row}"
 
-    def sub_text(s) -> str:
-        if isinstance(s, Here):
-            if s.offset == 0:
-                return "HERE"
-            sign = "+" if s.offset > 0 else "-"
-            if spaced_elems:
-                return f"HERE {sign} {abs(s.offset)}"
-            return f"HERE{sign}{abs(s.offset)}"
-        return str(s)
-
-    def go(node: Formula, min_prec: int) -> str:
+def _leaf_text(dialect: str, home: str, anchor: CellAddr | None, spaced_elems: bool,
+               node: Formula) -> tuple[str, int]:
+    """The text of a node without children (a call without arguments too)
+    and its binding power: a negative number's is unary minus's."""
+    t = type(node)
+    if dialect == A1 and (t is RelRef or t is RangeArg):
+        node = move_node(_resolver(anchor), node)
         t = type(node)
-        if t is Number:
-            text = _formula_number(node.value)
-            # a negative base of ^ reads back only in parentheses: -2^2 is -(2^2)
-            return f"({text})" if text[0] == "-" and _PREC_NEG < min_prec else text
-        if t is Text:
-            return quote_string(node.value)
-        if t is Bool:
-            return "TRUE" if node.value else "FALSE"
-        if t is Empty:
-            return "EMPTY()"
-        if t is AbsRef:
-            return ref_abs(node.addr)
-        if t is RelRef:
-            return _rel_r1c1(node.d_col, node.d_row)
-        if t is ElemRef:
-            if spaced_elems:
-                return f"{node.name}[ {', '.join(sub_text(s) for s in node.subs)} ]"
-            return f"{node.name}[{','.join(sub_text(s) for s in node.subs)}]"
-        if t is NameRef:
-            return node.name
-        if t is Neg:
-            text = "-" + go(node.operand, _PREC_NEG)
-            return f"({text})" if _PREC_NEG < min_prec else text
-        if t is Binary:
-            p = _PREC[node.op]
-            if node.op == "^":
-                text = go(node.left, p + 1) + node.op + go(node.right, p)
-            else:
-                text = go(node.left, p) + node.op + go(node.right, p + 1)
-            return f"({text})" if p < min_prec else text
-        if t is Call:
-            return f"{node.func}({','.join(go(a, 0) for a in node.args)})"
-        if t is RangeArg:
-            return _range_text(node.range, home)
+    if t is RelRef:
+        text = _rel_r1c1(node.d_col, node.d_row)
+    elif t is AbsRef:
+        sheet, col, row = node.addr
+        prefix = "" if sheet == home else sheet + "!"
+        text = f"{prefix}R{row}C{col}" if dialect == R1C1 else f"{prefix}{col_to_letters(col)}{row}"
+    elif t is Number:
+        text = _formula_number(node.value)
+    elif t is RangeArg:
+        text = _range_text(node.range, home)
+    elif t is Text:
+        text = quote_string(node.value)
+    elif t is Bool:
+        text = "TRUE" if node.value else "FALSE"
+    elif t is ElemRef:
+        subs = [_sub_text(s, spaced_elems) for s in node.subs]
+        text = (f"{node.name}[ {', '.join(subs)} ]" if spaced_elems
+                else f"{node.name}[{','.join(subs)}]")
+    elif t is NameRef:
+        text = node.name
+    elif t is Empty or t is Call:
+        text = ("EMPTY" if t is Empty else node.func) + "()"
+    else:
         raise DomainError(f"unprintable node {node!r}")
+    return text, _PREC_NEG if text[0] == "-" else _PREC_ATOM
 
-    return go(f, 0)
+
+def _sub_text(s, spaced: bool) -> str:
+    if type(s) is not Here:
+        return str(s)
+    if s.offset == 0:
+        return "HERE"
+    sign = "+" if s.offset > 0 else "-"
+    return f"HERE {sign} {abs(s.offset)}" if spaced else f"HERE{sign}{abs(s.offset)}"
+
+
+def _inner_text(node: Formula, kids: tuple, results: list) -> tuple[str, int]:
+    """The text of an operator or a call and its binding power, from its
+    children's, each in parentheses where it binds looser than its place:
+    ^ takes a tighter left operand (a negative base prints as (-2)^2, as
+    -2^2 reads as -(2^2)), the others a tighter right one, and a call's
+    arguments are whole expressions."""
+    t = type(node)
+    if t is Binary:
+        op = node.op
+        p = _PREC[op]
+        (left, left_p), (right, right_p) = results
+        if left_p < p + (op == "^"):
+            left = f"({left})"
+        if right_p < p + (op != "^"):
+            right = f"({right})"
+        return left + op + right, p
+    if t is Neg:
+        text, p = results[0]
+        return (f"-({text})" if p < _PREC_NEG else "-" + text), _PREC_NEG
+    return f"{node.func}({','.join([text for text, _ in results])})", _PREC_ATOM
 
 
 def canonical_text(f: Formula) -> str:

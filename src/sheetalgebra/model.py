@@ -411,21 +411,22 @@ def fold(f: Formula, leaf, inner):
     kids = children(f)
     if not kids:
         return leaf(f)
-    stack = [(f, kids, [])]  # (node, children, results of those done so far)
+    stack = []  # the ancestors of f: (node, children, those still to do, results)
+    todo, results = iter(kids), []
     while True:
-        node, kids, results = stack[-1]
-        for k in kids[len(results):]:
+        for k in todo:
             grandkids = children(k)
             if grandkids:
-                stack.append((k, grandkids, []))
+                stack.append((f, kids, todo, results))
+                f, kids, todo, results = k, grandkids, iter(grandkids), []
                 break
             results.append(leaf(k))
         else:
-            stack.pop()
-            out = inner(node, kids, results)
+            out = inner(f, kids, results)
             if not stack:
                 return out
-            stack[-1][2].append(out)
+            f, kids, todo, results = stack.pop()
+            results.append(out)
 
 
 def transform(f: Formula, fn) -> Formula:

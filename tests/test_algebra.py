@@ -375,16 +375,24 @@ class TestReplace:
         assert canonical_text(out.get(addr("B1")).rhs) == "-" * MAX_NESTING + "C1"
 
 
-def test_long_chain_goes_through_every_rewrite():
-    # a flat chain is 600 levels deep as a tree, though its text nests nothing
-    chain = "+".join(["A1"] * 600)
+def test_long_chain_goes_through_every_rewrite(tmp_path):
+    # a flat chain is 5000 levels deep as a tree, though its text nests
+    # nothing: five times what the default recursion limit lets a walk reach
+    chain = "+".join(["A1"] * 5000)
     s = parse_document(f"A1 = 1\nB1 = {chain}\nB2 = {chain.replace('A1', 'A2')}")
     other = replace(s, parse_formula("A1"), parse_formula("C1"))
+    assert lookup(other, addr("B1"), RAW) == chain.replace("A1", "C1")
     assert [lhs for lhs, _, _ in diff(s, other).changed] == [addr("B1")]
     assert shift(s, 1, 1).get(addr("C2")).rhs == parse_formula(chain.replace("A1", "B2"))
-    assert len(stylecheck_unique(s)) == 1
+    assert [v.cells for v in stylecheck_unique(s)] == [(addr("B1"), addr("B2"))]
+    assert [g.cells for g in discover_groups(s)] == [(addr("B1"), addr("B2"))]
     assert simplify(s) == s
+    assert lookup(s, addr("B1"), RAW) == chain
+    assert f"B1 = {chain}" in show(s).splitlines()
     assert diff(parse_listing(show(s, grouped=True)), s).empty
+    path = str(tmp_path / "chain.exc")
+    save(s, path)
+    assert load(path) == s
 
 
 class TestSimplify:

@@ -141,6 +141,20 @@ class TestExportCsv:
         assert rows[0] == "1,,"
         assert rows[1] == ",,2"
 
+    def test_sparse_box_bytes(self, tmp_path):
+        # the box is C3:E6: gaps are empty fields, and each kind of value
+        # prints as format_value gives it, -0.0 as 0
+        grid = {addr("C3"): 1.5, addr("E3"): True, addr("D5"): CellError("DIV0"),
+                addr("C6"): 'say "a,b"', addr("D6"): -0.0, addr("E6"): "x"}
+        path = tmp_path / "s.csv"
+        export_csv(grid, str(path))
+        assert path.read_bytes() == b'1.5,,TRUE\r\n,,\r\n,#DIV0!,\r\n"say ""a,b""",0,x\r\n'
+
+    def test_empty_grid_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "e.csv"
+        export_csv({}, str(path))
+        assert path.read_bytes() == b""
+
     def test_multi_sheet_rejected(self, tmp_path):
         s = make_set(("A1", "1"))
         grid = evaluate(s)

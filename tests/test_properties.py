@@ -5,7 +5,7 @@ import math
 import random
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheetalgebra import (
@@ -19,9 +19,11 @@ from sheetalgebra import (
     CellAddr,
     CellError,
     CellRange,
+    ElemRef,
     Empty,
     Equation,
     EquationSet,
+    Here,
     NameRef,
     Neg,
     Number,
@@ -42,6 +44,7 @@ from sheetalgebra import (
     shift,
     show,
     simplify,
+    simplify_formula,
     substitute_names,
     to_absolute,
     to_relative,
@@ -49,7 +52,7 @@ from sheetalgebra import (
 )
 from sheetalgebra.errors import CrossSheetError, DomainError, SheetError
 from sheetalgebra.fileio import format_value
-from sheetalgebra.formula import formula_groups
+from sheetalgebra.formula import formula_groups, relative_form
 from sheetalgebra.model import BINARY_OPS, lhs_sort_key
 
 from conftest import rand_cell_set
@@ -119,6 +122,102 @@ class TestRoundTrips:
         assert (a < b) == ((len(la), la) < (len(lb), lb))
 
 
+# -- the printer's whole grammar --------------------------------------------
+
+sheet_names = st.sampled_from(["Sheet1", "Sheet2", "Data"])
+coords = st.integers(min_value=1, max_value=30)
+offsets = st.integers(min_value=-9, max_value=9)
+
+
+def _ordered(a, b):
+    return min(a, b), max(a, b)
+
+
+rects = st.one_of(
+    st.builds(lambda c, d, r, s: Rect(None, *_ordered(c, d), *_ordered(r, s)),
+              offsets, offsets, offsets, offsets),
+    st.builds(lambda sh, c, d, r, s: Rect(sh, *_ordered(c, d), *_ordered(r, s)),
+              sheet_names, coords, coords, coords, coords),
+    # column 471 is RC, which reads back only with its sheet
+    st.builds(lambda sh, c, d: Rect(sh, *_ordered(c, d), None, None),
+              sheet_names, st.one_of(coords, st.just(471)), st.one_of(coords, st.just(471))),
+    st.builds(lambda sh, r, s: Rect(sh, None, None, *_ordered(r, s)),
+              sheet_names, coords, coords))
+ranges = st.lists(rects, min_size=1, max_size=3).map(lambda rs: RangeArg(CellRange(tuple(rs))))
+
+subscripts = st.one_of(st.integers(min_value=0, max_value=3000),
+                       st.builds(Here, st.integers(min_value=-3, max_value=3)))
+
+printer_leaves = st.one_of(
+    numbers,
+    st.sampled_from([-0.0, -2.0, -0.5, 1e-05, -1e300]).map(Number),
+    st.builds(CellAddr, sheet_names, coords, coords).map(AbsRef),
+    rel_refs,
+    st.builds(ElemRef, st.sampled_from(["Sales", "Profit"]),
+              st.lists(subscripts, min_size=1, max_size=2).map(tuple)),
+    st.sampled_from(["", 'say "hi"', "a,b"]).map(Text),
+    st.booleans().map(Bool),
+    st.just(Empty()),
+    st.sampled_from(["rate", "k"]).map(NameRef))
+
+
+def _negatable(f) -> bool:
+    # the reader folds a unary minus into a number literal: -2 is Number(-2.0)
+    while type(f) is Neg:
+        f = f.operand
+    return type(f) is not Number
+
+
+def _printer_nodes(inner):
+    args = st.lists(st.one_of(inner, ranges), max_size=3).map(tuple)
+    return st.one_of(st.builds(Binary, st.sampled_from(BINARY_OPS), inner, inner),
+                     st.builds(Neg, inner.filter(_negatable)),
+                     st.builds(Call, st.sampled_from(["SUM", "IF", "NOW"]), args))
+
+
+printer_formulas = st.recursive(printer_leaves, _printer_nodes, max_leaves=12)
+
+
+def copied_formulas():
+    """Up to four formulas of the printer's grammar, each at one to three
+    cells of two sheets, so that some cells share a relative form."""
+    cell = st.builds(CellAddr, st.sampled_from(["Sheet1", "Sheet2"]),
+                     st.integers(min_value=10, max_value=40),
+                     st.integers(min_value=10, max_value=40))
+
+    def build(entries):
+        eqs = {a: f for f, cells in entries for a in cells}
+        return EquationSet(Equation(a, f) for a, f in eqs.items())
+
+    return st.lists(st.tuples(printer_formulas, st.lists(cell, min_size=1, max_size=3)),
+                    max_size=4).map(build)
+
+
+class TestPrinterRoundTrips:
+    """Every leaf, range shape and parenthesis rule of the printer reads
+    back to the tree printed."""
+
+    @given(printer_formulas)
+    # the two rules a random draw seldom reaches: ^ on the left of ^, and
+    # unary minus over a product
+    @example(Binary("^", Binary("^", Number(2), Number(3)), Number(2)))
+    @example(Neg(Binary("*", NameRef("k"), NameRef("rate"))))
+    @settings(max_examples=300)
+    def test_canonical_text_reads_back(self, f):
+        assert parse_formula(canonical_text(f), CANONICAL) == f
+
+    @given(copied_formulas())
+    @settings(max_examples=100)
+    def test_listings_read_back(self, s):
+        assert parse_listing(show(s)) == s
+
+        def relative(t):
+            return {eq.lhs: relative_form(eq.rhs, eq.lhs) for eq in t}
+
+        # a group of copies reads back in its relative form
+        assert relative(parse_listing(show(s, grouped=True))) == relative(s)
+
+
 # -- equation-set laws ------------------------------------------------------
 
 
@@ -181,6 +280,24 @@ class TestLaws:
                 assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
             else:
                 assert x == y
+
+
+arith_formulas = st.recursive(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]).map(Number),
+              st.booleans().map(Bool), abs_refs),
+    lambda inner: st.one_of(
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^", "=", "<", "<>"]),
+                  inner, inner),
+        st.builds(Neg, inner)),
+    max_leaves=12)
+
+
+class TestSimplifyPass:
+    @given(arith_formulas)
+    @settings(max_examples=300)
+    def test_one_pass_is_the_fixpoint(self, f):
+        once = simplify_formula(f)
+        assert simplify_formula(once) == once
 
 
 # -- laws over SUM of bounded rectangles ------------------------------------
