@@ -51,11 +51,11 @@ from .model import (
     fold,
     is_constant,
     lhs_sort_key,
+    map_leaves,
     map_refs,
     move_node,
     on_grid,
     rebuild,
-    transform,
 )
 
 RAW, RELATIVE, ABSOLUTE, SUBSTITUTED = "raw", "relative", "absolute", "substituted"
@@ -178,7 +178,7 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
 
         for eq in s:
             lhs = ArrayElem._make((eq.lhs.name, eq.lhs.subs + (k,)))
-            out.append(Equation(lhs, transform(eq.rhs, extend)))
+            out.append(Equation(lhs, map_leaves(eq.rhs, extend)))
     return EquationSet(out, s.names, s.layouts)
 
 
@@ -209,7 +209,7 @@ def quotient(s: EquationSet, lo: int, hi: int) -> EquationSet:
         if len(eq.lhs.subs) < 2:
             raise DomainError(f"{eq.lhs} has only one dimension; nothing to project")
         base = ArrayElem._make((eq.lhs.name, eq.lhs.subs[:-1]))
-        stripped = transform(eq.rhs, strip)
+        stripped = map_leaves(eq.rhs, strip)
         if base in projected:
             if projected[base] != stripped:
                 raise EquivalenceError(
@@ -267,10 +267,8 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
             return swap if rel == key else (node, rel)
 
         def inner(node, kids, done):
-            if any(new is not k for k, (new, _) in zip(kids, done)):
-                node = rebuild(node, tuple(new for new, _ in done))
-            rel = rebuild(node, tuple(r for _, r in done))
-            return swap if rel == key else (node, rel)
+            rel = rebuild(node, kids, [r for _, r in done])
+            return swap if rel == key else (rebuild(node, kids, [new for new, _ in done]), rel)
 
         rhs = fold(eq.rhs, leaf, inner)[0]
         if rhs is not eq.rhs and depth(rhs) > MAX_NESTING:
@@ -329,7 +327,7 @@ def simplify_formula(f: Formula) -> Formula:
                 return kept
         return node
 
-    return transform(f, rule)
+    return fold(f, rule, lambda node, kids, new_kids: rule(rebuild(node, kids, new_kids)))
 
 
 def simplify(s: EquationSet) -> EquationSet:

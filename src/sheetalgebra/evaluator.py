@@ -28,7 +28,6 @@ from .model import (
     Empty,
     EquationSet,
     Formula,
-    Here,
     NameRef,
     Neg,
     Number,
@@ -36,6 +35,7 @@ from .model import (
     RelRef,
     Text,
     children,
+    has_here,
 )
 
 DIV0, CYCLE, VALUE, REF, NUM = "DIV0", "CYCLE", "VALUE", "REF", "NUM"
@@ -221,7 +221,7 @@ def _refs(f: Formula, names: dict) -> tuple:
             loose = loose or not in_call
             refs.append(node)
         elif t is ElemRef:
-            if any(isinstance(sub, Here) for sub in node.subs):
+            if has_here(node):
                 raise DomainError("formula contains HERE markers; resolve them first")
         else:
             in_call = t is Call

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     FormulaSyntaxError,
     OutOfGridError,
+    SubstitutionError,
 )
 from .grammar import (  # noqa: F401  (formula.tokenize and the dialects stay public)
     A1,
@@ -61,11 +62,11 @@ from .model import (
     col_to_letters,
     enumerate_range,
     fold,
+    has_here,
     map_refs,
     move_node,
     on_grid,
-    transform,
-    validate_range_args,
+    rebuild,
     walk,
 )
 
@@ -369,10 +370,7 @@ def canonical_text(f: Formula) -> str:
 
 
 def contains_here(f: Formula) -> bool:
-    return any(
-        isinstance(n, ElemRef) and any(isinstance(s, Here) for s in n.subs)
-        for n in walk(f)
-    )
+    return any(type(n) is ElemRef and has_here(n) for n in walk(f))
 
 
 def at_offset(a: CellAddr, d_col: int, d_row: int) -> CellAddr:
@@ -465,13 +463,22 @@ def name_node(rng) -> Formula:
 
 def substitute_names(f: Formula, names: dict) -> Formula:
     """Replace defined names by the nodes they stand for (`name_node`).
-    Unknown names pass through."""
+    Unknown names pass through; a range must stand directly under a call."""
 
     def fix(node):
         if isinstance(node, NameRef) and node.name in names:
             return name_node(names[node.name])
         return node
 
-    out = transform(f, fix)
-    validate_range_args(out)
+    def refuse_ranges(nodes):
+        if RangeArg in map(type, nodes):
+            raise SubstitutionError("range is only allowed as a function argument")
+
+    def inner(node, kids, new_kids):
+        if type(node) is not Call:
+            refuse_ranges(new_kids)
+        return rebuild(node, kids, new_kids)
+
+    out = fold(f, fix, inner)
+    refuse_ranges((out,))
     return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollisionError, DomainError, LayoutError
-from .formula import contains_here
 from .model import (
     AbsRef,
     ArrayElem,
@@ -23,7 +22,8 @@ from .model import (
     Here,
     Rect,
     check_subscripts,
-    transform,
+    has_here,
+    map_leaves,
 )
 
 DOWN = "down"
@@ -177,7 +177,7 @@ def compile_set(spec: EquationSet, layouts: LayoutSet | None = None) -> Equation
                 return AbsRef(elem_to_cell(directive(node.name), subs))
             return node
 
-        return transform(f, fix)
+        return map_leaves(f, fix)
 
     out = {}
     for eq in spec:
@@ -197,10 +197,14 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
         layouts = LayoutSet(cells.layouts)
 
     def to_elem(node):
-        if type(node) is AbsRef:
+        nonlocal here
+        t = type(node)
+        if t is AbsRef:
             elem = layouts.elem_at(node.addr)
             if elem is not None:
                 return ElemRef._make(elem)  # its subscripts were checked
+        elif t is ElemRef:
+            here = here or has_here(node)
         return node
 
     out = []
@@ -210,8 +214,7 @@ def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> Equat
             elem = layouts.elem_at(lhs)
             if elem is not None:
                 lhs = elem
-        rhs = eq.rhs
-        if not contains_here(rhs):
-            rhs = transform(rhs, to_elem)
-        out.append(Equation(lhs, rhs))
+        here = False
+        rhs = map_leaves(eq.rhs, to_elem)
+        out.append(Equation(lhs, eq.rhs if here else rhs))  # a formula with HERE stays as it is
     return EquationSet(out, cells.names, tuple(layouts))

@@ -35,7 +35,7 @@ from .model import (
     Formula,
     Here,
     RelRef,
-    transform,
+    map_leaves,
 )
 
 
@@ -74,7 +74,7 @@ def _here_text(f: Formula, sheet: str) -> str:
             return ElemRef(sheet, (Here(node.d_col), Here(node.d_row)))
         return node
 
-    return print_formula(transform(f, fix), CANONICAL, spaced_elems=True)
+    return print_formula(map_leaves(f, fix), CANONICAL, spaced_elems=True)
 
 
 def _grouped_lines(s: EquationSet) -> list[str]:
@@ -132,7 +132,7 @@ def _relativize_here(f: Formula, sheet: str) -> Formula:
             return RelRef(node.subs[0].offset, node.subs[1].offset)
         return node
 
-    return transform(f, fix)
+    return map_leaves(f, fix)
 
 
 class _ListingReader(EntryReader):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import is_not
 
-from .errors import BoundednessError, ConflictError, DomainError, SubstitutionError
+from .errors import BoundednessError, ConflictError, DomainError
 
 DEFAULT_SHEET = "Sheet1"
 
@@ -290,6 +290,11 @@ class ElemRef(Formula, namedtuple("ElemRef", "name subs")):
         return _new(cls, (name, subs))
 
 
+def has_here(ref: ElemRef) -> bool:
+    """Whether an element reference has a HERE marker among its subscripts."""
+    return any(type(s) is Here for s in ref.subs)
+
+
 class NameRef(Formula, namedtuple("NameRef", "name")):
     __slots__ = ()
 
@@ -391,17 +396,19 @@ def children(f: Formula) -> tuple:
     return ()
 
 
-def rebuild(f: Formula, kids: tuple) -> Formula:
-    """f with the children kids in place of its own.  Its other fields are
-    as they were checked when f was built, so the node is not checked again."""
+def rebuild(f: Formula, kids: tuple, new_kids) -> Formula:
+    """f with the children new_kids in place of its kids, or f itself when
+    they are the same objects; its other fields are not checked again.  A
+    negated number becomes a number literal, as the reader folds it."""
+    if not any(map(is_not, kids, new_kids)):
+        return f
     t = type(f)
     if t is Binary:
-        return _new(Binary, (f.op, kids[0], kids[1]))
+        return _new(Binary, (f.op, *new_kids))
     if t is Neg:
-        return _new(Neg, (kids[0],))
-    if t is Call:
-        return _new(Call, (f.func, tuple(kids)))
-    return f
+        x, = new_kids
+        return Number._make((-x.value,)) if type(x) is Number else _new(Neg, (x,))
+    return _new(Call, (f.func, tuple(new_kids)))
 
 
 def fold(f: Formula, leaf, inner):
@@ -429,15 +436,10 @@ def fold(f: Formula, leaf, inner):
             results.append(out)
 
 
-def transform(f: Formula, fn) -> Formula:
-    """Bottom-up rewrite: children first, then fn applied to the rebuilt node."""
-
-    def step(node, kids, new_kids):
-        if any(map(is_not, kids, new_kids)):
-            node = rebuild(node, tuple(new_kids))
-        return fn(node)
-
-    return fold(f, fn, step)
+def map_leaves(f: Formula, fn) -> Formula:
+    """f with fn applied to each node without children.  Only the ancestors
+    of a leaf that fn changed are rebuilt: f itself when fn changed none."""
+    return fold(f, fn, rebuild)
 
 
 def map_refs(f: Formula, fn) -> Formula:
@@ -447,7 +449,7 @@ def map_refs(f: Formula, fn) -> Formula:
     a box, whose unbounded sides have None coordinates that fn keeps.  A
     relative reference or rectangle has sheet None and offsets from the
     formula's cell, and stays relative while fn keeps sheet None."""
-    return transform(f, partial(move_node, fn))
+    return map_leaves(f, partial(move_node, fn))
 
 
 def move_node(fn, node: Formula) -> Formula:
@@ -495,17 +497,6 @@ def depth(f: Formula) -> int:
 def is_constant(f: Formula) -> bool:
     """True when the formula references nothing: only literals and operators."""
     return all(isinstance(n, (Number, Text, Bool, Empty, Neg, Binary)) for n in walk(f))
-
-
-def validate_range_args(f: Formula):
-    """RangeArg nodes are legal only directly under a Call."""
-    todo = [(f, False)]
-    while todo:
-        node, under_call = todo.pop()
-        if isinstance(node, RangeArg) and not under_call:
-            raise SubstitutionError("range is only allowed as a function argument")
-        is_call = type(node) is Call
-        todo.extend([(k, is_call) for k in children(node)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from sheetalgebra import (
     Equation,
     EquationSet,
     Here,
+    LayoutSet,
     NameRef,
     Number,
     RelRef,
@@ -29,6 +30,8 @@ from sheetalgebra import (
     evaluate,
     extract,
     canonical_text,
+    compile_set,
+    decompile_set,
     load,
     lookup,
     map_range,
@@ -44,6 +47,7 @@ from sheetalgebra import (
     simplify,
     simplify_formula,
     stylecheck_unique,
+    substitute_names,
     to_absolute,
     union,
 )
@@ -56,6 +60,7 @@ from sheetalgebra.errors import (
     NotFoundError,
     FormulaSyntaxError,
     OutOfGridError,
+    SubstitutionError,
 )
 from sheetalgebra import algebra, formula
 from sheetalgebra.formula import formula_groups
@@ -366,6 +371,17 @@ class TestReplace:
         with pytest.raises(FormulaSyntaxError):
             replace(s, parse_formula("A1"), parse_formula("-C1"))
 
+    @pytest.mark.parametrize("value", [2.0, 0.0])
+    def test_negated_number_reads_back(self, value, tmp_path):
+        # the reader folds a negated number into one literal, and so does replace
+        s = parse_document("A1 = 1\nB1 = -A1")
+        out = replace(s, parse_formula("A1"), Number(value))
+        assert out.get(addr("B1")).rhs == Number(-value)  # bitwise, so -0 keeps its sign
+        path = str(tmp_path / "neg.exc")
+        save(out, path)
+        assert load(path) == out
+        assert diff(out, load(path)).empty
+
     def test_result_nested_to_the_limit_saves_and_loads(self, tmp_path):
         s = parse_document("B1 = " + "-" * (MAX_NESTING - 1) + "A1")
         out = replace(s, parse_formula("A1"), parse_formula("-C1"))
@@ -393,6 +409,17 @@ def test_long_chain_goes_through_every_rewrite(tmp_path):
     path = str(tmp_path / "chain.exc")
     save(s, path)
     assert load(path) == s
+    # the same chain over an array and over a name
+    spec = parse_document(f"x[1] = 1\ny[1] = {chain.replace('A1', 'x[1]')}\n"
+                          "layout x[1:1] as A1 down\nlayout y[1:1] as B1 down")
+    cells = compile_set(spec)
+    assert cells.get(addr("B1")) == s.get(addr("B1"))
+    assert decompile_set(cells, LayoutSet(spec.layouts)) == spec
+    assert quotient(replicate(spec, 1, 2), 1, 2) == spec
+    named = parse_formula(chain.replace("A1", "costs"))
+    assert substitute_names(named, {"costs": CellRange.cell(addr("A1"))}) == s.get(addr("B1")).rhs
+    with pytest.raises(SubstitutionError):
+        substitute_names(named, {"costs": CellRange.box(addr("A1"), addr("A2"))})
 
 
 class TestSimplify:

@@ -220,9 +220,9 @@ class TestSubstituteNames:
 
     def test_multi_cell_outside_call_rejected(self):
         rng = CellRange.box(addr("B2"), addr("B9"))
-        with pytest.raises(SubstitutionError):
-            substitute_names(Binary("+", NameRef("costs"), Number(1.0)),
-                             {"costs": rng})
+        for f in (Binary("+", NameRef("costs"), Number(1.0)), NameRef("costs")):
+            with pytest.raises(SubstitutionError):
+                substitute_names(f, {"costs": rng})
 
     def test_substitution_preserves_evaluation(self):
         # oracle: evaluating SUM over the named range equals evaluating the

@@ -145,6 +145,14 @@ class TestDecompile:
         assert got.get(ArrayElem("x", (1,))).rhs == Number(5.0)
         assert got.get(addr("D9")).rhs == parse_formula("x[1]*2", "canonical")
 
+    def test_formula_with_here_passes_through(self):
+        cells = parse_document("A1 = x[HERE-1]+B1\nA2 = B1*2\nB1 = 5")
+        got = decompile_set(cells, LayoutSet([down("y", 1, 1, "B1")]))
+        assert got.get(addr("A1")).rhs is cells.get(addr("A1")).rhs
+        assert got.get(addr("A2")).rhs == parse_formula("y[1]*2", "canonical")
+        assert got.get(ArrayElem("y", (1,))).rhs == Number(5.0)
+        assert got.lhs_set() == {addr("A1"), addr("A2"), ArrayElem("y", (1,))}
+
     def test_round_trip_random(self):
         rng = random.Random(32)
         for _ in range(300):

@@ -32,6 +32,7 @@ from sheetalgebra import (
 )
 from sheetalgebra.errors import BoundednessError, ConflictError, DomainError
 from sheetalgebra.formula import formula_groups
+from sheetalgebra.model import map_leaves
 
 from conftest import eq
 
@@ -267,6 +268,25 @@ class TestNodeIdentity:
             assert type(twin) is type(node)
             assert twin == node and not twin != node
             assert hash(twin) == hash(node)
+
+
+class TestMapLeaves:
+    TREE = Binary("+", Neg(Call("SUM", (AbsRef(addr("A1")), Call("PI", ())))),
+                  Binary("*", RelRef(0, -1), Number(2.0)))
+
+    def test_fn_sees_only_nodes_without_children(self):
+        seen = []
+        map_leaves(self.TREE, lambda node: seen.append(node) or node)
+        assert seen == [AbsRef(addr("A1")), Call("PI", ()), RelRef(0, -1), Number(2.0)]
+
+    def test_no_change_gives_the_same_object(self):
+        assert map_leaves(self.TREE, lambda node: node) is self.TREE
+
+    def test_only_the_ancestors_of_a_changed_leaf_are_new(self):
+        new = map_leaves(self.TREE, lambda node: Number(3.0) if node == Number(2.0) else node)
+        assert new == Binary("+", self.TREE.left, Binary("*", RelRef(0, -1), Number(3.0)))
+        assert new is not self.TREE and new.right is not self.TREE.right
+        assert new.left is self.TREE.left and new.right.left is self.TREE.right.left
 
 
 class TestRect:
