@@ -27,7 +27,6 @@ from .model import (
     ElemRef,
     Empty,
     EquationSet,
-    Formula,
     NameRef,
     Neg,
     Number,
@@ -51,12 +50,14 @@ class CellError:
 
 class _Graph:
     """A sheet as an evaluation graph on its defined cells and the distinct
-    ranges read at them, built once per call.  A formula is evaluated where
-    it stands: a relative reference is read at its offset from the cell and
-    a defined name as its range, so no tree is rebuilt.  A cell depends on
-    the nodes of the ranges it reads.  Each node's precedents are listed
-    once, on first use, so a walk from one cell touches only the nodes it
-    depends on."""
+    ranges read at them, built once per call.  A cell's entry in deps is
+    its formula compiled where it stands (Sestoft, *Spreadsheet
+    Implementation Technology*, ch. 4-5): the tree's nodes in postfix
+    order with each leaf resolved once, so the cells and range nodes in it
+    are the cell's precedents and one loop over a value stack runs it.  A
+    range node's entry lists the range it extends and its other cells.
+    Each entry is made once, on first use, so a walk from one cell touches
+    only the nodes it depends on."""
 
     def __init__(self, s: EquationSet):
         self.formulas, self.deps = {}, {}
@@ -130,24 +131,50 @@ class _Graph:
         return state
 
     def precedents(self, k) -> list:
-        """Every cell k's formula references, and the nodes of its ranges.
-        Raises as resolving the formula at k would: on a HERE marker, then
-        on an offset off the grid, then on a range that is not a call's
+        """The program of cell k's formula: its nodes in postfix order, a
+        defined name read as its node, each leaf then resolved at k in
+        leaf order.  A reference becomes its CellAddr, a range its range
+        node, a literal its value, an array element or an unknown name
+        #REF!; Binary, Neg and Call nodes stay as operators.  Raises as
+        resolving the formula would: on a HERE marker, then on the leftmost
+        offset off the grid, then on a range that is not a call's
         argument."""
-        refs = self.deps.get(k)
-        if refs is None:
-            refs = self.deps[k] = []
-            nodes, loose = _refs(self.formulas[k], self.names)
-            for node in nodes:
-                if isinstance(node, RelRef):
-                    refs.append(at_offset(k, node.d_col, node.d_row))
-                elif isinstance(node, AbsRef):
-                    refs.append(node.addr)
-                else:
-                    refs.append(self.span(node.range, k))
-            if loose:
-                raise SubstitutionError("range is only allowed as a function argument")
-        return refs
+        prog = self.deps.get(k)
+        if prog is not None:
+            return prog
+        prog, loose = [], False
+        stack = [(self.formulas[k], False)]
+        while stack:  # parents first, children right to left: postfix reversed
+            node, in_call = stack.pop()
+            if type(node) is NameRef:
+                node = self.names.get(node.name, node)
+            t = type(node)
+            if t is Binary or t is Neg or t is Call:
+                stack += [(kid, t is Call) for kid in children(node)]
+            elif t is RangeArg:
+                loose = loose or not in_call
+            elif t is ElemRef and has_here(node):
+                raise DomainError("formula contains HERE markers; resolve them first")
+            prog.append(node)
+        prog.reverse()
+        for i, node in enumerate(prog):
+            t = type(node)
+            if t is RelRef:
+                prog[i] = at_offset(k, node.d_col, node.d_row)
+            elif t is AbsRef:
+                prog[i] = node.addr
+            elif t is Number or t is Text or t is Bool:
+                prog[i] = node.value
+            elif t is RangeArg:
+                prog[i] = self.span(node.range, k)
+            elif t is Empty:
+                prog[i] = None
+            elif t is NameRef or t is ElemRef:
+                prog[i] = CellError(REF)
+        if loose:
+            raise SubstitutionError("range is only allowed as a function argument")
+        self.deps[k] = prog
+        return prog
 
     def components(self, roots):
         """Strongly connected components of the defined cells and range
@@ -165,8 +192,9 @@ class _Graph:
             while work:
                 node, it = work[-1]
                 for child in it:
-                    if child not in self.formulas and child not in self.spans:
-                        continue
+                    t = type(child)
+                    if not (t is tuple or t is CellAddr and child in self.formulas):
+                        continue  # a value, an operator or an undefined cell
                     if child not in index:
                         index[child] = low[child] = len(index)
                         stack.append(child)
@@ -189,44 +217,78 @@ class _Graph:
 
     def evaluate(self, roots) -> dict:
         """Values of the cells reachable from roots, by cell.  Cells on a
-        cycle are #CYCLE!; the others are computed after their precedents.
-        A range node is folded when a cell first reads it, so one on a
-        cycle still folds its cells' values."""
+        cycle are #CYCLE!; each other cell runs its program after its
+        precedents.  A range node is folded when a cell first reads it, so
+        one on a cycle still folds its cells' values."""
         grid = {}
         for comp in self.components(roots):
             k = comp[0]
-            if len(comp) > 1 or k in self.precedents(k):
+            if len(comp) > 1 or k in self.deps[k]:
                 for b in comp:
                     if b in self.formulas:
                         grid[b] = CellError(CYCLE)
             elif k in self.formulas:
-                grid[k] = _eval_formula(self.formulas[k], k, self, grid)
+                stack = []
+                for x in self.deps[k]:
+                    t = type(x)
+                    if t is CellAddr:
+                        v = grid.get(x)
+                        # a reference to an empty cell reads as 0, as in a spreadsheet
+                        stack.append(0.0 if v is None else v)
+                    elif t is Binary:
+                        v = stack.pop()
+                        stack[-1] = binary(x.op, stack[-1], v)
+                    elif t is Neg:
+                        v = _to_number(stack[-1])
+                        stack[-1] = v if type(v) is CellError else -v
+                    elif t is Call:
+                        i = len(stack) - len(x.args)
+                        stack[i:] = [self.call(x.func, stack[i:], grid)]
+                    else:  # a value, or a range node as a call's argument
+                        stack.append(x)
+                grid[k] = stack[0]
         return grid
 
-
-def _refs(f: Formula, names: dict) -> tuple:
-    """One walk over a right-hand side: its AbsRef, RelRef and RangeArg
-    nodes, a defined name read as its node from names, and whether a range
-    stands outside a call.  Raises on a HERE marker."""
-    refs, loose = [], False
-    stack = [(f, False)]
-    while stack:
-        node, in_call = stack.pop()
-        if type(node) is NameRef:
-            node = names.get(node.name, node)
-        t = type(node)
-        if t is AbsRef or t is RelRef:
-            refs.append(node)
-        elif t is RangeArg:
-            loose = loose or not in_call
-            refs.append(node)
-        elif t is ElemRef:
-            if has_here(node):
-                raise DomainError("formula contains HERE markers; resolve them first")
-        else:
-            in_call = t is Call
-            stack.extend((kid, in_call) for kid in reversed(children(node)))
-    return refs, loose
+    def call(self, func, args, grid):
+        """The value of function func of args, each a value or a range
+        node."""
+        agg = _AGGREGATES.get(func)
+        state, values = _NOTHING, []
+        for i, v in enumerate(args):
+            if type(v) is not tuple:
+                values.append(v)
+            elif agg is not None and i == 0:
+                state = self.state(v, grid)
+            elif agg is not None or func in ("AND", "OR"):
+                values.extend([grid[a] for a in self.cells(v)])
+            else:
+                return CellError(VALUE)  # only SUM, MIN, MAX, AND and OR read a range
+        if agg is not None:
+            return _aggregate(agg, _fold(state, values))
+        fixed = _FIXED.get(func)
+        if fixed is not None:
+            count, fn = fixed
+            return _apply(fn, *values) if len(values) == count else CellError(VALUE)
+        # a value other than an error is false when it is FALSE, 0, empty or
+        # empty text, as Python's truth of it
+        if func == "IF":
+            if len(values) not in (2, 3):
+                return CellError(VALUE)
+            cond = values[0]
+            if isinstance(cond, CellError):
+                return cond
+            if cond:
+                return values[1]
+            return values[2] if len(values) == 3 else False
+        if func in ("AND", "OR"):
+            for v in values:
+                if isinstance(v, CellError):
+                    return v
+            return (all if func == "AND" else any)(map(bool, values))
+        if func == "NOT" and len(values) == 1:
+            v = values[0]
+            return v if isinstance(v, CellError) else not v
+        return CellError(VALUE)
 
 
 def _bounds(rect, k) -> tuple:
@@ -243,8 +305,8 @@ def build_deps(s: EquationSet) -> dict:
     """Dependency graph: cell -> set of cells its formula references,
     including the defined cells inside range arguments."""
     g = _Graph(s)
-    return {a: {c for p in g.precedents(a) for c in (g.cells(p) if p in g.spans else (p,))}
-            for a in g.formulas}
+    return {a: {c for p in g.precedents(a) if type(p) is CellAddr or type(p) is tuple
+                for c in (g.cells(p) if type(p) is tuple else (p,))} for a in g.formulas}
 
 
 def _to_number(v):
@@ -348,76 +410,6 @@ def binary(op: str, lv, rv):
         return lv != rv
     # an ordering compares two floats, two texts or two truth values
     return _ORDERINGS[op](lv, rv) if type(lv) is type(rv) else CellError(VALUE)
-
-
-def _call(func, values):
-    fixed = _FIXED.get(func)
-    if fixed is not None:
-        count, fn = fixed
-        return _apply(fn, *values) if len(values) == count else CellError(VALUE)
-    # a value other than an error is false when it is FALSE, 0, empty or
-    # empty text, as Python's truth of it
-    if func == "IF":
-        if len(values) not in (2, 3):
-            return CellError(VALUE)
-        cond = values[0]
-        if isinstance(cond, CellError):
-            return cond
-        if cond:
-            return values[1]
-        return values[2] if len(values) == 3 else False
-    if func in ("AND", "OR"):
-        for v in values:
-            if isinstance(v, CellError):
-                return v
-        return (all if func == "AND" else any)(map(bool, values))
-    if func == "NOT" and len(values) == 1:
-        v = values[0]
-        return v if isinstance(v, CellError) else not v
-    return CellError(VALUE)
-
-
-def _eval_formula(f: Formula, k: CellAddr, g: _Graph, grid: dict):
-    """The value of formula f standing at cell k."""
-    t = type(f)
-    if t is Binary:
-        return binary(f.op, _eval_formula(f.left, k, g, grid), _eval_formula(f.right, k, g, grid))
-    if t is RelRef:
-        # precedents checked that the offset stays on the grid
-        v = grid.get((k[0], k[1] + f.d_col, k[2] + f.d_row))
-        # a reference to an empty cell reads as 0, as in a spreadsheet
-        return 0.0 if v is None else v
-    if t is AbsRef:
-        v = grid.get(f.addr)
-        return 0.0 if v is None else v
-    if t is Number or t is Text or t is Bool:
-        return f.value
-    if t is Empty:
-        return None
-    if t is NameRef:
-        ref = g.names.get(f.name)
-        return CellError(REF) if ref is None else _eval_formula(ref, k, g, grid)
-    if t is ElemRef:
-        return CellError(REF)
-    if t is Neg:
-        v = _to_number(_eval_formula(f.operand, k, g, grid))
-        return v if isinstance(v, CellError) else -v
-    if t is Call:
-        agg = _AGGREGATES.get(f.func)
-        state, values = _NOTHING, []
-        for i, arg in enumerate(f.args):
-            if type(arg) is NameRef:
-                arg = g.names.get(arg.name, arg)
-            if type(arg) is not RangeArg:
-                values.append(_eval_formula(arg, k, g, grid))
-            elif agg is not None and i == 0:
-                state = g.state(g.span(arg.range, k), grid)
-            elif agg is not None or f.func in ("AND", "OR"):
-                values.extend([grid[a] for a in g.cells(g.span(arg.range, k))])
-            else:
-                return CellError(VALUE)  # only SUM, MIN, MAX, AND and OR read a range
-        return _call(f.func, values) if agg is None else _aggregate(agg, _fold(state, values))
-    raise DomainError(f"cannot evaluate node {f!r}")
 
 
 def evaluate(s: EquationSet) -> dict:

@@ -28,6 +28,7 @@ from sheetalgebra import (
     diff,
     discover_groups,
     evaluate,
+    evaluate_cell,
     extract,
     canonical_text,
     compile_set,
@@ -404,6 +405,7 @@ def test_long_chain_goes_through_every_rewrite(tmp_path):
     assert [g.cells for g in discover_groups(s)] == [(addr("B1"), addr("B2"))]
     assert simplify(s) == s
     assert lookup(s, addr("B1"), RAW) == chain
+    assert evaluate(s)[addr("B1")] == evaluate_cell(s, addr("B1")) == 5000.0
     assert f"B1 = {chain}" in show(s).splitlines()
     assert diff(parse_listing(show(s, grouped=True)), s).empty
     path = str(tmp_path / "chain.exc")

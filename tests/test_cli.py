@@ -41,6 +41,12 @@ class TestEval:
         assert main(["eval", accounts_file, "--csv", out_csv]) == 0
         assert open(out_csv).read().startswith("2000,1492,971,-521")
 
+    def test_long_chain(self, tmp_path, capsys):
+        path = str(tmp_path / "chain.exc")
+        save(parse_document("A1 = 1\nB1 = " + "+".join(["A1"] * 5000)), path)
+        assert main(["eval", path]) == 0
+        assert "B1 = 5000" in capsys.readouterr().out.splitlines()
+
     def test_array_set_with_layouts_compiles(self, tmp_path, capsys):
         path = str(tmp_path / "spec.exc")
         save(parse_document(ACCOUNTS_S_TEXT), path)

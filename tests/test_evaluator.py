@@ -4,7 +4,9 @@ import random
 import pytest
 
 from sheetalgebra import (
+    AbsRef,
     Binary,
+    Call,
     CellAddr,
     CellError,
     CellRange,
@@ -13,6 +15,7 @@ from sheetalgebra import (
     EquationSet,
     Here,
     NameRef,
+    Neg,
     Number,
     RelRef,
     addr,
@@ -319,6 +322,12 @@ FAULTS = [
                  "B1", DomainError, id="here-marker-before-off-grid"),
     pytest.param(EquationSet([Equation(addr("B1"), Binary("+", NameRef("x"), HERE_REF))],
                              TWO_CELLS), "B1", DomainError, id="here-marker-before-range-name"),
+    # the same pairs with their terms swapped: the order is by kind of
+    # fault, not by where the fault stands
+    pytest.param(make_set(("B1", "R[-5]C+x", "r1c1"), names=TWO_CELLS), "B1",
+                 OutOfGridError, id="off-grid-before-range-name-swapped"),
+    pytest.param(EquationSet([Equation(addr("B1"), Binary("+", HERE_REF, RelRef(0, -5)))]),
+                 "B1", DomainError, id="here-marker-before-off-grid-swapped"),
 ]
 
 
@@ -338,12 +347,26 @@ class TestErrorContract:
     def test_off_grid_message_names_the_cell(self):
         with pytest.raises(OutOfGridError, match=r"at B2: col=1 row=0"):
             evaluate(make_set(("B2", "SUM(R[-1]C[-1]:R[-2]C[-1])", "r1c1")))
+        # two offsets off the grid: the leftmost one is named
+        with pytest.raises(OutOfGridError, match=r"at A1: col=1 row=0"):
+            evaluate(make_set(("A1", "R[-1]C+R[-2]C", "r1c1")))
 
     def test_deep_chain_evaluates(self):
-        # 400 terms: nothing on the way recurses deeper than the tree
-        s = make_set(("A1", "+".join(["1"] * 400)))
-        assert evaluate(s)[addr("A1")] == 400.0
-        assert evaluate_cell(s, addr("A1")) == 400.0
+        # 5000 terms: a tree five times deeper than the default recursion
+        # limit lets a recursive walk reach
+        s = make_set(("A1", "+".join(["1"] * 5000)))
+        assert evaluate(s)[addr("A1")] == 5000.0
+        assert evaluate_cell(s, addr("A1")) == 5000.0
+
+    def test_deep_nesting_evaluates(self):
+        # 3000 nested Neg and ABS nodes over a reference, deeper than the
+        # readers read, so built with the constructors
+        f = AbsRef(addr("A1"))
+        for i in range(3000):
+            f = Neg(f) if i % 2 else Call("ABS", (f,))
+        s = EquationSet([Equation(addr("A1"), Number(2.0)), Equation(addr("B1"), f)])
+        assert evaluate(s)[addr("B1")] == -2.0
+        assert evaluate_cell(s, addr("B1")) == -2.0
 
 
 class TestOrderIndependence:

@@ -1,6 +1,7 @@
 """Property-based tests for the parser/printer, column labels, and the
 operator laws, using hypothesis-generated inputs."""
 
+import functools
 import math
 import random
 from unittest import mock
@@ -35,6 +36,7 @@ from sheetalgebra import (
     col_to_letters,
     diff,
     evaluate,
+    evaluate_cell,
     letters_to_col,
     map_range,
     parse_document,
@@ -565,3 +567,72 @@ class TestValueContract:
             assert (v is None or t in (str, bool, CellError)
                     or t is float and math.isfinite(v)), (a, v)
             assert type(format_value(v)) is str
+
+
+def contract_documents():
+    """Up to six cells of A1:C3 on two sheets whose formulas mix every
+    operator, unary minus and the functions over numbers, text, truth
+    values, EMPTY(), references across the sheets, relative references that
+    may leave the grid, a defined cell name, a range name (a fault outside
+    a call), an unknown name and, as a call's argument, a range on either
+    sheet; or a flat chain of up to 3000 terms of one such formula."""
+    cell = st.builds(CellAddr, st.sampled_from(["Sheet1", "Sheet2"]),
+                     st.integers(min_value=1, max_value=3),
+                     st.integers(min_value=1, max_value=3))
+    ranges = st.sampled_from(
+        [RangeArg(CellRange.box(CellAddr(sheet, 1, 1), CellAddr(sheet, 3, 3)))
+         for sheet in ("Sheet1", "Sheet2")] + [NameRef("w")])
+    leaves = st.one_of(
+        numbers,
+        st.sampled_from([-0.0, 0.5, 1e308, -1e308]).map(Number),
+        st.sampled_from(["", "a"]).map(Text),
+        st.booleans().map(Bool),
+        st.just(Empty()),
+        cell.map(AbsRef),
+        st.builds(RelRef, st.integers(min_value=-1, max_value=2),
+                  st.integers(min_value=-1, max_value=2)),
+        st.sampled_from([NameRef("k"), NameRef("w"), NameRef("nope")]))
+
+    def nodes(inner):
+        args = st.lists(st.one_of(inner, ranges), max_size=3).map(tuple)
+        return st.one_of(st.builds(Binary, st.sampled_from(BINARY_OPS), inner, inner),
+                         st.builds(Neg, inner),
+                         st.builds(Call, st.sampled_from(FUNCTIONS), args))
+
+    term = st.recursive(leaves, nodes, max_leaves=4)
+
+    chains = st.builds(
+        lambda op, t, n: functools.reduce(lambda f, _: Binary(op, f, t), range(n - 1), t),
+        st.sampled_from(BINARY_OPS), term, st.integers(min_value=2, max_value=3000))
+    formula = st.one_of(st.recursive(leaves, nodes, max_leaves=8), chains)
+    names = {"k": CellRange.cell(CellAddr("Sheet2", 1, 1)),
+             "w": CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", 2, 2))}
+    return st.dictionaries(cell, formula, min_size=1, max_size=6).map(
+        lambda eqs: EquationSet((Equation(a, f) for a, f in eqs.items()), names))
+
+
+def _value_or_error(f, *args):
+    """f's value as its repr, so floats compare bit for bit, or the class of
+    the SheetError it raises."""
+    try:
+        return repr(f(*args))
+    except SheetError as e:
+        return type(e)
+
+
+class TestEvaluationContract:
+    @given(contract_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_is_total(self, s):
+        """evaluate raises a SheetError or gives every cell a value that
+        prints, and evaluate_cell gives the same value, bit for bit."""
+        try:
+            grid = evaluate(s)
+        except SheetError:
+            for eq in s:  # raises nothing but a SheetError either
+                _value_or_error(evaluate_cell, s, eq.lhs)
+            return
+        assert set(grid) == {eq.lhs for eq in s}
+        for a, v in grid.items():
+            assert type(format_value(v)) is str
+            assert _value_or_error(evaluate_cell, s, a) == repr(v), a
