@@ -10,10 +10,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .errors import SheetError
+from .fileio import parse_document
 from .layout import DOWN, RIGHT, LayoutDirective, LayoutSet
 from .model import (
+    ArrayElem,
     Call,
     CellAddr,
+    ElemRef,
+    Equation,
     EquationSet,
     Number,
     RangeArg,
@@ -126,13 +131,20 @@ def discover_blocks(s: EquationSet) -> list[Rect]:
 
 
 def sanitize_identifier(label: str) -> str:
+    """An array name from a label; `_` is appended to one that the reader
+    does not read back as an array (`RC`, `True`, `R1C1`, `name`)."""
     name = label.strip().replace(" ", "_")
     name = re.sub(r"[^A-Za-z0-9_]", "", name)
     if not name:
         return ""
     if not re.match(r"[A-Za-z_]", name):
         name = "_" + name
-    return name
+    try:
+        reads = parse_document(f"{name}[1] = {name}[1]") == EquationSet(
+            [Equation(ArrayElem(name, (1,)), ElemRef(name, (1,)))])
+    except SheetError:
+        reads = False
+    return name if reads else name + "_"
 
 
 @dataclass(frozen=True)
@@ -142,43 +154,42 @@ class LabelCandidates:
     rows: dict
 
 
+def _axes(block: Rect) -> tuple:
+    """The block's axes, down then right: a sequence's name and an array's
+    orientation along it, the lines across it, the coordinates along it,
+    and the cell at a line and a coordinate."""
+    cols = range(block.col_lo, block.col_hi + 1)
+    rows = range(block.row_lo, block.row_hi + 1)
+
+    def cell(col, row):  # None off the grid, which no equation set holds
+        return CellAddr(block.sheet, col, row) if col >= 1 and row >= 1 else None
+    return (("rows", DOWN, cols, rows, cell),
+            ("cols", RIGHT, rows, cols, lambda row, col: cell(col, row)))
+
+
 def infer_labels(s: EquationSet, block: Rect) -> LabelCandidates:
     """Name candidates from text cells near the block: for each column the
     nearest text cell at most two rows above; for each row the nearest text
     cell at most two columns to the left."""
 
-    def text_at(col, row):
-        if col < 1 or row < 1:
-            return None
-        eq = s.get(CellAddr(block.sheet, col, row))
-        if eq is not None and isinstance(eq.rhs, Text):
-            return eq
-        return None
+    def labels(axis, fallback):
+        _, _, lines, along, at = axis
+        out = {}
+        for line in lines:
+            for d in (1, 2):
+                eq = s.get(at(line, along[0] - d))
+                if eq is not None and isinstance(eq.rhs, Text):
+                    name = sanitize_identifier(eq.rhs.value)
+                    if name:
+                        out[line] = (name, eq.lhs)
+                        break
+            else:
+                out[line] = (fallback(line), None)
+        return out
 
-    columns = {}
-    for col in range(block.col_lo, block.col_hi + 1):
-        found = None
-        for dr in (1, 2):
-            eq = text_at(col, block.row_lo - dr)
-            if eq is not None:
-                name = sanitize_identifier(eq.rhs.value)
-                if name:
-                    found = (name, eq.lhs)
-                    break
-        columns[col] = found or (f"col_{col_to_letters(col)}", None)
-
-    rows = {}
-    for row in range(block.row_lo, block.row_hi + 1):
-        found = None
-        for dc in (1, 2):
-            eq = text_at(block.col_lo - dc, row)
-            if eq is not None:
-                name = sanitize_identifier(eq.rhs.value)
-                if name:
-                    found = (name, eq.lhs)
-                    break
-        rows[row] = found or (f"row_{row}", None)
-    return LabelCandidates(columns, rows)
+    down, right = _axes(block)
+    return LabelCandidates(labels(down, lambda col: f"col_{col_to_letters(col)}"),
+                           labels(right, lambda row: f"row_{row}"))
 
 
 @dataclass(frozen=True)
@@ -228,35 +239,21 @@ def infer_subscripts(s: EquationSet, block: Rect) -> list[SubscriptCandidate]:
     """Index-sequence candidates: the column left of the block and the row
     above it, then the block's own first column/row.  A candidate is an
     integer arithmetic progression or a month/weekday run."""
-
-    def eq_at(col, row):
-        if col < 1 or row < 1:
-            return None
-        return s.get(CellAddr(block.sheet, col, row))
-
-    probes = [
-        ("rows", [eq_at(block.col_lo - 1, r)
-                  for r in range(block.row_lo, block.row_hi + 1)]),
-        ("cols", [eq_at(c, block.row_lo - 1)
-                  for c in range(block.col_lo, block.col_hi + 1)]),
-        ("rows", [eq_at(block.col_lo, r)
-                  for r in range(block.row_lo, block.row_hi + 1)]),
-        ("cols", [eq_at(c, block.row_lo)
-                  for c in range(block.col_lo, block.col_hi + 1)]),
-    ]
     out = []
-    for axis, eqs in probes:
-        seq = _integer_sequence(eqs)
-        if seq is not None:
-            values, step = seq
-            cells = tuple(eq.lhs for eq in eqs)
-            out.append(SubscriptCandidate(axis, "arithmetic", tuple(values), cells, step))
-            continue
-        run = _word_run(eqs)
-        if run is not None:
-            kind, words = run
-            cells = tuple(eq.lhs for eq in eqs)
-            out.append(SubscriptCandidate(axis, kind, tuple(words), cells))
+    for before in (1, 0):  # the line before the block, then its first line
+        for axis, _, lines, along, at in _axes(block):
+            eqs = [s.get(at(lines[0] - before, k)) for k in along]
+            seq = _integer_sequence(eqs)
+            if seq is not None:
+                values, step = seq
+                cells = tuple(eq.lhs for eq in eqs)
+                out.append(SubscriptCandidate(axis, "arithmetic", tuple(values), cells, step))
+                continue
+            run = _word_run(eqs)
+            if run is not None:
+                kind, words = run
+                cells = tuple(eq.lhs for eq in eqs)
+                out.append(SubscriptCandidate(axis, kind, tuple(words), cells))
     return out
 
 
@@ -276,44 +273,27 @@ def propose_layout(s: EquationSet) -> LayoutProposal:
     used_names = set()
 
     def unique(name):
-        if name not in used_names:
-            used_names.add(name)
-            return name
-        k = 2
-        while f"{name}_{k}" in used_names:
-            k += 1
-        used_names.add(f"{name}_{k}")
-        return f"{name}_{k}"
+        new, k = name, 2
+        while new in used_names:
+            new, k = f"{name}_{k}", k + 1
+        used_names.add(new)
+        return new
 
     for block in discover_blocks(s):
         labels = infer_labels(s, block)
-        candidates = infer_subscripts(s, block)
-        rows_cand = next((c for c in candidates if c.axis == "rows"), None)
-        cols_cand = next((c for c in candidates if c.axis == "cols"), None)
-
-        if cols_cand is not None and rows_cand is None:
-            # sequence runs along the top: arrays run right, one per row
-            n = block.col_hi - block.col_lo + 1
-            box = _index_range(cols_cand, n)
-            for row in range(block.row_lo, block.row_hi + 1):
-                name = unique(labels.rows[row][0])
-                d = LayoutDirective(name, (box,),
-                                    CellAddr(block.sheet, block.col_lo, row), RIGHT)
-                directives.append(d)
-                name_evidence[name] = labels.rows[row]
-                if cols_cand is not None:
-                    subscript_evidence[name] = cols_cand
-        else:
-            n = block.row_hi - block.row_lo + 1
-            box = _index_range(rows_cand, n)
-            for col in range(block.col_lo, block.col_hi + 1):
-                name = unique(labels.columns[col][0])
-                d = LayoutDirective(name, (box,),
-                                    CellAddr(block.sheet, col, block.row_lo), DOWN)
-                directives.append(d)
-                name_evidence[name] = labels.columns[col]
-                if rows_cand is not None:
-                    subscript_evidence[name] = rows_cand
+        first = {c.axis: c for c in reversed(infer_subscripts(s, block))}
+        # a sequence along the top only: arrays run right, one per row
+        i = "cols" in first and "rows" not in first
+        axis, orientation, lines, along, at = _axes(block)[i]
+        candidate = first.get(axis)
+        box = _index_range(candidate, len(along))
+        evidence = (labels.columns, labels.rows)[i]
+        for line in lines:
+            name = unique(evidence[line][0])
+            directives.append(LayoutDirective(name, (box,), at(line, along[0]), orientation))
+            name_evidence[name] = evidence[line]
+            if candidate is not None:
+                subscript_evidence[name] = candidate
     return LayoutProposal(LayoutSet(directives), name_evidence, subscript_evidence)
 
 

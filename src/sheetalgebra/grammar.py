@@ -396,7 +396,7 @@ class EntryReader:
         anchor = read_lhs(self.s)
         if not isinstance(anchor, CellAddr):
             raise FormulaSyntaxError("layout anchor must be a cell", pos)
-        orientation = DOWN if len(box) == 1 else None
+        orientation = DOWN
         kind, text, _ = self.s.peek()
         if kind == ID and text in ("down", "downwards", "right", "rightwards"):
             self.s.next()

@@ -8,7 +8,10 @@ advances right.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import CollisionError, DomainError, LayoutError
 from .model import (
@@ -29,6 +32,11 @@ from .model import (
 DOWN = "down"
 RIGHT = "right"
 
+# The CellAddr field (1 column, 2 row) that each subscript advances, by
+# orientation; None is a 2-D directive's.
+_AXES = {DOWN: (2,), RIGHT: (1,), None: (2, 1)}
+_first_row = itemgetter(0)
+
 
 @dataclass(frozen=True)
 class LayoutDirective:
@@ -43,8 +51,10 @@ class LayoutDirective:
         for lo, hi in self.index_box:
             if lo > hi:
                 raise DomainError(f"empty index range {lo}:{hi}")
-            check_subscripts((lo, hi))  # elem_at builds inside lo..hi unchecked
-        if len(self.index_box) == 1 and self.orientation not in (DOWN, RIGHT):
+            check_subscripts((lo, hi))  # _elem_at builds inside lo..hi unchecked
+        if len(self.index_box) == 2:
+            object.__setattr__(self, "orientation", None)  # the box alone orients it
+        elif self.orientation not in (DOWN, RIGHT):
             raise DomainError("1-D layout needs a down/right orientation")
 
     @property
@@ -52,20 +62,22 @@ class LayoutDirective:
         return len(self.index_box)
 
     def footprint(self) -> Rect:
-        if self.arity == 1:
-            (lo, hi), = self.index_box
-            n = hi - lo
-            a = self.anchor
-            if self.orientation == DOWN:
-                return Rect(a.sheet, a.col, a.col, a.row, a.row + n)
-            return Rect(a.sheet, a.col, a.col + n, a.row, a.row)
-        (lo1, hi1), (lo2, hi2) = self.index_box
-        a = self.anchor
-        return Rect(a.sheet, a.col, a.col + (hi2 - lo2), a.row, a.row + (hi1 - lo1))
+        a, b = self.anchor, elem_to_cell(self, tuple(hi for _, hi in self.index_box))
+        return Rect(a.sheet, a.col, b.col, a.row, b.row)
+
+    @cached_property
+    def _origin(self) -> tuple:
+        """(CellAddr field, subscript minus coordinate) for each subscript."""
+        return tuple((field, lo - self.anchor[field])
+                     for field, (lo, _) in zip(_AXES[self.orientation], self.index_box))
+
+    def _elem_at(self, a: CellAddr) -> ArrayElem:
+        """The element laid out at cell a, which the footprint holds."""
+        return ArrayElem._make((self.array, tuple([a[f] + off for f, off in self._origin])))
 
     def __str__(self):
         box = ",".join(f"{lo}:{hi}" for lo, hi in self.index_box)
-        tail = f" {self.orientation}" if self.arity == 1 else ""
+        tail = f" {self.orientation}" if self.orientation else ""
         return f"layout {self.array}[{box}] as {self.anchor.a1()}{tail}"
 
 
@@ -73,36 +85,32 @@ class LayoutSet:
     """Directive collection with unique array names and disjoint footprints."""
 
     def __init__(self, directives=()):
-        directives = tuple(directives)
-        by_name = {}
-        for d in directives:
-            if d.array in by_name:
+        self.directives = tuple(directives)
+        self._by_name = {}
+        # (sheet, column) -> (first row, last row, directive) per footprint, by first row
+        self._columns = {}
+        for d in self.directives:
+            if d.array in self._by_name:
                 raise LayoutError(f"duplicate layout for array {d.array!r}")
-            by_name[d.array] = d
-        rects = [d.footprint() for d in directives]
-        for i, a in enumerate(rects):
-            for b in rects[i + 1:]:
-                if (a.sheet == b.sheet
-                        and a.col_lo <= b.col_hi and b.col_lo <= a.col_hi
-                        and a.row_lo <= b.row_hi and b.row_lo <= a.row_hi):
-                    raise LayoutError("layout footprints overlap")
-        self.directives = directives
-        self._by_name = by_name
-        self._footprints = rects
+            self._by_name[d.array] = d
+            r = d.footprint()
+            for col in range(r.col_lo, r.col_hi + 1):
+                self._columns.setdefault((r.sheet, col), []).append((r.row_lo, r.row_hi, d))
+        for spans in self._columns.values():
+            spans.sort(key=_first_row)
+            # sorted by first row, two spans overlap only if neighbours do
+            if any(lo <= hi for (_, hi, _), (lo, _, _) in zip(spans, spans[1:])):
+                raise LayoutError("layout footprints overlap")
 
     def elem_at(self, a: CellAddr) -> ArrayElem | None:
         """The array element laid out at cell a; None when no footprint
         holds it."""
-        for d, rect in zip(self.directives, self._footprints):
-            if rect.contains(a):
-                anchor = d.anchor
-                if d.arity == 1:
-                    (lo, _), = d.index_box
-                    off = a.row - anchor.row if d.orientation == DOWN else a.col - anchor.col
-                    return ArrayElem._make((d.array, (lo + off,)))
-                (lo1, _), (lo2, _) = d.index_box
-                return ArrayElem._make(
-                    (d.array, (lo1 + (a.row - anchor.row), lo2 + (a.col - anchor.col))))
+        spans = self._columns.get((a.sheet, a.col))
+        if spans:
+            # the last span starting at or above a.row, or the last of all when none does
+            lo, hi, d = spans[bisect(spans, a.row, key=_first_row) - 1]
+            if lo <= a.row <= hi:
+                return d._elem_at(a)
         return None
 
     def get(self, array: str) -> LayoutDirective | None:
@@ -125,23 +133,17 @@ def elem_to_cell(d: LayoutDirective, subs: tuple) -> CellAddr:
     if len(subs) != d.arity:
         raise LayoutError(
             f"{d.array} takes {d.arity} subscripts, got {len(subs)}")
-    for sub, (lo, hi) in zip(subs, d.index_box):
+    cell = list(d.anchor)
+    for (field, off), sub, (lo, hi) in zip(d._origin, subs, d.index_box):
         if not (lo <= sub <= hi):
             raise LayoutError(f"{d.array}[{sub}] is outside {lo}:{hi}")
-    a = d.anchor
-    if d.arity == 1:
-        (lo, _), = d.index_box
-        off = subs[0] - lo
-        if d.orientation == DOWN:
-            return CellAddr(a.sheet, a.col, a.row + off)
-        return CellAddr(a.sheet, a.col + off, a.row)
-    (lo1, _), (lo2, _) = d.index_box
-    return CellAddr(a.sheet, a.col + (subs[1] - lo2), a.row + (subs[0] - lo1))
+        cell[field] = sub - off
+    return CellAddr(*cell)
 
 
 def cell_to_elem(d: LayoutDirective, a: CellAddr) -> ArrayElem | None:
     """Inverse of elem_to_cell; None when the cell is outside the footprint."""
-    return LayoutSet([d]).elem_at(a)
+    return d._elem_at(a) if d.footprint().contains(a) else None
 
 
 def resolve_here(subs: tuple, at: tuple) -> tuple:

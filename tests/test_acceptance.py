@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one test (and one printed
+"""Acceptance gate: eleven end-to-end criteria, one test (and one printed
 pass/fail line) each.  Run with `pytest tests/test_acceptance.py -v`.
 
 Golden values marked [DERIVED] were computed by hand or by an independent
@@ -353,3 +353,25 @@ class TestAcceptance:
             ["Sheet1[ { 2..50 } >< { 2..1000 } ] = Sheet1[ HERE - 1, HERE ]+Sheet1[ HERE, HERE - 1 ]"]
         assert elapsed < 1.5
         report(10, f"diff + stylecheck + grouped listing of 50k equations in {elapsed:.2f}s")
+
+    def test_11_wide_discovery_scale(self):
+        # 2,000 copy-filled columns of 10 rows, labels above and years on the
+        # left: 2,001 proposed directives.  Comparing every pair of footprints
+        # and scanning them all for each cell needs about 7 s
+        cols, rows = 2000, 10
+        labels = [f'{col_to_letters(c)}1 = "v{c}"' for c in range(2, cols + 2)]
+        data = []
+        for r in range(2, rows + 2):
+            data.append(f"A{r} = {1998 + r}")
+            data += [f"{col_to_letters(c)}{r} = {col_to_letters(c - 1)}{r}+1"
+                     for c in range(2, cols + 2)]
+        sheet = parse_document("\n".join(labels + data))
+        cells = parse_document("\n".join(data))
+        start = time.perf_counter()
+        proposal = propose_layout(sheet)
+        compiled = compile_set(decompile_set(cells, proposal.directives), proposal.directives)
+        elapsed = time.perf_counter() - start
+        assert len(proposal.directives) == cols + 1
+        assert compiled == cells
+        assert elapsed < 1.5
+        report(11, f"{cols}-column sheet proposed, decompiled and compiled in {elapsed:.2f}s")

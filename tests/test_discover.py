@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sheetalgebra import (
     CellAddr,
     Number,
@@ -11,7 +13,10 @@ from sheetalgebra import (
     discover_groups,
     infer_labels,
     infer_subscripts,
+    parse_document,
+    parse_listing,
     propose_layout,
+    show,
     union,
 )
 from sheetalgebra.model import Equation, EquationSet
@@ -185,3 +190,16 @@ class TestProposeLayout:
 
     def test_text_only_sheet_is_empty_proposal(self, labels):
         assert len(propose_layout(labels).directives) == 0
+
+
+@pytest.mark.parametrize("label, array", [
+    ("RC", "RC_"), ("rc", "rc_"), ("True", "True_"), ("FALSE", "FALSE_"), ("R1C1", "R1C1_"),
+    ("r2c3", "r2c3_"), ("name", "name_"), ("R", "R"), ("x", "x")])
+def test_discovered_names_read_back(label, array):
+    # RC[1] reads as a relative reference, True[1] and R1C1[1] do not read,
+    # and name[1] = ... reads as a name statement
+    sheet = make_set(("A1", f'"{label}"'), ("A2", "1"), ("A3", "A2+1"))
+    d = decompile_set(sheet, propose_layout(sheet).directives)
+    assert [str(x) for x in d.layouts] == [f"layout {array}[1:2] as A2 down"]
+    assert parse_document(show(d)) == d
+    assert parse_listing(show(d, grouped=True)) == d

@@ -8,6 +8,7 @@ from sheetalgebra import (
     CellRange,
     Equation,
     EquationSet,
+    LayoutDirective,
     addr,
     evaluate,
     export_csv,
@@ -45,6 +46,18 @@ class TestParseDocument:
     def test_default_orientation_is_down(self):
         s = parse_document("layout a[1:2] as A1")
         assert s.layouts[0].orientation == "down"
+
+    @pytest.mark.parametrize("s", [
+        parse_document("layout X[1:2,1:3] as A1 right"),
+        EquationSet(layouts=[LayoutDirective("X", ((1, 2), (1, 3)), addr("A1"))]),
+    ], ids=["read-right", "built-down"])
+    def test_two_dimensional_layout_round_trips(self, s, tmp_path):
+        # a 2-D directive prints no orientation, so it must have none
+        assert str(s.layouts[0]) == "layout X[1:2,1:3] as A1"
+        assert parse_document(show(s)) == s
+        path = str(tmp_path / "x.exc")
+        save(s, path)
+        assert load(path) == s
 
     def test_sheet_qualified_cells(self):
         s = parse_document("Data!B2 = Data!A2*2")

@@ -166,3 +166,13 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_only_the_layout_module_reads_a_directives_shape():
+    # which cell a subscript lands on is decided in layout.py alone
+    found = [f"{path.name}:{node.lineno}: .{node.attr}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "layout.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("orientation", "arity", "index_box")]
+    assert found == []

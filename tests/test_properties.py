@@ -4,6 +4,7 @@ operator laws, using hypothesis-generated inputs."""
 import functools
 import math
 import random
+from itertools import product
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from sheetalgebra import (
     CANONICAL,
     R1C1,
     AbsRef,
+    ArrayElem,
     Binary,
     Bool,
     Call,
@@ -25,6 +27,8 @@ from sheetalgebra import (
     Equation,
     EquationSet,
     Here,
+    LayoutDirective,
+    LayoutSet,
     NameRef,
     Neg,
     Number,
@@ -33,8 +37,12 @@ from sheetalgebra import (
     RelRef,
     Text,
     canonical_text,
+    cell_to_elem,
     col_to_letters,
+    compile_set,
+    decompile_set,
     diff,
+    elem_to_cell,
     evaluate,
     evaluate_cell,
     letters_to_col,
@@ -52,7 +60,7 @@ from sheetalgebra import (
     to_relative,
     union,
 )
-from sheetalgebra.errors import CrossSheetError, DomainError, SheetError
+from sheetalgebra.errors import CrossSheetError, DomainError, LayoutError, SheetError
 from sheetalgebra.fileio import format_value
 from sheetalgebra.formula import formula_groups, relative_form
 from sheetalgebra.model import BINARY_OPS, lhs_sort_key
@@ -636,3 +644,93 @@ class TestEvaluationContract:
         for a, v in grid.items():
             assert type(format_value(v)) is str
             assert _value_or_error(evaluate_cell, s, a) == repr(v), a
+
+
+# -- the layout index against a scan of every footprint ---------------------
+
+
+def _elements(d):
+    return [ArrayElem(d.array, subs)
+            for subs in product(*(range(lo, hi + 1) for lo, hi in d.index_box))]
+
+
+def _reference_cells(d):
+    """Cell -> element of d, by the convention: a 1-D array runs down or
+    right, and a 2-D array's first subscript runs down, its second right."""
+    out = {}
+    for e in _elements(d):
+        steps = [sub - lo for sub, (lo, _) in zip(e.subs, d.index_box)]
+        if len(steps) == 1:
+            steps = [steps[0], 0] if d.orientation == "down" else [0, steps[0]]
+        down, right = steps
+        out[CellAddr(d.anchor.sheet, d.anchor.col + right, d.anchor.row + down)] = e
+    return out
+
+
+@st.composite
+def directive_lists(draw):
+    """Up to six directives, 1-D down or right or 2-D, near A1 of two
+    sheets, so that some footprints overlap."""
+    small = st.integers(min_value=1, max_value=6)
+    out = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        los = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=2))
+        box = tuple((lo, lo + draw(st.integers(min_value=0, max_value=3))) for lo in los)
+        anchor = CellAddr(draw(st.sampled_from(["Sheet1", "Data"])), draw(small), draw(small))
+        out.append(LayoutDirective(f"a{i}", box, anchor, draw(st.sampled_from(["down", "right"]))))
+    return out
+
+
+@st.composite
+def two_dim_specs(draw):
+    """Equations over up to three disjoint 2-D arrays; each element holds a
+    number or another element plus one."""
+    layouts = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        box = tuple((lo, lo + draw(st.integers(min_value=0, max_value=2)))
+                    for lo in draw(st.lists(st.integers(min_value=-1, max_value=3),
+                                            min_size=2, max_size=2)))
+        anchor = CellAddr("Sheet1", 1 + 4 * i, draw(st.integers(min_value=1, max_value=5)))
+        layouts.append(LayoutDirective(f"m{i}", box, anchor, None))
+    elems = [e for d in layouts for e in _elements(d)]
+    eqs = []
+    for e in elems:
+        other = draw(st.one_of(st.none(), st.sampled_from(elems)))
+        if other is None:
+            rhs = Number(float(draw(st.integers(min_value=0, max_value=9))))
+        else:
+            rhs = Binary("+", ElemRef(other.name, other.subs), Number(1.0))
+        eqs.append(Equation(e, rhs))
+    return EquationSet(eqs, layouts=layouts)
+
+
+class TestLayoutIndex:
+    @given(directive_lists())
+    @settings(max_examples=200)
+    def test_index_agrees_with_a_scan(self, ds):
+        rects = [d.footprint() for d in ds]
+        overlap = any(set(a.cells()) & set(b.cells())
+                      for i, a in enumerate(rects) for b in rects[i + 1:])
+        try:
+            layouts = LayoutSet(ds)
+        except LayoutError:
+            assert overlap
+            return
+        assert not overlap
+        cells = [_reference_cells(d) for d in ds]
+        for d, rect, ref in zip(ds, rects, cells):
+            assert set(rect.cells()) == set(ref)
+            for a in ref:
+                assert elem_to_cell(d, layouts.elem_at(a).subs) == a
+        for sheet, col, row in product(["Sheet1", "Data"], range(1, 16), range(1, 16)):
+            a = CellAddr(sheet, col, row)
+            held = [ref[a] for ref in cells if a in ref]
+            assert layouts.elem_at(a) == (held[0] if held else None)
+            for d, ref in zip(ds, cells):
+                assert cell_to_elem(d, a) == ref.get(a)
+
+    @given(two_dim_specs())
+    @settings(max_examples=100)
+    def test_compile_decompile_two_dimensional(self, spec):
+        layouts = LayoutSet(spec.layouts)
+        assert decompile_set(compile_set(spec), layouts) == spec
