@@ -54,23 +54,23 @@ def discover_groups(s: EquationSet) -> list[FormulaGroup]:
     return out
 
 
-def _is_text_cell(eq) -> bool:
-    return isinstance(eq.rhs, Text)
-
-
 def discover_blocks(s: EquationSet) -> list[Rect]:
     """Rectangular data regions: bounding boxes of connected runs of
     non-text cells, grown until boxes no longer overlap.  Every cell on the
     boundary ring is then blank or text by construction of the components.
-    Ranges passed to SUM extend a box they overlap."""
+    Ranges passed to SUM extend a box they overlap.  Only a formula that
+    calls SUM is resolved against its cell, so only such a formula raises
+    for a HERE marker or a relative reference off the grid."""
     by_sheet: dict[str, set[tuple[int, int]]] = {}
     sum_rects: dict[str, list[Rect]] = {}
     for eq in s:
         if not isinstance(eq.lhs, CellAddr):
             continue
         sheet = eq.lhs.sheet
-        if not _is_text_cell(eq):
+        if not isinstance(eq.rhs, Text):
             by_sheet.setdefault(sheet, set()).add((eq.lhs.col, eq.lhs.row))
+        if not any(isinstance(node, Call) and node.func == "SUM" for node in walk(eq.rhs)):
+            continue
         for node in walk(to_absolute(eq.rhs, eq.lhs)):
             if isinstance(node, Call) and node.func == "SUM":
                 for arg in node.args:

@@ -157,7 +157,7 @@ class FormulaParser:
                 self.s.next()
                 return Empty()
             return self._call(upper)
-        if self.dialect != A1:
+        if self.dialect != A1 and text[0] in "Rr":  # every R1C1 reference starts so
             ref = self._try_r1c1(text, prefix, pos)
             if ref is not None:
                 return ref
@@ -444,12 +444,20 @@ def formula_groups(s) -> MappingProxyType:
     """The cell equations of s grouped by sheet and relative form, so that
     copy-filled formulas share one group: (sheet, relative form) -> tuple of
     equations, the groups and the equations of each in canonical order.
-    They are built on the first call and kept on the set, which is immutable."""
+    They are built on the first call and kept on the set, which is immutable.
+    Whether a tree is its own relative form depends only on the tree and the
+    sheet, so a tree that the equation before held as its own is not walked."""
     if s._groups is None:
         groups: dict[tuple[str, Formula], list] = {}
+        own = own_sheet = None  # the last tree that was its own relative form
         for eq in s:
             if isinstance(eq.lhs, CellAddr):
-                groups.setdefault((eq.lhs.sheet, relative_form(eq.rhs, eq.lhs)), []).append(eq)
+                sheet = eq.lhs.sheet
+                rel = (eq.rhs if eq.rhs is own and sheet == own_sheet
+                       else relative_form(eq.rhs, eq.lhs))
+                if rel is eq.rhs:
+                    own, own_sheet = rel, sheet
+                groups.setdefault((sheet, rel), []).append(eq)
         s._groups = {key: tuple(eqs) for key, eqs in groups.items()}
     return MappingProxyType(s._groups)
 

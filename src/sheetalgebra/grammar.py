@@ -177,6 +177,7 @@ def _column(letters: str, pos) -> int:
 
 
 _R1C1_RE = re.compile(r"[Rr](\d+)[Cc](\d+)\Z")
+_COL_DIGITS, _ROW_DIGITS = len(str(MAX_COL)), len(str(MAX_ROW))
 
 
 def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
@@ -186,8 +187,17 @@ def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
     m = (_R1C1_RE if r1c1 else A1_LABEL).match(text)
     if m is None:
         return None
+    # converted as label_coord converts them: past the cap when longer than its digits
     row, col = m.groups() if r1c1 else m.groups()[::-1]
-    col, row = label_coord(col, MAX_COL), label_coord(row, MAX_ROW)
+    row = int(row) if len(row) <= _ROW_DIGITS else MAX_ROW + 1
+    if len(col) > _COL_DIGITS:
+        col = MAX_COL + 1
+    elif r1c1:
+        col = int(col)
+    else:
+        letters, col = col, 0
+        for ch in letters:
+            col = col * 26 + (ord(ch) & 31)  # A and a are 1, Z and z 26
     if not on_grid(col, row):
         raise FormulaSyntaxError(f"cell {text} lies outside columns A..XFD, rows 1..{MAX_ROW}",
                                  pos)
@@ -348,6 +358,9 @@ class EntryReader:
         self.equations = []
         self.names = {}
         self.layouts = []
+        # "sheet!text to the end of the line" -> the equation first read from it and
+        # its formula's token count; ints, so that the collector never walks them
+        self._first, self._sizes = {}, {}
 
     def equation_set(self) -> EquationSet:
         return EquationSet(self.equations, self.names, self.layouts)
@@ -374,8 +387,34 @@ class EntryReader:
             return
         lhs = read_lhs(self.s)
         self.s.expect_op("=")
-        self.formula.sheet = lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET
-        self.equations.append(Equation(lhs, self.formula.expression()))
+        sheet = lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET
+        self.equations.append(Equation(lhs, self._rhs(sheet)))
+
+    def _rhs(self, sheet: str):
+        """The formula that starts here, read on `sheet`, of the equation
+        appended next.  A repeat of an earlier formula's sheet and text to the
+        end of its line, all of whose tokens lay on that line, gets the same
+        tree where the next token is one at which the reader stops anyway:
+        the end, a separator, or an identifier other than C, which would
+        continue R[k] into R[k]C."""
+        s, start = self.s, self.s.i
+        first = s.tokens[start][2]
+        end = s.src.find("\n", first) + 1 or len(s.src) + 1  # just past the line
+        key = f"{sheet}!{s.src[first:end - 1]}"  # the last line ends without a newline
+        at = self._first.get(key)
+        if at is not None:
+            n = self._sizes[key]
+            kind, text, _ = s.tokens[start + n]
+            if (kind == ID and text not in ("C", "c") or kind == EOF
+                    or kind == OP and text in (",", ";", ".")):
+                s.i += n
+                return self.equations[at].rhs
+        self.formula.sheet = sheet
+        f = self.formula.expression()
+        _, text, pos = s.tokens[s.i - 1]
+        if pos + len(text) < end:
+            self._first[key], self._sizes[key] = len(self.equations), s.i - start
+        return f
 
     def _layout(self):
         # layout imports formula, which imports this module

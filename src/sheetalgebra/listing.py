@@ -39,20 +39,25 @@ from .model import (
 )
 
 
-def _eq_line(eq) -> str:
-    if isinstance(eq.lhs, CellAddr):
-        return f"{eq.lhs.a1()} = {print_formula(eq.rhs, CANONICAL, eq.lhs)}"
-    return f"{eq.lhs} = {print_formula(eq.rhs, CANONICAL)}"
-
-
-def _trailer_lines(s: EquationSet) -> list[str]:
-    lines = [str(d) for d in s.layouts]
-    return lines + [f"name {rng} as {name}" for name, rng in sorted(s.names.items())]
+def _eq_lines(eqs) -> list[str]:
+    """`lhs = rhs` for each equation.  A canonical text depends only on the
+    tree and its home sheet, so a tree that the equation before holds on the
+    same sheet, as along a copy-filled row, is not printed again."""
+    lines, last, last_home, text = [], None, None, None
+    for lhs, rhs in eqs:
+        cell = isinstance(lhs, CellAddr)
+        home = lhs.sheet if cell else DEFAULT_SHEET
+        if rhs is not last or home != last_home:
+            last, last_home = rhs, home
+            text = print_formula(rhs, CANONICAL, lhs if cell else None)
+        lines.append(f"{lhs.a1() if cell else lhs} = {text}")
+    return lines
 
 
 def show(s: EquationSet, grouped: bool = False) -> str:
-    lines = _grouped_lines(s) if grouped else [_eq_line(eq) for eq in s]
-    lines.extend(_trailer_lines(s))
+    lines = _grouped_lines(s) if grouped else _eq_lines(s)
+    lines += [str(d) for d in s.layouts]
+    lines += [f"name {rng} as {name}" for name, rng in sorted(s.names.items())]
     return "\n".join(lines)
 
 
@@ -78,10 +83,14 @@ def _here_text(f: Formula, sheet: str) -> str:
 
 
 def _grouped_lines(s: EquationSet) -> list[str]:
+    groups = formula_groups(s)
+    # the plain lines: each one-cell group's in turn, then the array elements'
+    plain = iter(_eq_lines([eqs[0] for eqs in groups.values() if len(eqs) == 1]
+                           + [eq for eq in s if not isinstance(eq.lhs, CellAddr)]))
     lines = []
-    for (sheet, rel), eqs in formula_groups(s).items():
+    for (sheet, rel), eqs in groups.items():
         if len(eqs) == 1:
-            lines.append(_eq_line(eqs[0]))
+            lines.append(next(plain))
             continue
         body = _here_text(rel, sheet)
         by_col: dict[int, list[int]] = {}
@@ -94,7 +103,7 @@ def _grouped_lines(s: EquationSet) -> list[str]:
         for rows, cols in sorted(by_rows.items(), key=lambda kv: (kv[1][0], kv[0][0])):
             lines.append(
                 f"{sheet}[ {_axis_text(sorted(cols))} >< {_axis_text(rows)} ] = {body}")
-    lines.extend(_eq_line(eq) for eq in s if not isinstance(eq.lhs, CellAddr))
+    lines.extend(plain)
     return lines
 
 

@@ -19,6 +19,7 @@ from sheetalgebra import (
     show,
     union,
 )
+from sheetalgebra.errors import DomainError, OutOfGridError
 from sheetalgebra.model import Equation, EquationSet
 
 from conftest import make_set
@@ -68,6 +69,23 @@ class TestBlocks:
                      ("B9", "SUM(B2:B8)"))
         assert discover_blocks(s) == [Rect("Sheet1", 2, 2, 2, 8),
                                       Rect("Sheet1", 2, 2, 9, 9)]
+
+    @pytest.mark.parametrize("text, block", [
+        ("B1 = x[HERE]", Rect("Sheet1", 2, 2, 1, 1)),
+        ("A1 = RC[-1]", Rect("Sheet1", 1, 1, 1, 1)),
+    ], ids=["here-marker", "off-the-grid"])
+    def test_a_formula_without_sum_is_not_resolved(self, text, block):
+        # so its fault does not raise here
+        assert discover_blocks(parse_document(text)) == [block]
+
+    @pytest.mark.parametrize("text, error", [
+        ("B1 = SUM(A1:A2)+x[HERE]", DomainError),
+        ("A1 = SUM(A2:A3)+RC[-1]", OutOfGridError),
+        ("A1 = SUM(RC[-1]:RC)", OutOfGridError),
+    ], ids=["here-marker", "off-the-grid", "range-off-the-grid"])
+    def test_a_formula_calling_sum_is_resolved(self, text, error):
+        with pytest.raises(error):
+            discover_blocks(parse_document(text))
 
     def test_block_properties_random(self):
         rng = random.Random(33)

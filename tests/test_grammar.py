@@ -33,8 +33,8 @@ from sheetalgebra import (
     print_formula,
     save,
 )
-from sheetalgebra.errors import DomainError, FormulaSyntaxError
-from sheetalgebra.grammar import tokenize
+from sheetalgebra.errors import DomainError, FormulaSyntaxError, SheetError
+from sheetalgebra.grammar import EntryReader, TokenStream, tokenize
 from sheetalgebra.model import MAX_NESTING
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sheetalgebra"
@@ -150,6 +150,102 @@ def test_sum_over_range_round_trips(rng):
         path = os.path.join(d, "r.exc")
         save(s, path)
         assert load(path) == s
+
+
+# -- a repeated formula text is read once per call ----------------------------
+
+
+class _FreshReader(EntryReader):
+    """The reference: every right-hand side read afresh, nothing kept."""
+
+    def _rhs(self, sheet):
+        self.formula.sheet = sheet
+        return self.formula.expression()
+
+
+def _read(reader, text):
+    """The equations in the order read, or the error's class, message and
+    offset."""
+    try:
+        r = reader(TokenStream(text))
+        r.document()
+    except SheetError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return r.equations
+
+
+SHARED_POOL = [  # formula texts; some run on to the next line
+    "RC[-1]+R[-1]C", "RC[-1]+1", "RC[-1]+1\n+2", "B1", "Sheet2!B1", "SUM(R[-1]C:RC)",
+    "x", "x\n[1]", "x\n=1", "Sheet2", "Sheet2\n!B1", '"a"', '"a\nb"', '"a\nc"',
+    "-2^2", "TRUE", "1 # one", "RC # left", "R[1]",
+]
+BROKEN_POOL = ["1+", "(RC", "x[", "Sheet2!", "SUM(A1:", "XFE1"]
+SEPARATORS = ["\n", "\n\n", " ", ", ", "; ", ". ", ",\n"]
+
+# (lhs sheet, or an array's name; formula text; what follows it)
+shared_entries = st.lists(st.tuples(st.sampled_from(["Sheet1", "Sheet2", "y", "C"]),
+                                    st.sampled_from(SHARED_POOL + BROKEN_POOL),
+                                    st.sampled_from(SEPARATORS)),
+                          min_size=1, max_size=12)
+
+
+def _entry_lines(entries):
+    lines = []
+    for i, (sheet, text, sep) in enumerate(entries, 1):
+        lhs = f"{sheet}[{i}]" if len(sheet) == 1 else f"{sheet}!A{i}"
+        lines.append(f"{lhs} = {text}{chr(10) if '#' in text else sep}")
+    return "".join(lines)
+
+
+@given(shared_entries)
+@example([("Sheet1", "RC[-1]+1", ", "), ("Sheet1", "RC[-1]+1", "; "),
+          ("Sheet1", "RC[-1]+1", ". "), ("Sheet1", "RC[-1]+1", "\n")] * 2)  # separators
+@example([("Sheet1", "1 # one", "\n")] * 3)  # a comment at the end of the line
+@example([("Sheet1", "RC[-1]+1", "\n"), ("Sheet1", "RC[-1]+1\n+2", "\n")])  # continued
+@example([("Sheet1", '"a\nb"', "\n"), ("Sheet1", '"a\nc"', "\n")])  # string over a newline
+@example([("Sheet1", "x", "\n"), ("Sheet1", "x\n[1]", "\n")])
+@example([("Sheet1", "Sheet2", "\n"), ("Sheet1", "Sheet2\n!B1", "\n")])
+@example([("Sheet1", "B1", "\n"), ("Sheet2", "B1", "\n"), ("y", "B1", "\n")])  # two sheets
+@example([("Sheet1", "R[1]", "\n"), ("Sheet1", "R[1]", "\n"), ("C", "1", "\n")])  # R[1]C
+@example([("Sheet1", "RC[-1]+1", "\n"), ("Sheet1", "1+", "\n"), ("Sheet1", "1+", "\n")])
+def test_repeated_formula_texts_read_as_fresh(entries):
+    text = _entry_lines(entries)
+    got = _read(EntryReader, text)
+    assert got == _read(_FreshReader, text)
+    # each entry is one equation unless a text is broken or R[1] runs into C[i]
+    if isinstance(got, list) and len(got) == len(entries) and not any(
+            t in BROKEN_POOL for _, t, _ in entries):
+        assert [eq.rhs for eq in got] == [
+            parse_formula(t, CANONICAL, "Sheet1" if len(sheet) == 1 else sheet)
+            for sheet, t, _ in entries]
+
+
+def test_repeated_texts_share_one_tree():
+    eqs = _read(EntryReader, "A1 = RC[-1]+1\nA2 = RC[-1]+1 # two\nA3 = RC[-1]+1\n"
+                             "A4 = RC[-1]+1\n+2\nSheet2!A5 = RC[-1]+1")
+    a1, a2, a3, a4, a5 = [eq.rhs for eq in eqs]
+    assert a1 is a3 and a2 is not a1 and a4 is not a1 and a5 is not a1
+
+
+def _perfbench_grid(rows=100, cols=50):
+    """Constants in the first row and column, `RC[-1]+R[-1]C` elsewhere."""
+    return "\n".join(f"{CellAddr('Sheet1', c, r).a1()} = "
+                     + (str((7 * r + c) % 97) if r == 1 or c == 1 else "RC[-1]+R[-1]C")
+                     for r in range(1, rows + 1) for c in range(1, cols + 1))
+
+
+@pytest.mark.parametrize("read", [parse_document, parse_listing])
+def test_a_copy_filled_grid_shares_its_trees(read):
+    s = read(_perfbench_grid())
+    assert len(s) == 5000
+    assert len({id(eq.rhs) for eq in s}) <= 100
+
+
+def test_no_tree_is_kept_between_reads():
+    text = _perfbench_grid(rows=5, cols=5)
+    a, b = parse_document(text), parse_document(text)
+    assert a == b
+    assert not {id(eq.rhs) for eq in a} & {id(eq.rhs) for eq in b}
 
 
 # -- module boundaries ------------------------------------------------------

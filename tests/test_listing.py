@@ -1,6 +1,8 @@
 import random
+from unittest import mock
 
 from sheetalgebra import (
+    CANONICAL,
     Binary,
     CellAddr,
     Equation,
@@ -11,10 +13,13 @@ from sheetalgebra import (
     diff,
     evaluate,
     parse_document,
+    parse_formula,
     parse_listing,
     show,
     to_absolute,
 )
+from sheetalgebra import listing
+from sheetalgebra.formula import formula_groups
 
 from conftest import ACCOUNTS_S_TEXT, make_set, rand_cell_set
 
@@ -51,6 +56,30 @@ class TestShow:
 
     def test_round_trip_through_parse_document(self, accounts_s):
         assert parse_document(show(accounts_s)) == accounts_s
+
+    def test_a_tree_shared_across_sheets_reads_as_copies(self):
+        # one tree object on two sheets: on Other its reference carries a
+        # prefix and is its own relative form, on Sheet1 it is neither
+        cells = [addr("Other!C1"), addr("C1"), addr("C2"), addr("Other!C2")]
+        tree = parse_formula("B1+RC[-1]", CANONICAL)
+        shared = EquationSet([Equation(a, tree) for a in cells])
+        copies = EquationSet([Equation(a, parse_formula("B1+RC[-1]", CANONICAL))
+                              for a in cells])
+        assert show(shared) == show(copies) == (
+            "Other!C1 = Sheet1!B1+RC[-1]\nOther!C2 = Sheet1!B1+RC[-1]\n"
+            "C1 = B1+RC[-1]\nC2 = B1+RC[-1]")
+        assert show(shared, grouped=True) == show(copies, grouped=True)
+        assert dict(formula_groups(shared)) == dict(formula_groups(copies))
+        assert len(formula_groups(shared)) == 3
+
+    def test_a_tree_along_a_row_is_printed_once(self):
+        text = "\n".join(f"{c}{r} = {r}" if c == "A" else f"{c}{r} = RC[-1]+1"
+                         for r in (1, 2, 3) for c in "ABCD")
+        s = parse_document(text)
+        with mock.patch("sheetalgebra.listing.print_formula",
+                        side_effect=listing.print_formula) as printed:
+            assert show(s) == text
+        assert printed.call_count == 6  # per row: the constant, then the shared tree
 
 
 class TestGrouped:
