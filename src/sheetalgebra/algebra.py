@@ -210,19 +210,14 @@ def quotient(s: EquationSet, lo: int, hi: int) -> EquationSet:
             raise DomainError(f"{eq.lhs} has only one dimension; nothing to project")
         base = ArrayElem._make((eq.lhs.name, eq.lhs.subs[:-1]))
         stripped = map_leaves(eq.rhs, strip)
-        if base in projected:
-            if projected[base] != stripped:
-                raise EquivalenceError(
-                    f"equations projecting onto {base} are not equivalent")
-        else:
-            projected[base] = stripped
+        if projected.setdefault(base, stripped) != stripped:
+            raise EquivalenceError(f"equations projecting onto {base} are not equivalent")
         fibers.setdefault(base, set()).add(last)
 
     want = set(range(lo, hi + 1))
     for base, got in fibers.items():
         if got != want:
-            missing = sorted(want - got)
-            raise DomainError(f"fiber of {base} is missing indices {missing}")
+            raise DomainError(f"fiber of {base} is missing indices {sorted(want - got)}")
     return EquationSet(
         [Equation(lhs, rhs) for lhs, rhs in projected.items()], s.names, s.layouts)
 

@@ -105,10 +105,8 @@ def discover_blocks(s: EquationSet) -> list[Rect]:
             for box in boxes:
                 if rect.col_lo <= box[1] and box[0] <= rect.col_hi \
                         and rect.row_lo <= box[3] and box[2] <= rect.row_hi:
-                    box[0] = min(box[0], rect.col_lo)
-                    box[1] = max(box[1], rect.col_hi)
-                    box[2] = min(box[2], rect.row_lo)
-                    box[3] = max(box[3], rect.row_hi)
+                    box[:] = [min(box[0], rect.col_lo), max(box[1], rect.col_hi),
+                              min(box[2], rect.row_lo), max(box[3], rect.row_hi)]
 
         # merge overlapping boxes to a fixpoint so blocks never overlap
         changed = True
@@ -267,10 +265,7 @@ class LayoutProposal:
 def propose_layout(s: EquationSet) -> LayoutProposal:
     """Blocks -> one 1-D directive per column (or row), named from nearby
     labels and indexed by a detected subscript sequence (fallback 1..n)."""
-    directives = []
-    name_evidence = {}
-    subscript_evidence = {}
-    used_names = set()
+    directives, name_evidence, subscript_evidence, used_names = [], {}, {}, set()
 
     def unique(name):
         new, k = name, 2

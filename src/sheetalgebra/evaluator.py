@@ -271,15 +271,11 @@ class _Graph:
             return _apply(fn, *values) if len(values) == count else CellError(VALUE)
         # a value other than an error is false when it is FALSE, 0, empty or
         # empty text, as Python's truth of it
-        if func == "IF":
-            if len(values) not in (2, 3):
-                return CellError(VALUE)
+        if func == "IF" and len(values) in (2, 3):
             cond = values[0]
             if isinstance(cond, CellError):
                 return cond
-            if cond:
-                return values[1]
-            return values[2] if len(values) == 3 else False
+            return values[1] if cond else values[2] if len(values) == 3 else False
         if func in ("AND", "OR"):
             for v in values:
                 if isinstance(v, CellError):
@@ -310,15 +306,9 @@ def build_deps(s: EquationSet) -> dict:
 
 
 def _to_number(v):
-    if isinstance(v, CellError):
-        return v
-    if v is None:
-        return 0.0
-    if isinstance(v, bool):
+    if v is None or isinstance(v, bool):
         return 1.0 if v else 0.0
-    if isinstance(v, float):
-        return v
-    return CellError(VALUE)
+    return v if isinstance(v, (float, CellError)) else CellError(VALUE)
 
 
 # The numeric operators and functions: each a function of floats, which

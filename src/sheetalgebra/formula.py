@@ -139,6 +139,11 @@ class FormulaParser:
 
     def _identifier_primary(self) -> Formula:
         _, text, pos = self.s.next()
+        if text[0] not in "RrTtFf" and self.dialect != R1C1:
+            kind, after, _ = self.s.peek()
+            if kind != OP or after not in ("!", "(", "["):  # a cell label or a name
+                cell = cell_label(text, self.sheet, pos=pos)
+                return NameRef(text) if cell is None else AbsRef(cell)
         upper = text.upper()
         if upper in ("TRUE", "FALSE") and not self.s.at_op("("):
             return Bool(upper == "TRUE")
@@ -445,19 +450,18 @@ def formula_groups(s) -> MappingProxyType:
     copy-filled formulas share one group: (sheet, relative form) -> tuple of
     equations, the groups and the equations of each in canonical order.
     They are built on the first call and kept on the set, which is immutable.
-    Whether a tree is its own relative form depends only on the tree and the
-    sheet, so a tree that the equation before held as its own is not walked."""
+    A tree the equation before held on the sheet as its own relative form
+    is not walked again."""
     if s._groups is None:
         groups: dict[tuple[str, Formula], list] = {}
-        own = own_sheet = None  # the last tree that was its own relative form
+        own = own_sheet = None
         for eq in s:
-            if isinstance(eq.lhs, CellAddr):
-                sheet = eq.lhs.sheet
-                rel = (eq.rhs if eq.rhs is own and sheet == own_sheet
-                       else relative_form(eq.rhs, eq.lhs))
-                if rel is eq.rhs:
-                    own, own_sheet = rel, sheet
-                groups.setdefault((sheet, rel), []).append(eq)
+            cell, f = eq
+            if isinstance(cell, CellAddr):
+                rel = f if f is own and cell.sheet == own_sheet else relative_form(f, cell)
+                if rel is f:
+                    own, own_sheet = f, cell.sheet
+                groups.setdefault((cell.sheet, rel), []).append(eq)
         s._groups = {key: tuple(eqs) for key, eqs in groups.items()}
     return MappingProxyType(s._groups)
 

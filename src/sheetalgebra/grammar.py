@@ -29,7 +29,7 @@ from .model import (
     Equation,
     EquationSet,
     Rect,
-    label_coord,
+    label_coords,
     on_grid,
 )
 
@@ -170,14 +170,13 @@ def read_number(stream: TokenStream) -> float:
 
 
 def _column(letters: str, pos) -> int:
-    col = label_coord(letters, MAX_COL)
+    col = label_coords(letters, "1")[0]  # the column of its cell in row 1
     if col > MAX_COL:
         raise FormulaSyntaxError(f"column {letters} lies beyond XFD", pos)
     return col
 
 
 _R1C1_RE = re.compile(r"[Rr](\d+)[Cc](\d+)\Z")
-_COL_DIGITS, _ROW_DIGITS = len(str(MAX_COL)), len(str(MAX_ROW))
 
 
 def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
@@ -187,17 +186,7 @@ def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
     m = (_R1C1_RE if r1c1 else A1_LABEL).match(text)
     if m is None:
         return None
-    # converted as label_coord converts them: past the cap when longer than its digits
-    row, col = m.groups() if r1c1 else m.groups()[::-1]
-    row = int(row) if len(row) <= _ROW_DIGITS else MAX_ROW + 1
-    if len(col) > _COL_DIGITS:
-        col = MAX_COL + 1
-    elif r1c1:
-        col = int(col)
-    else:
-        letters, col = col, 0
-        for ch in letters:
-            col = col * 26 + (ord(ch) & 31)  # A and a are 1, Z and z 26
+    col, row = label_coords(*(m.groups()[::-1] if r1c1 else m.groups()))
     if not on_grid(col, row):
         raise FormulaSyntaxError(f"cell {text} lies outside columns A..XFD, rows 1..{MAX_ROW}",
                                  pos)
@@ -355,12 +344,10 @@ class EntryReader:
 
         self.s = stream
         self.formula = FormulaParser(stream, CANONICAL)
-        self.equations = []
-        self.names = {}
-        self.layouts = []
-        # "sheet!text to the end of the line" -> the equation first read from it and
-        # its formula's token count; ints, so that the collector never walks them
-        self._first, self._sizes = {}, {}
+        self.equations, self.names, self.layouts = [], {}, []
+        # hash of a kept formula's text -> its equation index, first token and token
+        # count, as the digits of one number in base len(tokens)
+        self._kept, self._nl = {}, -1
 
     def equation_set(self) -> EquationSet:
         return EquationSet(self.equations, self.names, self.layouts)
@@ -391,29 +378,34 @@ class EntryReader:
         self.equations.append(Equation(lhs, self._rhs(sheet)))
 
     def _rhs(self, sheet: str):
-        """The formula that starts here, read on `sheet`, of the equation
-        appended next.  A repeat of an earlier formula's sheet and text to the
-        end of its line, all of whose tokens lay on that line, gets the same
-        tree where the next token is one at which the reader stops anyway:
-        the end, a separator, or an identifier other than C, which would
-        continue R[k] into R[k]C."""
-        s, start = self.s, self.s.i
-        first = s.tokens[start][2]
-        end = s.src.find("\n", first) + 1 or len(s.src) + 1  # just past the line
-        key = f"{sheet}!{s.src[first:end - 1]}"  # the last line ends without a newline
-        at = self._first.get(key)
-        if at is not None:
-            n = self._sizes[key]
-            kind, text, _ = s.tokens[start + n]
-            if (kind == ID and text not in ("C", "c") or kind == EOF
-                    or kind == OP and text in (",", ";", ".")):
-                s.i += n
-                return self.equations[at].rhs
+        """The formula that starts here, read on `sheet`.  One that ends its
+        line, with all its tokens, is kept by the hash of its text.  The
+        first formula of a later line, with the same text to the end of the
+        line on the same sheet, gets its tree where the next token stops the
+        reader anyway: the end, a separator, or an identifier other than C,
+        which would continue R[k] into R[k]C."""
+        s, start, tokens, src = self.s, self.s.i, self.s.tokens, self.s.src
+        first, line = tokens[start][2], ""
+        if first > self._nl:  # a new line, which without a newline ends at len(src)
+            self._nl = src.find("\n", first) % (len(src) + 1)
+            line = src[first:self._nl]
+            kept = self._kept.get(hash(line))
+            if kept is not None:
+                kept, n = divmod(kept, len(tokens))
+                at, i = divmod(kept, len(tokens))
+                lhs, seen, (kind, text, _) = self.equations[at].lhs, tokens[i][2], tokens[start + n]
+                if (src.startswith(line, seen) and src.startswith("\n", seen + len(line))
+                        and (lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET) == sheet
+                        and (kind == ID and text not in ("C", "c") or kind == EOF
+                             or kind == OP and text in (",", ";", "."))):
+                    s.i = start + n
+                    return self.equations[at].rhs
         self.formula.sheet = sheet
         f = self.formula.expression()
-        _, text, pos = s.tokens[s.i - 1]
-        if pos + len(text) < end:
-            self._first[key], self._sizes[key] = len(self.equations), s.i - start
+        _, text, pos = tokens[s.i - 1]
+        if pos + len(text) <= self._nl < tokens[s.i][2]:  # f ends its line
+            self._kept[hash(line or src[first:self._nl])] = (
+                (len(self.equations) * len(tokens) + start) * len(tokens) + s.i - start)
         return f
 
     def _layout(self):

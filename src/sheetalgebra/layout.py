@@ -149,15 +149,10 @@ def cell_to_elem(d: LayoutDirective, a: CellAddr) -> ArrayElem | None:
 def resolve_here(subs: tuple, at: tuple) -> tuple:
     """Resolve HERE markers in one subscript list against the subscripts of
     the containing element."""
-    out = []
-    for i, sub in enumerate(subs):
-        if isinstance(sub, Here):
-            if i >= len(at):
-                raise LayoutError("HERE marker has no matching subscript position")
-            out.append(at[i] + sub.offset)
-        else:
-            out.append(sub)
-    return tuple(out)
+    if any(isinstance(sub, Here) for sub in subs[len(at):]):
+        raise LayoutError("HERE marker has no matching subscript position")
+    return tuple(at[i] + sub.offset if isinstance(sub, Here) else sub
+                 for i, sub in enumerate(subs))
 
 
 def compile_set(spec: EquationSet, layouts: LayoutSet | None = None) -> EquationSet:

@@ -83,14 +83,10 @@ def _here_text(f: Formula, sheet: str) -> str:
 
 
 def _grouped_lines(s: EquationSet) -> list[str]:
-    groups = formula_groups(s)
-    # the plain lines: each one-cell group's in turn, then the array elements'
-    plain = iter(_eq_lines([eqs[0] for eqs in groups.values() if len(eqs) == 1]
-                           + [eq for eq in s if not isinstance(eq.lhs, CellAddr)]))
     lines = []
-    for (sheet, rel), eqs in groups.items():
+    for (sheet, rel), eqs in formula_groups(s).items():
         if len(eqs) == 1:
-            lines.append(next(plain))
+            lines += _eq_lines(eqs)
             continue
         body = _here_text(rel, sheet)
         by_col: dict[int, list[int]] = {}
@@ -98,12 +94,11 @@ def _grouped_lines(s: EquationSet) -> list[str]:
             by_col.setdefault(eq.lhs.col, []).append(eq.lhs.row)
         by_rows: dict[tuple, list[int]] = {}
         for col in sorted(by_col):
-            rows = tuple(sorted(by_col[col]))
-            by_rows.setdefault(rows, []).append(col)
+            by_rows.setdefault(tuple(sorted(by_col[col])), []).append(col)
         for rows, cols in sorted(by_rows.items(), key=lambda kv: (kv[1][0], kv[0][0])):
             lines.append(
                 f"{sheet}[ {_axis_text(sorted(cols))} >< {_axis_text(rows)} ] = {body}")
-    lines.extend(plain)
+    lines += _eq_lines(eq for eq in s if not isinstance(eq.lhs, CellAddr))
     return lines
 
 

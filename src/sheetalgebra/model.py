@@ -22,6 +22,7 @@ DEFAULT_SHEET = "Sheet1"
 
 MAX_COL = 16384      # XFD
 MAX_ROW = 1048576
+_COL_DIGITS, _ROW_DIGITS = len(str(MAX_COL)), len(str(MAX_ROW))
 MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
 MAX_NESTING = 64     # levels a formula or script nests, Excel's own limit
 SUBSCRIPT_LIMIT = 10 ** MAX_INT_DIGITS  # the least integer past MAX_INT_DIGITS digits
@@ -44,11 +45,11 @@ def col_to_letters(n: int) -> str:
 
 
 def letters_to_col(s: str) -> int:
-    if not s or not s.isalpha():
+    if not (s.isascii() and s.isalpha()):
         raise DomainError(f"not a column label: {s!r}")
     n = 0
-    for ch in s.upper():
-        n = n * 26 + (ord(ch) - ord("A") + 1)
+    for ch in s:
+        n = n * 26 + (ord(ch) & 31)  # A and a are 1, Z and z 26
     return n
 
 
@@ -84,12 +85,13 @@ def on_grid(col: int, row: int) -> bool:
     return 0 < col <= MAX_COL and 0 < row <= MAX_ROW
 
 
-def label_coord(text: str, cap: int) -> int:
-    """A column's letters or a row's or column's digits as a number.  A label
-    longer than the cap's digits is past the cap and is never converted."""
-    if len(text) > len(str(cap)):
-        return cap + 1
-    return int(text) if text.isdigit() else letters_to_col(text)
+def label_coords(col: str, row: str) -> tuple[int, int]:
+    """A label's column (letters or digits) and row (digits) as numbers.  A
+    part longer than its cap's digits is past the cap and is not converted."""
+    row = int(row) if len(row) <= _ROW_DIGITS else MAX_ROW + 1
+    if len(col) > _COL_DIGITS:
+        return MAX_COL + 1, row
+    return (int(col) if col.isdigit() else letters_to_col(col)), row
 
 
 def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
@@ -99,7 +101,7 @@ def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
     m = A1_LABEL.match(text)
     if m is None:
         raise DomainError(f"not a cell address: {text!r}")
-    return CellAddr(sheet, label_coord(m[1], MAX_COL), label_coord(m[2], MAX_ROW))
+    return CellAddr(sheet, *label_coords(m[1], m[2]))
 
 
 class Rect(namedtuple("Rect", "sheet col_lo col_hi row_lo row_hi")):

@@ -415,8 +415,7 @@ class Interpreter:
 
 def eval_script(statements, env=None, base_dir=".", out=None):
     interp = Interpreter(base_dir, out)
-    if env:
-        interp.env.update(env)
+    interp.env.update(env or {})
     value = None
     for st in statements:
         value = interp.exec_statement(st)

@@ -227,6 +227,28 @@ def test_repeated_texts_share_one_tree():
     assert a1 is a3 and a2 is not a1 and a4 is not a1 and a5 is not a1
 
 
+def test_a_line_of_many_entries_keeps_only_its_last_formula():
+    # were each entry kept with the rest of its line, the kept text would grow
+    # with the square of the line's length
+    text = ", ".join(f"A{i} = {i}" for i in range(1, 2001)) + "\nB1 = 7\n"
+    reader = EntryReader(TokenStream(text))
+    assert len(reader.document()) == 2001
+    assert len(reader._kept) == 2  # "2000" and "7"
+
+
+def test_texts_of_equal_hash_are_told_apart_by_their_text(monkeypatch):
+    # the reader keeps a text's hash only, so a hit is checked against the
+    # source: the same text, ending its line there, on the same sheet
+    import sheetalgebra.grammar as grammar
+
+    monkeypatch.setattr(grammar, "hash", lambda text: 0, raising=False)
+    text = ("A1 = B1+22\nA2 = C1+3\nA3 = B1+2\nA4 = B1+22\nA5 = B1+2\n"
+            "Sheet2!A6 = B1+2\nA7 = B1+2\nA8 = B1+2\n")
+    eqs = _read(EntryReader, text)
+    assert eqs == _read(_FreshReader, text)
+    assert eqs[7].rhs is eqs[6].rhs and eqs[3].rhs is not eqs[0].rhs
+
+
 def _perfbench_grid(rows=100, cols=50):
     """Constants in the first row and column, `RC[-1]+R[-1]C` elsewhere."""
     return "\n".join(f"{CellAddr('Sheet1', c, r).a1()} = "

@@ -78,6 +78,12 @@ class TestColumnLetters:
             n = rng.randint(1, 10_000_000)
             assert letters_to_col(col_to_letters(n)) == n
 
+    def test_letters_either_case_and_only_ascii(self):
+        assert letters_to_col("xfd") == letters_to_col("XFD") == 16384
+        for text in ("", "A1", "é", "Aé"):
+            with pytest.raises(DomainError):
+                letters_to_col(text)
+
 
 class TestCellAddr:
     def test_no_zero_coordinates(self):
