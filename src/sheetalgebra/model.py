@@ -59,6 +59,7 @@ class CellAddr(namedtuple("CellAddr", "sheet col row")):
     and is only for a cell whose coordinates were just checked."""
 
     __slots__ = ()
+    _make = classmethod(_new)  # a tuple of the fields as given, not counted as namedtuple does
 
     def __new__(cls, sheet: str, col: int, row: int):
         if not on_grid(col, row):
@@ -216,7 +217,7 @@ class Formula(tuple):
     just checked or come from a node that was."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
+    __hash__, _make = tuple.__hash__, classmethod(_new)
 
     def __eq__(self, other):
         return type(other) is type(self) and _tuple_eq(self, other)
@@ -511,6 +512,7 @@ class ArrayElem(namedtuple("ArrayElem", "name subs")):
     checked, and its `_make` is only for subscripts already checked."""
 
     __slots__ = ()
+    _make = classmethod(_new)
     __eq__, __ne__, __hash__ = Formula.__eq__, Formula.__ne__, tuple.__hash__
 
     def __new__(cls, name: str, subs: tuple):
