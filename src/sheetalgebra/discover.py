@@ -108,21 +108,25 @@ def discover_blocks(s: EquationSet) -> list[Rect]:
                     box[:] = [min(box[0], rect.col_lo), max(box[1], rect.col_hi),
                               min(box[2], rect.row_lo), max(box[3], rect.row_hi)]
 
-        # merge overlapping boxes to a fixpoint so blocks never overlap
+        # merge overlapping boxes to a fixpoint so blocks never overlap: in
+        # first-column order a box meets only later boxes starting within its
+        # columns; a grown box may meet an earlier one, so passes repeat
+        boxes.sort()
         changed = True
         while changed:
             changed = False
-            for i in range(len(boxes)):
-                for j in range(i + 1, len(boxes)):
-                    a, b = boxes[i], boxes[j]
-                    if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                        boxes[i] = [min(a[0], b[0]), max(a[1], b[1]),
-                                    min(a[2], b[2]), max(a[3], b[3])]
+            i = 0
+            while i < len(boxes):
+                a, j = boxes[i], i + 1
+                i += 1
+                while j < len(boxes) and boxes[j][0] <= a[1]:
+                    b = boxes[j]
+                    if a[2] <= b[3] and b[2] <= a[3]:
+                        a[1:] = [max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])]
                         del boxes[j]
                         changed = True
-                        break
-                if changed:
-                    break
+                    else:
+                        j += 1
         boxes.sort(key=lambda b: (b[2], b[0]))
         blocks.extend(Rect(sheet, b[0], b[1], b[2], b[3]) for b in boxes)
     return blocks

@@ -69,9 +69,6 @@ class CellAddr(namedtuple("CellAddr", "sheet col row")):
             raise DomainError("sheet name must be nonempty")
         return tuple.__new__(cls, (sheet, col, row))
 
-    def offset(self, d_col: int, d_row: int) -> "CellAddr":
-        return CellAddr(self.sheet, self.col + d_col, self.row + d_row)
-
     def a1(self, with_sheet: bool = False) -> str:
         text = f"{col_to_letters(self.col)}{self.row}"
         if with_sheet or self.sheet != DEFAULT_SHEET:

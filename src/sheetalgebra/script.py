@@ -39,7 +39,7 @@ from .grammar import (
 )
 from .layout import LayoutSet, compile_set, decompile_set
 from .listing import show
-from .model import CellRange, EquationSet
+from .model import EquationSet
 
 
 # ---------------------------------------------------------------------------
@@ -57,43 +57,12 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Shift:
-    operand: object
-    dx: int
-    dy: int
-
-
-@dataclass(frozen=True)
-class At:
-    operand: object
-    range: CellRange
-
-
-@dataclass(frozen=True)
-class Mapping:
-    operand: object
-    src: CellRange
-    dst: CellRange
-
-
-@dataclass(frozen=True)
-class Times:
-    operand: object
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
-class Quot:
-    operand: object
-    lo: int
-    hi: int
+class Op:
+    """A set operator: its name as written, its set operands, then the
+    integers or ranges written after it."""
+    name: str
+    operands: tuple
+    params: tuple
 
 
 @dataclass(frozen=True)
@@ -108,6 +77,13 @@ class Statement:
     name: str | None
     expr: object
     index: int
+
+
+# Each set operator to its algebra function, which takes the operator's set
+# operands and then its params.
+_OPS = {"\\/": algebra.union, "@": algebra.extract, "shift": algebra.shift,
+        "mapping": algebra.map_range, "times": algebra.replicate,
+        "quotient": algebra.quotient}
 
 
 class ScriptParser:
@@ -139,37 +115,33 @@ class ScriptParser:
     def expression(self):
         left = self.postfix()
         while self.s.accept_op("\\/"):
-            left = Union(left, self.postfix())
+            left = Op("\\/", (left, self.postfix()), ())
         return left
 
     def postfix(self):
         node = self.primary()
         while True:
-            kind, text, _ = self.s.peek()
-            if kind == OP and text == "@":
-                self.s.next()
-                node = At(node, read_range(self.s))
-            elif kind == ID and text == "shift":
-                self.s.next()
+            text = self.s.peek()[1]
+            if text not in _OPS or text == "\\/":
+                return node
+            self.s.next()
+            if text == "@":
+                params = (read_range(self.s),)
+            elif text == "shift":
                 self.s.expect_op("(")
                 dx = read_int(self.s)
                 self.s.expect_op(",")
-                dy = read_int(self.s)
+                params = (dx, read_int(self.s))
                 self.s.expect_op(")")
-                node = Shift(node, dx, dy)
-            elif kind == ID and text == "mapping":
-                self.s.next()
+            elif text == "mapping":
                 src = read_range(self.s)
                 self.s.expect_word("to")
-                node = Mapping(node, src, read_range(self.s))
-            elif kind == ID and text in ("times", "quotient"):
-                self.s.next()
+                params = (src, read_range(self.s))
+            else:  # times, quotient
                 lo = read_int(self.s)
                 self.s.expect_op(":")
-                hi = read_int(self.s)
-                node = (Times if text == "times" else Quot)(node, lo, hi)
-            else:
-                return node
+                params = (lo, read_int(self.s))
+            node = Op(text, (node,), params)
 
     def primary(self):
         kind, text, pos = self.s.peek()
@@ -371,25 +343,9 @@ class Interpreter:
             if expr.name not in self.env:
                 raise ScriptError(f"unbound name {expr.name!r}")
             return self.env[expr.name]
-        if isinstance(expr, Union):
-            a = self._want_set(self.eval(expr.left), "\\/")
-            b = self._want_set(self.eval(expr.right), "\\/")
-            return algebra.union(a, b)
-        if isinstance(expr, Shift):
-            return algebra.shift(self._want_set(self.eval(expr.operand), "shift"),
-                                 expr.dx, expr.dy)
-        if isinstance(expr, At):
-            return algebra.extract(self._want_set(self.eval(expr.operand), "@"),
-                                   expr.range)
-        if isinstance(expr, Mapping):
-            return algebra.map_range(self._want_set(self.eval(expr.operand), "mapping"),
-                                     expr.src, expr.dst)
-        if isinstance(expr, Times):
-            return algebra.replicate(self._want_set(self.eval(expr.operand), "times"),
-                                     expr.lo, expr.hi)
-        if isinstance(expr, Quot):
-            return algebra.quotient(self._want_set(self.eval(expr.operand), "quotient"),
-                                    expr.lo, expr.hi)
+        if isinstance(expr, Op):
+            return _OPS[expr.name](*[self._want_set(self.eval(x), expr.name)
+                                     for x in expr.operands], *expr.params)
         if isinstance(expr, FnCall):
             args = [self.eval(a) for a in expr.args]
             return self.call(expr.name, args)
@@ -398,8 +354,6 @@ class Interpreter:
     def exec_statement(self, st: Statement):
         try:
             value = self.eval(st.expr)
-        except ScriptError:
-            raise
         except SheetError as exc:
             raise ScriptError(str(exc), st.index) from exc
         if st.kind == "let":

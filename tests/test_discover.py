@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,22 @@ class TestBlocks:
     def test_a_formula_calling_sum_is_resolved(self, text, error):
         with pytest.raises(error):
             discover_blocks(parse_document(text))
+
+    def test_a_grown_box_is_merged_with_an_earlier_one(self):
+        # the two SUM ranges make boxes that overlap only after a later
+        # merge, so one sweep over the boxes is not enough
+        s = parse_document("E6 = SUM(D2:F6)\nA5 = 45\nD1 = 95\n"
+                           "F6 = SUM(A1:E3)\nE1 = 19")
+        assert discover_blocks(s) == [Rect("Sheet1", 1, 6, 1, 6)]
+
+    def test_checkerboard_of_isolated_cells(self):
+        s = make_set(*[(CellAddr("Sheet1", c, r).a1(), "1")
+                       for r in range(1, 121) for c in range(1, 121) if (c + r) % 2 == 0])
+        start = time.process_time()
+        blocks = discover_blocks(s)
+        assert time.process_time() - start < 0.5
+        assert len(blocks) == 7200
+        assert all(b.col_lo == b.col_hi and b.row_lo == b.row_hi for b in blocks)
 
     def test_block_properties_random(self):
         rng = random.Random(33)

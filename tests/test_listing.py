@@ -142,6 +142,18 @@ class TestParseListing:
         assert len(s) == 8
         assert len(s.layouts) == 4
 
+    def test_a1_copies_come_back_relative(self):
+        # what the round trip keeps: each formula resolved at its cell, so
+        # diff finds nothing; the copies' trees come back relative, so the
+        # sets are not equal as written
+        s = parse_document("C3 = 1\nC4 = 2\nC5 = 3\nE2 = 0\n"
+                           "E3 = E2+C3\nE4 = E3+C4\nE5 = E4+C5")
+        back = parse_listing(show(s, grouped=True))
+        assert back.get(addr("E3")).rhs == Binary("+", RelRef(0, -1), RelRef(-2, 0))
+        assert back != s
+        assert diff(back, s).empty
+        assert absolute_view(back) == absolute_view(s)
+
     def test_random_round_trip_absolute_view(self):
         # grouped listings re-expand to relative formulas; the sets must
         # agree cell by cell once offsets are resolved

@@ -382,7 +382,7 @@ class TestRangeLaws:
         def partition(groups):
             return {frozenset(eq.lhs for eq in eqs) for eqs in groups.values()}
 
-        moved = {frozenset(a.offset(dx, dy) for a in cells)
+        moved = {frozenset(CellAddr(a.sheet, a.col + dx, a.row + dy) for a in cells)
                  for cells in partition(formula_groups(s))}
         assert partition(formula_groups(shift(s, dx, dy))) == moved
 

@@ -42,16 +42,24 @@ class TestParser:
 
     def test_postfix_binds_tighter_than_union(self):
         # a \/ b shift (1,0) parses as a \/ (b shift (1,0))
-        from sheetalgebra.script import Shift, Union, Var
+        from sheetalgebra.script import Op, Var
 
         (st,) = parse_script("a \\/ b shift (1,0).")
-        assert st.expr == Union(Var("a"), Shift(Var("b"), 1, 0))
+        assert st.expr == Op("\\/", (Var("a"), Op("shift", (Var("b"),), (1, 0))), ())
 
     def test_postfix_chain(self):
-        (st,) = parse_script("a @ A1:B2 shift (1,2) times 1:3 quotient 1:3.")
-        from sheetalgebra.script import Quot
+        from sheetalgebra.script import Var
 
-        assert isinstance(st.expr, Quot)
+        (st,) = parse_script("a @ A1:B2 shift (1,2) times 1:3 quotient 1:3.")
+        chain = []
+        node = st.expr
+        while not isinstance(node, Var):
+            chain.append((node.name, node.params))
+            (node,) = node.operands
+        assert node == Var("a")
+        assert [name for name, _ in chain] == ["quotient", "times", "shift", "@"]
+        assert [params for _, params in chain[:3]] == [(1, 3), (1, 3), (1, 2)]
+        assert str(chain[3][1][0]) == "A1:B2"
 
 
 class TestInterpreter:
@@ -73,6 +81,22 @@ class TestInterpreter:
         with pytest.raises(ScriptError) as exc:
             run("let x = { A1 = 1 }. x quotient 1:2.")
         assert exc.value.statement == 2
+
+    @pytest.mark.parametrize("statement, message", [
+        ("1 shift (1,0).", "shift expects an equation set, got int"),
+        ("{ A1 = 1 } \\/ 2.", "\\/ expects an equation set, got int"),
+        ("x \\/ s.", "\\/ expects an equation set, got float"),
+        ('"s" @ A1:B2.', "@ expects an equation set, got str"),
+        ("1 mapping A1 to B1.", "mapping expects an equation set, got int"),
+        ("s @ A1 shift (0,1) \\/ x.", "\\/ expects an equation set, got float"),
+        ("x times 1:2.", "times expects an equation set, got float"),
+        ("(1) quotient 1:2.", "quotient expects an equation set, got int"),
+    ])
+    def test_set_operator_refuses_a_non_set_operand(self, statement, message):
+        with pytest.raises(ScriptError) as exc:
+            run(f"let s = {{ A1 = 1 }}. let x = 2.5. {statement} s.")
+        assert exc.value.statement == 3
+        assert str(exc.value) == f"statement 3: {message}"
 
     def test_unbound_name(self):
         with pytest.raises(ScriptError):
