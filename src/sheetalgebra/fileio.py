@@ -23,7 +23,8 @@ from .model import CellAddr, EquationSet
 
 
 def parse_document(text: str) -> EquationSet:
-    return EntryReader(TokenStream(text)).document()
+    with TokenStream(text) as stream:
+        return EntryReader(stream).document()
 
 
 def load(path: str) -> EquationSet:

@@ -63,11 +63,11 @@ from .model import (
     enumerate_range,
     fold,
     has_here,
+    map_leaves,
     map_refs,
     move_node,
     on_grid,
     rebuild,
-    walk,
 )
 
 
@@ -114,10 +114,12 @@ class FormulaParser:
             if p is None or p < min_prec:
                 return left
             s.i += 1
-            if op == "^":
-                left = Binary(op, left, s.nested(self._climb, p))
+            if op == "^":  # op is in _PREC, so Binary need not check it
+                left = Binary._make((op, left, s.nested(self._climb, p)))
             else:
-                left = Binary(op, left, self._climb(p + 1))
+                if op == "=":
+                    s.more()
+                left = Binary._make((op, left, self._climb(p + 1)))
 
     # -- primaries ----------------------------------------------------------
 
@@ -143,7 +145,7 @@ class FormulaParser:
             kind, after, _ = self.s.peek()
             if kind != OP or after not in ("!", "(", "["):  # a cell label or a name
                 cell = cell_label(text, self.sheet, pos=pos)
-                return NameRef(text) if cell is None else AbsRef(cell)
+                return NameRef(text) if cell is None else AbsRef._make((cell,))
         upper = text.upper()
         if upper in ("TRUE", "FALSE") and not self.s.at_op("("):
             return Bool(upper == "TRUE")
@@ -223,11 +225,11 @@ class FormulaParser:
 
 
 def parse_formula(src: str, dialect: str = A1, sheet: str = DEFAULT_SHEET) -> Formula:
-    stream = TokenStream(src)
-    f = FormulaParser(stream, dialect, sheet).expression()
-    if not stream.at_eof:
-        kind, text, pos = stream.peek()
-        raise FormulaSyntaxError(f"unexpected trailing {text!r}", pos)
+    with TokenStream(src) as stream:
+        f = FormulaParser(stream, dialect, sheet).expression()
+        if not stream.at_eof:
+            kind, text, pos = stream.peek()
+            raise FormulaSyntaxError(f"unexpected trailing {text!r}", pos)
     return f
 
 
@@ -374,10 +376,6 @@ def canonical_text(f: Formula) -> str:
 # Representation conversions; relative <-> absolute ones run on map_refs
 
 
-def contains_here(f: Formula) -> bool:
-    return any(type(n) is ElemRef and has_here(n) for n in walk(f))
-
-
 def at_offset(a: CellAddr, d_col: int, d_row: int) -> CellAddr:
     """The cell at an offset from cell a."""
     sheet, col, row = a
@@ -423,10 +421,24 @@ def relativizer(anchor: CellAddr, strict: bool):
 
 
 def to_absolute(f: Formula, anchor: CellAddr) -> Formula:
-    """Resolve every relative reference and range against the anchor cell."""
-    if contains_here(f):
-        raise DomainError("formula contains HERE markers; resolve them first")
-    return map_refs(f, _resolver(anchor))
+    """Resolve every relative reference and range against the anchor cell,
+    in one walk.  A HERE marker is refused before a reference that leaves
+    the grid, wherever the two stand: such faults wait for the walk's end."""
+    resolve, faults = _resolver(anchor), []
+
+    def leaf(node):
+        if type(node) is ElemRef and has_here(node):
+            raise DomainError("formula contains HERE markers; resolve them first")
+        try:
+            return move_node(resolve, node)
+        except (AnchorError, OutOfGridError) as exc:
+            faults.append(exc)
+            return node
+
+    out = map_leaves(f, leaf)
+    if faults:
+        raise faults[0]
+    return out
 
 
 def to_relative(f: Formula, anchor: CellAddr) -> Formula:

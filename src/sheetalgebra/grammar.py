@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, SheetError
 from .model import (
     A1_LABEL,
     DEFAULT_SHEET,
@@ -30,7 +30,6 @@ from .model import (
     EquationSet,
     Rect,
     label_coords,
-    on_grid,
 )
 
 NUM, STR, ID, OP, EOF = "num", "str", "id", "op", "eof"
@@ -43,10 +42,10 @@ CANONICAL = "canonical"
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|\#[^\n]*)*  # whitespace and comments, skipped
-    (?: (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-      | (?P<str>"(?:[^"]|"")*")
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    (?: (?P<id>[A-Za-z_][A-Za-z0-9_]*)  # the most frequent kinds first
       | (?P<op><=|>=|<>|\\/|><|\.\.|[-+*/^=<>(),:\[\]{}!@.;])
+      | (?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+      | (?P<str>"(?:[^"]|"")*")
       | (?P<eof>.|\Z)  # a character that starts no token, or the end
     )
     """,
@@ -57,33 +56,56 @@ _TOKEN_RE = re.compile(
 def tokenize(src: str):
     """(kind, text, offset) for each token of src, then an EOF token.  Every
     offset matches, so the tokens follow one another without a gap."""
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind == EOF:
-            break
-        append((kind, m[kind], m.start(kind)))
-    if m[EOF]:
-        raise FormulaSyntaxError(f"unknown token {m[EOF]!r}", m.start(EOF))
-    append((EOF, "", len(src)))
-    return tokens
+    stream = TokenStream(src)
+    while stream.tokens[-1][0] != EOF:
+        stream.more()
+    return stream.tokens[:-_LOOKAHEAD]
 
 
 _LOOKAHEAD = 4  # EOF tokens past the end, more than any reader looks ahead
 
 
 class TokenStream:
-    """The tokens of `src`, walked by index.  The list ends in EOF tokens
-    enough for every lookahead, so no read checks its bounds; `next` stays
-    on the first EOF."""
+    """The tokens of `src`, walked by index and scanned in pieces, each up to
+    the token after an '=' or to the end and EOF tokens enough for every
+    lookahead, so no read checks its bounds; `next` stays on the first EOF.
+    A reader that reads on past an '=' asks for the next piece, which drops
+    the tokens read.  In a `with` block, a reader's error waits for the rest
+    of the text to be scanned, so an unknown character anywhere is raised."""
 
     def __init__(self, src: str):
-        self.src = src
-        self.tokens = tokenize(src)
-        self.tokens += self.tokens[-1:] * _LOOKAHEAD
+        self.src, self.tokens, self.i, self.depth = src, [], 0, 0
+        self.more(0)
+
+    def more(self, pos=None):
+        """Scan the next piece: on from the token after the '=' just read, or from pos."""
+        tokens, append, stop = self.tokens, self.tokens.append, False
+        if pos is not None:
+            del tokens[self.i:]
+            self._matches = _TOKEN_RE.finditer(self.src, pos)
+        for m in self._matches:
+            kind = m.lastgroup
+            if kind == EOF:
+                if m[EOF]:
+                    raise FormulaSyntaxError(f"unknown token {m[EOF]!r}", m.start(EOF))
+                tokens += [(EOF, "", m.start(EOF))] * (1 + _LOOKAHEAD)
+                break
+            text = m[kind]
+            append((kind, text, m.start(kind)))
+            if stop:
+                break
+            stop = text == "="
+        del tokens[:self.i]  # the tokens read, to which no reader goes back
         self.i = 0
-        self.depth = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, SheetError):  # scan on from the last token made, where
+            self.more(self.tokens[-1][2])  # an error of the scanner is met again
+            while self.tokens[-1][0] != EOF:
+                self.more()
 
     def peek(self, ahead=0):
         return self.tokens[self.i + ahead]
@@ -187,7 +209,7 @@ def cell_label(text: str, sheet: str = DEFAULT_SHEET, r1c1: bool = False,
     if m is None:
         return None
     col, row = label_coords(*(m.groups()[::-1] if r1c1 else m.groups()))
-    if not on_grid(col, row):
+    if not (0 < col <= MAX_COL and 0 < row <= MAX_ROW):  # on_grid, inlined for speed
         raise FormulaSyntaxError(f"cell {text} lies outside columns A..XFD, rows 1..{MAX_ROW}",
                                  pos)
     if not sheet:
@@ -345,8 +367,8 @@ class EntryReader:
         self.s = stream
         self.formula = FormulaParser(stream, CANONICAL)
         self.equations, self.names, self.layouts = [], {}, []
-        # hash of a kept formula's text -> its equation index, first token and token
-        # count, as the digits of one number in base len(tokens)
+        # hash of a kept formula's text -> its equation index and the offset of
+        # its first token, as the digits of one number in base len(src) + 1
         self._kept, self._nl = {}, -1
 
     def equation_set(self) -> EquationSet:
@@ -375,37 +397,38 @@ class EntryReader:
         lhs = read_lhs(self.s)
         self.s.expect_op("=")
         sheet = lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET
-        self.equations.append(Equation(lhs, self._rhs(sheet)))
+        self.equations.append(Equation._make((lhs, self._rhs(sheet))))
 
     def _rhs(self, sheet: str):
-        """The formula that starts here, read on `sheet`.  One that ends its
-        line, with all its tokens, is kept by the hash of its text.  The
-        first formula of a later line, with the same text to the end of the
-        line on the same sheet, gets its tree where the next token stops the
-        reader anyway: the end, a separator, or an identifier other than C,
-        which would continue R[k] into R[k]C."""
-        s, start, tokens, src = self.s, self.s.i, self.s.tokens, self.s.src
-        first, line = tokens[start][2], ""
+        """The formula after the '=' just read, on `sheet`.  One that ends
+        its line, with all its tokens, is kept by the hash of its text from
+        its first token on; a later line's first formula of that text on the
+        same sheet takes its tree before more is scanned, where the next line
+        starts with the end, a separator, or an identifier other than C (which
+        would continue R[k] into R[k]C), each of which stops the reader."""
+        s, src, tokens = self.s, self.s.src, self.s.tokens
+        first, line = tokens[s.i][2], ""  # the token after the '='
         if first > self._nl:  # a new line, which without a newline ends at len(src)
             self._nl = src.find("\n", first) % (len(src) + 1)
             line = src[first:self._nl]
             kept = self._kept.get(hash(line))
             if kept is not None:
-                kept, n = divmod(kept, len(tokens))
-                at, i = divmod(kept, len(tokens))
-                lhs, seen, (kind, text, _) = self.equations[at].lhs, tokens[i][2], tokens[start + n]
+                at, seen = divmod(kept, len(src) + 1)
+                lhs, m = self.equations[at].lhs, _TOKEN_RE.match(src, self._nl + 1)
+                kind = m.lastgroup
                 if (src.startswith(line, seen) and src.startswith("\n", seen + len(line))
                         and (lhs.sheet if isinstance(lhs, CellAddr) else DEFAULT_SHEET) == sheet
-                        and (kind == ID and text not in ("C", "c") or kind == EOF
-                             or kind == OP and text in (",", ";", "."))):
-                    s.i = start + n
+                        and (kind == ID and m[ID] not in ("C", "c") or kind == EOF
+                             or kind == OP and m[OP] in (",", ";", "."))):
+                    s.more(self._nl + 1)
                     return self.equations[at].rhs
+        s.more()
         self.formula.sheet = sheet
         f = self.formula.expression()
         _, text, pos = tokens[s.i - 1]
         if pos + len(text) <= self._nl < tokens[s.i][2]:  # f ends its line
             self._kept[hash(line or src[first:self._nl])] = (
-                (len(self.equations) * len(tokens) + start) * len(tokens) + s.i - start)
+                len(self.equations) * (len(src) + 1) + first)
         return f
 
     def _layout(self):

@@ -155,6 +155,7 @@ class _ListingReader(EntryReader):
         rows = _parse_axis(s, MAX_ROW)
         s.expect_op("]")
         s.expect_op("=")
+        s.more()
         self.formula.sheet = DEFAULT_SHEET
         rhs = _relativize_here(self.formula.expression(), sheet)
         for col in cols:
@@ -165,4 +166,5 @@ class _ListingReader(EntryReader):
 def parse_listing(text: str) -> EquationSet:
     """Parse a listing produced by show(): plain equation lines, region
     lines, layout and name lines."""
-    return _ListingReader(TokenStream(text)).document()
+    with TokenStream(text) as stream:
+        return _ListingReader(stream).document()

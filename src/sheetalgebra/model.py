@@ -27,6 +27,7 @@ MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
 MAX_NESTING = 64     # levels a formula or script nests, Excel's own limit
 SUBSCRIPT_LIMIT = 10 ** MAX_INT_DIGITS  # the least integer past MAX_INT_DIGITS digits
 A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
+_COLUMNS: dict[str, int] = {}  # each column text on the grid read so far -> its number
 
 _new = tuple.__new__
 _tuple_eq = tuple.__eq__
@@ -87,9 +88,13 @@ def label_coords(col: str, row: str) -> tuple[int, int]:
     """A label's column (letters or digits) and row (digits) as numbers.  A
     part longer than its cap's digits is past the cap and is not converted."""
     row = int(row) if len(row) <= _ROW_DIGITS else MAX_ROW + 1
-    if len(col) > _COL_DIGITS:
-        return MAX_COL + 1, row
-    return (int(col) if col.isdigit() else letters_to_col(col)), row
+    n = _COLUMNS.get(col)
+    if n is None:
+        n = (MAX_COL + 1 if len(col) > _COL_DIGITS
+             else int(col) if col.isdigit() else letters_to_col(col))
+        if 0 < n <= MAX_COL:
+            _COLUMNS[col] = n
+    return n, row
 
 
 def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
@@ -527,6 +532,7 @@ class Equation(namedtuple("Equation", "lhs rhs")):
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = Formula.__eq__, Formula.__ne__, tuple.__hash__
+    _make = classmethod(_new)  # a tuple of the fields as given, not counted as namedtuple does
 
 
 def lhs_sort_key(lhs):

@@ -35,6 +35,7 @@ from .grammar import (
     read_lhs,
     read_number,
     read_range,
+    tokenize,
     unquote_string,
 )
 from .layout import LayoutSet, compile_set, decompile_set
@@ -105,6 +106,7 @@ class ScriptParser:
             self.s.next()
             name = self.s.expect_id()[1]
             self.s.expect_op("=")
+            self.s.more()
             expr = self.expression()
             self.s.expect_op(".")
             return Statement("let", name, expr, index)
@@ -186,7 +188,8 @@ class ScriptParser:
 
 
 def parse_script(src: str) -> list[Statement]:
-    return ScriptParser(TokenStream(src)).script()
+    with TokenStream(src) as stream:
+        return ScriptParser(stream).script()
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +197,10 @@ def parse_script(src: str) -> list[Statement]:
 
 
 def _parse_ref(text: str):
-    stream = TokenStream(text)
-    ref = read_lhs(stream)
-    if not stream.at_eof:
-        raise FormulaSyntaxError(f"trailing input in reference {text!r}")
+    with TokenStream(text) as stream:
+        ref = read_lhs(stream)
+        if not stream.at_eof:
+            raise FormulaSyntaxError(f"trailing input in reference {text!r}")
     return ref
 
 
@@ -389,7 +392,7 @@ def run_script_file(path: str, out=None):
 
 def _statement_complete(buffer: str) -> bool:
     try:
-        tokens = TokenStream(buffer).tokens
+        tokens = tokenize(buffer)
     except FormulaSyntaxError:
         return True  # let the parser report it
     depth = 0

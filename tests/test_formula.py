@@ -27,6 +27,7 @@ from sheetalgebra import (
 from sheetalgebra.errors import (
     AnchorError,
     CrossSheetError,
+    DomainError,
     FormulaSyntaxError,
     OutOfGridError,
     SubstitutionError,
@@ -170,6 +171,13 @@ class TestToAbsolute:
     def test_out_of_grid(self):
         with pytest.raises(OutOfGridError):
             to_absolute(RelRef(-1, 0), addr("A5"))
+
+    @pytest.mark.parametrize("text", ["R[-5]C+X[HERE]", "X[HERE]+R[-5]C", "SUM(R[-5]C:RC)+X[HERE+1]"])
+    def test_here_is_refused_before_an_earlier_offset_off_the_grid(self, text):
+        # whether the offset off the grid stands before or after the marker,
+        # the marker is the error reported
+        with pytest.raises(DomainError, match="HERE"):
+            to_absolute(parse_formula(text, CANONICAL), addr("A1"))
 
 
 class TestToRelative:

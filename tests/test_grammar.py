@@ -104,6 +104,36 @@ def test_tokens_and_offsets(text, tokens):
     assert tokenize(text) == tokens
 
 
+# -- an unknown character is the first error, wherever it stands --------------
+
+UNKNOWN = ["$", "?", "~", "&", "%", "|", "`", "\\", "'"]
+TEXT_PARTS = [
+    "A1 = ", "A2 = ", "Sheet2!B1 = ", "x[1] = ", "let y = ", "Sheet1[ {1} >< { 1..3 } ] = ",
+    "RC[-1]+R[-1]C", "RC[-1]+1", "SUM(A1:B2)", "SUM(", "x[HERE-1]", '"a$b"', "1e400", "XFE1",
+    "1", "+", "-", "=", "(", ")", "[", "]", "{", "}", ",", ";", ".", ":", "!",
+    " ", "\n", "# $ in a comment\n", "layout a[1:2] as A1", "name A1:B2 as c",
+]
+
+
+@given(st.lists(st.sampled_from(TEXT_PARTS), max_size=12),
+       st.sampled_from(UNKNOWN),
+       st.lists(st.sampled_from(TEXT_PARTS + UNKNOWN), max_size=12))
+@example(["A1 = RC[-1]+R[-1]C\nA2 = RC[-1]+R[-1]C\nA3 = 1"], "$", [" 2$"])  # after a hit line
+@example(["A1 = 1+"], "$", [])
+@example(["let y = {A1 = 1", "\n", "A2 = 1", "\n"], "?", ["}."])
+def test_an_unknown_character_is_the_first_error(head, unknown, tail):
+    text = "".join(head) + unknown + "".join(tail)
+    with pytest.raises(FormulaSyntaxError) as scanned:
+        tokenize(text)
+    expected = str(scanned.value), scanned.value.pos
+    assert expected[1] == len("".join(head))  # the first unknown character
+    for read in (parse_document, parse_listing, parse_script, parse_formula):
+        with pytest.raises(SheetError) as caught:
+            read(text)
+        assert (type(caught.value), str(caught.value), caught.value.pos) == (
+            FormulaSyntaxError, *expected), read.__name__
+
+
 @pytest.mark.parametrize("build", [
     lambda: addr("XFE1"),
     lambda: addr("A1048577"),
@@ -156,9 +186,11 @@ def test_sum_over_range_round_trips(rng):
 
 
 class _FreshReader(EntryReader):
-    """The reference: every right-hand side read afresh, nothing kept."""
+    """The reference: every right-hand side scanned and read afresh, nothing
+    kept."""
 
     def _rhs(self, sheet):
+        self.s.more()
         self.formula.sheet = sheet
         return self.formula.expression()
 
@@ -167,8 +199,9 @@ def _read(reader, text):
     """The equations in the order read, or the error's class, message and
     offset."""
     try:
-        r = reader(TokenStream(text))
-        r.document()
+        with TokenStream(text) as stream:
+            r = reader(stream)
+            r.document()
     except SheetError as exc:
         return type(exc), str(exc), getattr(exc, "pos", None)
     return r.equations
@@ -261,6 +294,29 @@ def test_a_copy_filled_grid_shares_its_trees(read):
     s = read(_perfbench_grid())
     assert len(s) == 5000
     assert len({id(eq.rhs) for eq in s}) <= 100
+
+
+def test_a_repeated_right_hand_side_makes_no_tokens(monkeypatch):
+    import sheetalgebra.grammar as grammar
+
+    regex, made = grammar._TOKEN_RE, [0]
+
+    class Counting:  # the token regex, counting each token it makes
+        def finditer(self, src, pos=0):
+            for m in regex.finditer(src, pos):
+                made[0] += 1
+                yield m
+
+        def match(self, src, pos=0):
+            made[0] += 1
+            return regex.match(src, pos)
+
+    monkeypatch.setattr(grammar, "_TOKEN_RE", Counting())
+    s = parse_document("".join(f"X{n} = RC[-1]+R[-1]C\n" for n in range(1, 1001)))
+    assert len(s) == 1000 and len({id(eq.rhs) for eq in s}) == 1
+    # read afresh, a line makes 14 tokens; looked up, the two on its left,
+    # the first on its right, and the next line's first to check the hit
+    assert made[0] <= 4 * 1000 + 14
 
 
 def test_no_tree_is_kept_between_reads():
