@@ -32,6 +32,7 @@ from .formula import (
 )
 from .model import (
     ARITH_OPS,
+    MAX_EQUATIONS,
     MAX_NESTING,
     ArrayElem,
     Binary,
@@ -164,13 +165,16 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
     their subscripts."""
     if lo > hi:
         raise DomainError(f"empty replication range {lo}:{hi}")
+    if len(s) * (hi - lo + 1) > MAX_EQUATIONS:
+        raise DomainError(f"replicating {len(s)} equations {hi - lo + 1} times "
+                          f"makes more than {MAX_EQUATIONS}")
     check_subscripts((lo, hi))  # so each new subscript k is checked here, once
     if not s.all_array_lhs():
         raise DomainError("replicate applies to sets with array left-hand sides only")
     defined = {lhs.name for lhs in s.lhs_set()}
 
     out = []
-    for k in range(lo, hi + 1):
+    for k in range(lo, hi + 1) if s else ():  # no copies of an empty set
         def extend(node):
             if type(node) is ElemRef and node.name in defined:
                 return ElemRef._make((node.name, node.subs + (k,)))

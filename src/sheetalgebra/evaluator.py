@@ -33,7 +33,6 @@ from .model import (
     RangeArg,
     RelRef,
     Text,
-    children,
     has_here,
 )
 
@@ -50,21 +49,26 @@ class CellError:
 
 class _Graph:
     """A sheet as an evaluation graph on its defined cells and the distinct
-    ranges read at them, built once per call.  A cell's entry in deps is
-    its formula compiled where it stands (Sestoft, *Spreadsheet
-    Implementation Technology*, ch. 4-5): the tree's nodes in postfix
-    order with each leaf resolved once, so the cells and range nodes in it
-    are the cell's precedents and one loop over a value stack runs it.  A
-    range node's entry lists the range it extends and its other cells.
-    Each entry is made once, on first use, so a walk from one cell touches
-    only the nodes it depends on."""
+    ranges read at them, built once per call.  Each formula tree object is
+    compiled once into a template (Sestoft, *Spreadsheet Implementation
+    Technology*, ch. 4-5): its nodes in postfix order with every leaf that
+    does not depend on the cell resolved.  A cell's entry in deps is its
+    tree's template with only the relative references and relative ranges
+    resolved where the cell stands, so the cells and range nodes in it are
+    the cell's precedents and one loop over a value stack runs it; copies
+    of one block share one template.  A range node's entry lists the range
+    it extends and its other cells.  Each entry is made once, on first
+    use, so a walk from one cell touches only the nodes it depends on."""
 
     def __init__(self, s: EquationSet):
         self.formulas, self.deps = {}, {}
+        self.templates = {}  # id of a formula tree -> (its template, slots, loose)
+        self.loops = set()  # the cells that read themselves
         # range node -> (the range node it extends or None, its other cells);
         # (sheet, col_lo, col_hi, row_lo) -> the last rows of its ranges, sorted
         self.spans, self.starts = {}, {}
-        self.states = {None: _NOTHING}  # range node -> its aggregate state
+        # fold -> range node -> its state, None -> the state of no value
+        self.states = {_fold: {None: _NOTHING}, _truth: {None: _ALL_TRUE}}
         self.names = {name: name_node(rng) for name, rng in s.names.items()}
         # sheet -> (sorted rows, row -> its cells sorted); the canonical order
         # of s is by sheet, row and column, so appending keeps both sorted
@@ -118,59 +122,94 @@ class _Graph:
             parts.append(cells)
         return [a for cells in reversed(parts) for a in cells]
 
-    def state(self, node, grid):
-        """The aggregate state of a range node's values, folded once, on
+    def state(self, node, grid, fold):
+        """The state of a range node's values under fold, folded once, on
         first use, onto the state of the range it extends."""
-        chain = []
-        while node not in self.states:
+        states, chain = self.states[fold], []
+        while node not in states:
             chain.append(node)
             node = self.spans[node][0]
-        state = self.states[node]
+        state = states[node]
         for node in reversed(chain):
-            state = self.states[node] = _fold(state, [grid[a] for a in self.spans[node][1]])
+            state = states[node] = fold(state, [grid[a] for a in self.spans[node][1]])
         return state
 
     def precedents(self, k) -> list:
-        """The program of cell k's formula: its nodes in postfix order, a
-        defined name read as its node, each leaf then resolved at k in
-        leaf order.  A reference becomes its CellAddr, a range its range
-        node, a literal its value, an array element or an unknown name
-        #REF!; Binary, Neg and Call nodes stay as operators.  Raises as
-        resolving the formula would: on a HERE marker, then on the leftmost
-        offset off the grid, then on a range that is not a call's
-        argument."""
+        """The program of cell k's formula: its tree's template, made on the
+        tree's first use in one walk, with the template's slots, the
+        positions of its relative references and relative ranges, resolved
+        at k in leaf order.  In the template a defined name is read as its
+        node, a literal as its value, an absolute reference as its
+        CellAddr, a range with no relative rectangle as its range node, an
+        array element or an unknown name as #REF!.  Raises as resolving the
+        formula would: on a HERE marker, then on the leftmost offset off
+        the grid, then on a range that is not a call's argument."""
         prog = self.deps.get(k)
         if prog is not None:
             return prog
-        prog, loose = [], False
-        stack = [(self.formulas[k], False)]
-        while stack:  # parents first, children right to left: postfix reversed
-            node, in_call = stack.pop()
-            if type(node) is NameRef:
-                node = self.names.get(node.name, node)
-            t = type(node)
-            if t is Binary or t is Neg or t is Call:
-                stack += [(kid, t is Call) for kid in children(node)]
-            elif t is RangeArg:
-                loose = loose or not in_call
-            elif t is ElemRef and has_here(node):
-                raise DomainError("formula contains HERE markers; resolve them first")
-            prog.append(node)
-        prog.reverse()
-        for i, node in enumerate(prog):
-            t = type(node)
-            if t is RelRef:
-                prog[i] = at_offset(k, node.d_col, node.d_row)
-            elif t is AbsRef:
-                prog[i] = node.addr
-            elif t is Number or t is Text or t is Bool:
-                prog[i] = node.value
-            elif t is RangeArg:
-                prog[i] = self.span(node.range, k)
-            elif t is Empty:
-                prog[i] = None
-            elif t is NameRef or t is ElemRef:
-                prog[i] = CellError(REF)
+        f = self.formulas[k]
+        template = self.templates.get(id(f))
+        if template is None:
+            prog, slots, loose = [], [], 0  # loose: ranges met less those under a call
+            names = self.names
+            stack = [f]
+            while stack:  # parents first, children right to left: postfix reversed
+                node = stack.pop()
+                t = type(node)
+                if t is NameRef:
+                    node = names.get(node.name, _REF)
+                    t = type(node)
+                if t is Binary:
+                    stack.append(node.left)
+                    stack.append(node.right)
+                elif t is RelRef:
+                    slots.append(~len(prog))  # its index once prog is reversed
+                elif t is AbsRef:
+                    node = node.addr
+                elif t is Number or t is Text or t is Bool:
+                    node = node.value
+                elif t is Neg:
+                    stack.append(node.operand)
+                elif t is Call:
+                    for kid in node.args:
+                        stack.append(kid)
+                        if type(kid) is NameRef:
+                            kid = names.get(kid.name)
+                        if type(kid) is RangeArg:
+                            loose -= 1
+                elif t is RangeArg:
+                    loose += 1
+                    for rect in node.range.rects:
+                        if rect[0] is None:  # a relative rectangle
+                            slots.append(~len(prog))
+                            break
+                    else:
+                        node = self.span(node.range, k)
+                elif t is Empty:
+                    node = None
+                elif t is ElemRef:
+                    if has_here(node):
+                        raise DomainError("formula contains HERE markers; resolve them first")
+                    node = _REF
+                prog.append(node)
+            prog.reverse()
+            slots.reverse()  # leaf order
+            self.templates[id(f)] = prog, slots, loose > 0
+        else:
+            prog, slots, loose = template
+        if slots:
+            prog = prog.copy()
+            sheet, col, row = k
+            for i in slots:
+                node = prog[i]
+                if type(node) is RelRef:
+                    c, r = col + node.d_col, row + node.d_row
+                    if 0 < c <= MAX_COL and 0 < r <= MAX_ROW:
+                        prog[i] = CellAddr._make((sheet, c, r))
+                    else:
+                        at_offset(k, node.d_col, node.d_row)  # raises
+                else:
+                    prog[i] = self.span(node.range, k)
         if loose:
             raise SubstitutionError("range is only allowed as a function argument")
         self.deps[k] = prog
@@ -201,8 +240,10 @@ class _Graph:
                         on_stack.add(child)
                         work.append((child, iter(self.precedents(child))))
                         break
-                    if child in on_stack:
+                    if child in on_stack:  # only on a cycle or a self-read
                         low[node] = min(low[node], index[child])
+                        if child == node:
+                            self.loops.add(node)
                 else:
                     work.pop()
                     if work:
@@ -223,7 +264,7 @@ class _Graph:
         grid = {}
         for comp in self.components(roots):
             k = comp[0]
-            if len(comp) > 1 or k in self.deps[k]:
+            if len(comp) > 1 or k in self.loops:
                 for b in comp:
                     if b in self.formulas:
                         grid[b] = CellError(CYCLE)
@@ -253,18 +294,21 @@ class _Graph:
         """The value of function func of args, each a value or a range
         node."""
         agg = _AGGREGATES.get(func)
-        state, values = _NOTHING, []
+        if agg is not None:
+            fold, field = agg
+            state = self.states[fold][None]
+        values = []
         for i, v in enumerate(args):
             if type(v) is not tuple:
                 values.append(v)
-            elif agg is not None and i == 0:
-                state = self.state(v, grid)
-            elif agg is not None or func in ("AND", "OR"):
-                values.extend([grid[a] for a in self.cells(v)])
-            else:
+            elif agg is None:
                 return CellError(VALUE)  # only SUM, MIN, MAX, AND and OR read a range
+            elif i == 0:
+                state = self.state(v, grid, fold)
+            else:
+                values.extend([grid[a] for a in self.cells(v)])
         if agg is not None:
-            return _aggregate(agg, _fold(state, values))
+            return _aggregate(field, fold(state, values))
         fixed = _FIXED.get(func)
         if fixed is not None:
             count, fn = fixed
@@ -276,11 +320,6 @@ class _Graph:
             if isinstance(cond, CellError):
                 return cond
             return values[1] if cond else values[2] if len(values) == 3 else False
-        if func in ("AND", "OR"):
-            for v in values:
-                if isinstance(v, CellError):
-                    return v
-            return (all if func == "AND" else any)(map(bool, values))
         if func == "NOT" and len(values) == 1:
             v = values[0]
             return v if isinstance(v, CellError) else not v
@@ -319,11 +358,9 @@ _FIXED = {"ABS": (1, abs), "SQRT": (1, math.sqrt), "EXP": (1, math.exp),
           "LN": (1, math.log),
           # the sign of MOD follows the divisor
           "MOD": (2, lambda a, b: a - b * math.floor(a / b))}
-# SUM, MIN and MAX read an aggregate state (`_fold`) of their arguments,
-# starting from a range node's state when the first is a range, and from
-# _NOTHING, the state of no value, otherwise
-_AGGREGATES = {"SUM": 0, "MIN": 1, "MAX": 2}
 _NOTHING = (0.0, None, None)
+_ALL_TRUE = (True, False)
+_REF = CellError(REF)
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -375,9 +412,34 @@ def _fold(state, values):
     return total, lo, hi
 
 
+def _truth(state, values):
+    """A truth state extended by values in order: the first error, and
+    before it whether every value is true and whether any is, each by
+    Python's truth of it (_ALL_TRUE before the first)."""
+    if type(state) is CellError:
+        return state
+    all_true, any_true = state
+    for v in values:
+        if type(v) is CellError:
+            return v
+        if v:
+            any_true = True
+        else:
+            all_true = False
+    return all_true, any_true
+
+
+# SUM, MIN and MAX read one field of an aggregate state (`_fold`) of their
+# arguments, AND and OR one of a truth state (`_truth`); each starts from a
+# range node's state when the first argument is a range, and from the state
+# of no value otherwise
+_AGGREGATES = {"SUM": (_fold, 0), "MIN": (_fold, 1), "MAX": (_fold, 2),
+               "AND": (_truth, 0), "OR": (_truth, 1)}
+
+
 def _aggregate(i, state):
-    """The sum (i = 0), min (1) or max (2) of a state, 0 when it holds no
-    number, or its error."""
+    """Field i of a state (a sum, min, max or truth value), 0 when it holds
+    no number, or its error."""
     if type(state) is CellError:
         return state
     r = state[i]

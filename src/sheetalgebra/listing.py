@@ -12,6 +12,8 @@ containing cell (column subscript first, row second).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import FormulaSyntaxError
 from .formula import (
     CANONICAL,
@@ -27,6 +29,7 @@ from .grammar import (
 from .model import (
     DEFAULT_SHEET,
     MAX_COL,
+    MAX_EQUATIONS,
     MAX_ROW,
     CellAddr,
     ElemRef,
@@ -106,10 +109,11 @@ def _grouped_lines(s: EquationSet) -> list[str]:
 # Re-expanding a grouped listing
 
 
-def _parse_axis(stream: TokenStream, cap: int) -> list[int]:
-    """`{ a, b..c, d..e by k }`: columns or rows, each from 1 to cap."""
+def _parse_axis(stream: TokenStream, cap: int) -> list[range]:
+    """`{ a, b..c, d..e by k }`: columns or rows, each from 1 to cap, as
+    one range per item."""
     stream.expect_op("{")
-    values: list[int] = []
+    values: list[range] = []
     while True:
         pos = stream.peek()[2]
         lo = hi = read_int(stream, signed=False)
@@ -121,7 +125,7 @@ def _parse_axis(stream: TokenStream, cap: int) -> list[int]:
                 step = read_int(stream, signed=False)
         if lo < 1 or hi > cap or step < 1:
             raise FormulaSyntaxError(f"axis values lie in 1..{cap}, steps are at least 1", pos)
-        values.extend(range(lo, hi + 1, step))
+        values.append(range(lo, hi + 1, step))
         if not stream.accept_op(","):
             break
     stream.expect_op("}")
@@ -148,18 +152,21 @@ class _ListingReader(EntryReader):
         if not (s.peek()[0] == ID and s.at_op("[", ahead=1) and s.at_op("{", ahead=2)):
             super().entry()
             return
+        pos = s.peek()[2]
         sheet = s.next()[1]
         s.expect_op("[")
         cols = _parse_axis(s, MAX_COL)
         s.expect_op("><")
         rows = _parse_axis(s, MAX_ROW)
         s.expect_op("]")
+        if sum(map(len, cols)) * sum(map(len, rows)) > MAX_EQUATIONS:
+            raise FormulaSyntaxError(f"a region line makes at most {MAX_EQUATIONS} equations", pos)
         s.expect_op("=")
         s.more()
         self.formula.sheet = DEFAULT_SHEET
         rhs = _relativize_here(self.formula.expression(), sheet)
-        for col in cols:
-            for row in rows:
+        for col in chain.from_iterable(cols):
+            for row in chain.from_iterable(rows):
                 self.equations.append(Equation(CellAddr(sheet, col, row), rhs))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from sheetalgebra import (
     union,
 )
 from sheetalgebra.algebra import simplify_formula
+from sheetalgebra.evaluator import _Graph
 from sheetalgebra.errors import DomainError, OutOfGridError, SubstitutionError
 from sheetalgebra.fileio import format_value
 
@@ -300,6 +302,70 @@ class TestRangeNodes:
     def test_a_range_is_one_argument(self, text, value):
         s = make_set(("A1", "7"), ("A2", "3"), ("B1", text))
         assert typed_values(s)[addr("B1")] == (type(value), value)
+
+
+    def test_running_and_is_linear(self):
+        # each AND reads the truth state of the range it extends
+        s = parse_document("\n".join(f"A{r} = 1\nB{r} = AND(A1:A{r})" for r in range(1, 4001)))
+        start = time.process_time()
+        grid = evaluate(s)
+        assert time.process_time() - start < 0.2
+        assert grid[addr("B4000")] is True
+
+    def test_and_or_over_ranges_agree_with_python(self):
+        pool = {"0": 0.0, "1": 1.0, "-2.5": -2.5, '""': "", '"t"': "t", "EMPTY()": None,
+                "FALSE": False, "TRUE": True, "1/0": CellError("DIV0"),
+                '"a"+1': CellError("VALUE")}
+        rng = random.Random(5)
+        for trial in range(20):
+            n = 60
+            texts = [rng.choice(list(pool)) if rng.random() < 0.3 else
+                     rng.choice(["1", '"t"', "TRUE"]) for _ in range(n)]
+            if trial % 2:  # no error, so the truth of every value counts
+                texts = [t if not isinstance(pool[t], CellError) else "0" for t in texts]
+            values = [pool[t] for t in texts]
+            pairs = [(f"A{r}", t) for r, t in enumerate(texts, 1)]
+            for r in range(1, n + 1):
+                pairs += [(f"B{r}", f"AND(A1:A{r})"), (f"C{r}", f"OR(A1:A{r})"),
+                          (f"D{r}", f"OR(FALSE,A{r}:A{n})"), (f"E{r}", f"AND(A{r}:A{n},TRUE)")]
+            got = evaluate(make_set(*pairs))
+
+            def reference(func, vs):
+                for v in vs:
+                    if isinstance(v, CellError):
+                        return v
+                return (all if func == "AND" else any)(map(bool, vs))
+
+            for r in range(1, n + 1):
+                assert got[addr(f"B{r}")] == reference("AND", values[:r]), r
+                assert got[addr(f"C{r}")] == reference("OR", values[:r]), r
+                assert got[addr(f"D{r}")] == reference("OR", [False] + values[r - 1:]), r
+                assert got[addr(f"E{r}")] == reference("AND", values[r - 1:] + [True]), r
+                assert type(got[addr(f"B{r}")]) is type(reference("AND", values[:r]))
+
+
+class TestTemplates:
+    """A formula tree is compiled once into a template; each cell that
+    holds it resolves only the template's relative leaves and ranges."""
+
+    def test_one_template_per_tree_object(self):
+        text = "B1 = 0\n" + "\n".join(f"A{r} = {r}\nB{r} = RC[-1]+R[-1]C" for r in range(2, 1001))
+        s = parse_document("A1 = 1\n" + text)
+        trees = {id(eq.rhs) for eq in s}
+        assert len({id(s.get(addr(f"B{r}")).rhs) for r in range(2, 1001)}) == 1
+        g = _Graph(s)
+        grid = g.evaluate(g.formulas)
+        assert len(g.templates) == len(trees) == 1002  # A1:A1000, B1 and one for B2:B1000
+        assert set(g.templates) == trees
+        assert grid[addr("B1000")] == sum(range(2, 1001))
+
+    def test_a_tree_without_relative_leaves_shares_its_program(self):
+        s = parse_document("A1 = 2\nB1 = A1*3\nB2 = A1*3\nB3 = A1*3\nC1 = RC[-1]+1\nC2 = RC[-1]+1")
+        g = _Graph(s)
+        grid = g.evaluate(g.formulas)
+        assert g.deps[addr("B1")] is g.deps[addr("B2")] is g.deps[addr("B3")]
+        assert g.deps[addr("C1")] is not g.deps[addr("C2")]
+        assert [grid[addr(a)] for a in ("B3", "C1", "C2")] == [6.0, 7.0, 7.0]
 
 
 TWO_CELLS = {"x": CellRange.box(addr("A1"), addr("A2"))}

@@ -1,5 +1,8 @@
 import random
+import time
 from unittest import mock
+
+import pytest
 
 from sheetalgebra import (
     CANONICAL,
@@ -19,7 +22,9 @@ from sheetalgebra import (
     to_absolute,
 )
 from sheetalgebra import listing
+from sheetalgebra.errors import FormulaSyntaxError
 from sheetalgebra.formula import formula_groups
+from sheetalgebra.model import MAX_EQUATIONS
 
 from conftest import ACCOUNTS_S_TEXT, make_set, rand_cell_set
 
@@ -132,6 +137,18 @@ class TestParseListing:
     def test_region_line_expands(self):
         s = parse_listing("Sheet1[ { 2..3 } >< {5} ] = 7")
         assert s == make_set(("B5", "7"), ("C5", "7"))
+
+    def test_a_region_line_past_the_equation_cap_is_refused_at_once(self):
+        start = time.process_time()
+        with pytest.raises(FormulaSyntaxError, match=r"at offset 0\)"):
+            parse_listing("Sheet1[ {1..16384} >< {1..1048576} ] = 1")
+        # the product of the axes' lengths counts, repeats too, at the
+        # region line's offset
+        rows = ", ".join(["1..1048576"] * 9)
+        assert 2 * 9 * 1048576 > MAX_EQUATIONS
+        with pytest.raises(FormulaSyntaxError, match=r"at most 16777216 .*at offset 7\)"):
+            parse_listing(f"A1 = 2\nSheet1[ {{1, 2}} >< {{{rows}}} ] = 1")
+        assert time.process_time() - start < 0.1
 
     def test_here_becomes_relative(self):
         s = parse_listing("Sheet1[ {2} >< { 2..3 } ] = Sheet1[ HERE - 1, HERE ]*2")

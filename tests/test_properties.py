@@ -63,7 +63,7 @@ from sheetalgebra import (
 from sheetalgebra.errors import CrossSheetError, DomainError, LayoutError, SheetError
 from sheetalgebra.fileio import format_value
 from sheetalgebra.formula import formula_groups, relative_form
-from sheetalgebra.model import BINARY_OPS, lhs_sort_key
+from sheetalgebra.model import BINARY_OPS, fold, lhs_sort_key
 
 from conftest import rand_cell_set
 
@@ -645,6 +645,70 @@ class TestEvaluationContract:
             assert type(format_value(v)) is str
             assert _value_or_error(evaluate_cell, s, a) == repr(v), a
 
+
+
+@st.composite
+def shared_documents(draw):
+    """A contract document whose cells, up to eight of A1:C3 on two sheets,
+    each hold one of its trees, so that copies share one tree object."""
+    s = draw(contract_documents())
+    trees = [eq.rhs for eq in s]
+    cells = draw(st.lists(st.builds(CellAddr, st.sampled_from(["Sheet1", "Sheet2"]),
+                                    st.integers(min_value=1, max_value=3),
+                                    st.integers(min_value=1, max_value=3)),
+                          min_size=1, max_size=8, unique=True))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(trees) - 1),
+                          min_size=len(cells), max_size=len(cells)))
+    return EquationSet([Equation(a, trees[i]) for a, i in zip(cells, picks)], s.names)
+
+
+def _fresh(f):
+    """A copy of tree f made of new node objects."""
+    def inner(node, kids, new):
+        t = type(node)
+        if t is Binary:
+            return Binary._make((node.op, *new))
+        return Call._make((node.func, tuple(new))) if t is Call else Neg._make(tuple(new))
+
+    return fold(f, lambda leaf: type(leaf)._make(tuple(leaf)), inner)
+
+
+def _result(f, *args):
+    """f's result with each value as its repr, or the class and message of
+    the SheetError it raises."""
+    try:
+        v = f(*args)
+    except SheetError as e:
+        return type(e), str(e)
+    return {a: repr(x) for a, x in v.items()} if type(v) is dict else repr(v)
+
+
+_UP_ONE = Binary("+", RelRef(0, -1), Number(1.0))
+_UP_ONE_HERE = Binary("+", RelRef(0, -1), ElemRef("x", (Here(0),)))
+# SUM of the two cells left of the cell and the one above, and of A1:B2
+_NEAR = Call("SUM", (RangeArg(CellRange((Rect(None, -2, -1, 0, 0),))),
+                     RangeArg(CellRange((Rect(None, 0, 0, -1, -1),))),
+                     RangeArg(CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", 2, 2)))))
+
+
+class TestSharedTrees:
+    @given(shared_documents())
+    @example(EquationSet([Equation(CellAddr("Sheet1", 1, r), _UP_ONE) for r in (1, 2, 3)]))
+    @example(EquationSet([Equation(CellAddr("Sheet1", 1, 1), Number(1.0))]
+                         + [Equation(CellAddr("Sheet1", 1, r), _UP_ONE_HERE) for r in (2, 3)]))
+    @example(EquationSet([Equation(CellAddr("Sheet1", c, r), Number(float(c + r)))
+                          for c in (1, 2) for r in (1, 2, 3)]
+                         + [Equation(CellAddr("Sheet1", 3, r), _NEAR) for r in (2, 3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_sharing_a_tree_does_not_change_values(self, s):
+        """A set whose copies share one tree object evaluates as the same
+        set with a new tree object in every cell: equal values, bit for
+        bit, or the same error."""
+        fresh = EquationSet([Equation(eq.lhs, _fresh(eq.rhs)) for eq in s], s.names)
+        assert len({id(eq.rhs) for eq in fresh}) == len(fresh)
+        assert _result(evaluate, s) == _result(evaluate, fresh)
+        for eq in s:
+            assert _result(evaluate_cell, s, eq.lhs) == _result(evaluate_cell, fresh, eq.lhs)
 
 # -- the layout index against a scan of every footprint ---------------------
 

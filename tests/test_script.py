@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -115,6 +116,14 @@ class TestInterpreter:
         assert value == make_set(("y[1,2000]", "1"), ("y[1,2001]", "1"))
         value, _, _ = run("{ y[1,2000] = 1, y[1,2001] = 1 } quotient 2000:2001.")
         assert value == make_set(("y[1]", "1"))
+
+    def test_times_past_the_equation_cap_is_refused_at_once(self):
+        start = time.process_time()
+        with pytest.raises(ScriptError, match="makes more than 16777216"):
+            run("{ y[1] = 1 } times 1:999999999999999999.")
+        value, _, _ = run("{ } times 1:999999999999999999.")  # no copies to make
+        assert time.process_time() - start < 0.1
+        assert len(value) == 0
 
     def test_evaluate_builtin(self):
         value, _, _ = run(f"evaluate({ACCOUNTS_LITERAL}).")
