@@ -62,7 +62,8 @@ class _Graph:
 
     def __init__(self, s: EquationSet):
         self.formulas, self.deps = {}, {}
-        self.templates = {}  # id of a formula tree -> (its template, slots, loose)
+        # id of a formula tree -> its template, and the template's slots if any
+        self.templates, self.slots = {}, {}
         self.loops = set()  # the cells that read themselves
         # range node -> (the range node it extends or None, its other cells);
         # (sheet, col_lo, col_hi, row_lo) -> the last rows of its ranges, sorted
@@ -148,8 +149,8 @@ class _Graph:
         if prog is not None:
             return prog
         f = self.formulas[k]
-        template = self.templates.get(id(f))
-        if template is None:
+        prog = self.templates.get(id(f))
+        if prog is None:
             prog, slots, loose = [], [], 0  # loose: ranges met less those under a call
             names = self.names
             stack = [f]
@@ -194,9 +195,12 @@ class _Graph:
                 prog.append(node)
             prog.reverse()
             slots.reverse()  # leaf order
-            self.templates[id(f)] = prog, slots, loose > 0
+            if loose <= 0:  # a tree with a range outside a call raises at every cell
+                self.templates[id(f)] = prog
+                if slots:
+                    self.slots[id(f)] = slots
         else:
-            prog, slots, loose = template
+            slots, loose = self.slots.get(id(f)), 0
         if slots:
             prog = prog.copy()
             sheet, col, row = k
@@ -210,7 +214,7 @@ class _Graph:
                         at_offset(k, node.d_col, node.d_row)  # raises
                 else:
                     prog[i] = self.span(node.range, k)
-        if loose:
+        if loose > 0:
             raise SubstitutionError("range is only allowed as a function argument")
         self.deps[k] = prog
         return prog
