@@ -174,7 +174,7 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
     defined = {lhs.name for lhs in s.lhs_set()}
 
     out = []
-    for k in range(lo, hi + 1) if s else ():  # no copies of an empty set
+    for k in range(lo, hi + 1) if s else ():  # an empty set makes no copies, however wide lo..hi
         def extend(node):
             if type(node) is ElemRef and node.name in defined:
                 return ElemRef._make((node.name, node.subs + (k,)))
