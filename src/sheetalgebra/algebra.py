@@ -8,6 +8,7 @@ All operators are pure: inputs are never modified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .errors import (
     CardinalityError,
@@ -26,7 +27,6 @@ from .formula import (
     formula_groups,
     parse_formula,
     relative_form,
-    relativizer,
     substitute_names,
     to_absolute,
 )
@@ -54,7 +54,6 @@ from .model import (
     lhs_sort_key,
     map_leaves,
     map_refs,
-    move_node,
     on_grid,
     rebuild,
 )
@@ -173,6 +172,8 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
         raise DomainError("replicate applies to sets with array left-hand sides only")
     defined = {lhs.name for lhs in s.lhs_set()}
 
+    trees = {id(eq.rhs): eq.rhs for eq in s}  # equations sharing a tree share its copies
+
     out = []
     for k in range(lo, hi + 1) if s else ():  # an empty set makes no copies, however wide lo..hi
         def extend(node):
@@ -180,9 +181,10 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
                 return ElemRef._make((node.name, node.subs + (k,)))
             return node
 
+        copies = {i: map_leaves(tree, extend) for i, tree in trees.items()}
         for eq in s:
             lhs = ArrayElem._make((eq.lhs.name, eq.lhs.subs + (k,)))
-            out.append(Equation(lhs, map_leaves(eq.rhs, extend)))
+            out.append(Equation(lhs, copies[id(eq.rhs)]))
     return EquationSet(out, s.names, s.layouts)
 
 
@@ -218,10 +220,11 @@ def quotient(s: EquationSet, lo: int, hi: int) -> EquationSet:
             raise EquivalenceError(f"equations projecting onto {base} are not equivalent")
         fibers.setdefault(base, set()).add(last)
 
-    want = set(range(lo, hi + 1))
     for base, got in fibers.items():
-        if got != want:
-            raise DomainError(f"fiber of {base} is missing indices {sorted(want - got)}")
+        if len(got) != hi - lo + 1:  # each index in got lies in lo..hi, as checked above
+            first = next(i for i in count(lo) if i not in got)
+            raise DomainError(f"fiber of {base} is missing {hi - lo + 1 - len(got)} "
+                              f"of the indices {lo}:{hi}, the first {first}")
     return EquationSet(
         [Equation(lhs, rhs) for lhs, rhs in projected.items()], s.names, s.layouts)
 
@@ -248,37 +251,82 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
     """Global search-and-replace on formulas.  Subtrees are matched in
     relative representation anchored at each equation's cell, so an absolute
     pattern matches only the exact cells it names, while a relative pattern
-    matches every copy.  Single bottom-up pass that builds each relative
-    form from those of the children; inserted replacements are not
-    rescanned.  A result nested deeper than the readers read is a
-    FormulaSyntaxError, so that `save` never writes what `load` refuses."""
+    matches every copy.  A group (`formula_groups`) is matched on its form,
+    once where the pattern and the replacement read alike at all its cells,
+    in a bottom-up pass that does not rescan inserted replacements.  The
+    result holds its groups.  A result nested deeper than the readers read
+    is a FormulaSyntaxError, so that `save` never writes what `load` refuses."""
+    formula_groups(s)
+    deep = []  # rewritten equations nested past MAX_NESTING
 
-    out = []
-    for eq in s:
-        anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
-        key = relative_form(pattern, anchor)
-        swap = (replacement, relative_form(replacement, anchor))
-        relativize = None if anchor is None else relativizer(anchor, strict=False)
+    def matched(key, members, form, target, swap):  # members that read as form
+        hits = set()  # the postorder positions of the matches
 
-        # each node folds to what it became and that one's relative form
-        def leaf(node):
-            rel = node if relativize is None else move_node(relativize, node)
-            return swap if rel == key else (node, rel)
+        def at(i, rel):
+            if rel == target:
+                hits.add(i)
+                return swap
+            return rel
 
-        def inner(node, kids, done):
-            rel = rebuild(node, kids, [r for _, r in done])
-            return swap if rel == key else (rebuild(node, kids, [new for new, _ in done]), rel)
+        rel = _fold_at(form, at)
+        if hits:
+            new = [_fold_at(eq.rhs, lambda i, node: replacement if i in hits else node)
+                   for eq in members]
+            members = [eq if rhs is eq.rhs else Equation._make((eq.lhs, rhs))
+                       for eq, rhs in zip(members, new)]
+            if depth(rel) > MAX_NESTING:  # a member and its form have one shape
+                deep.extend(eq for eq in members if s.get(eq.lhs) is not eq)
+        return key and (key[0], rel), members
 
-        rhs = fold(eq.rhs, leaf, inner)[0]
-        if rhs is not eq.rhs and depth(rhs) > MAX_NESTING:
-            # only so deep a tree can print as text nested past the readers' limit
-            try:
-                parse_formula(canonical_text(rhs), CANONICAL)
-            except FormulaSyntaxError as e:
-                raise FormulaSyntaxError(f"replacing in {eq.lhs} gives a formula that does "
-                                         f"not read back: {e}") from None
-        out.append(Equation(eq.lhs, rhs))
-    return EquationSet(out, s.names, s.layouts)
+    def rewrite(key, members):
+        if key is None:  # an array element: nothing to make relative
+            return [matched(None, members, members[0].rhs, pattern, replacement)]
+        classes = []
+        for eq in members:
+            target, swap = relative_form(pattern, eq.lhs), relative_form(replacement, eq.lhs)
+            if target is pattern and swap is replacement:  # so at every cell of the sheet
+                return [matched(key, members, key[1], pattern, replacement)]
+            classes.append(matched(key, (eq,), key[1], target, swap))
+        return classes
+
+    out = _by_class(s, rewrite)
+    for eq in sorted(deep, key=lambda eq: lhs_sort_key(eq.lhs)):
+        # only so deep a tree can print as text nested past the readers' limit
+        try:
+            parse_formula(canonical_text(eq.rhs), CANONICAL)
+        except FormulaSyntaxError as e:
+            raise FormulaSyntaxError(f"replacing in {eq.lhs} gives a formula that does "
+                                     f"not read back: {e}") from None
+    return out
+
+
+def _fold_at(f: Formula, step) -> Formula:
+    """f rebuilt bottom-up through step(postorder position, rebuilt node)."""
+    pos = count()
+    return fold(f, lambda node: step(next(pos), node),
+                lambda node, kids, new_kids: step(next(pos), rebuild(node, kids, new_kids)))
+
+
+def _by_class(s: EquationSet, rewrite) -> EquationSet:
+    """s rewritten by rewrite(key, members) -> [(key, members)] one class at
+    a time: each group, when s holds its groups, which the result then holds
+    too, merged where they meet; any other equation alone, keyed None."""
+    grouped = s._groups is not None
+    classes = list(s._groups.items()) if grouped else []
+    classes += [(None, (eq,)) for eq in s if not (grouped and isinstance(eq.lhs, CellAddr))]
+    eqs, groups = [], {}
+    for key, members in classes:
+        for new_key, new_members in rewrite(key, members):
+            eqs += new_members
+            if new_key is not None:
+                groups.setdefault(new_key, []).append(new_members)
+    out = EquationSet(eqs, s.names, s.layouts)
+    if grouped:
+        by_lhs = lambda eq: lhs_sort_key(eq.lhs)  # noqa: E731
+        merged = [(key, tuple(sorted(chain(*parts), key=by_lhs) if len(parts) > 1 else parts[0]))
+                  for key, parts in groups.items()]
+        out._groups = dict(sorted(merged, key=lambda item: by_lhs(item[1][0])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +378,19 @@ def simplify_formula(f: Formula) -> Formula:
 
 
 def simplify(s: EquationSet) -> EquationSet:
-    return EquationSet(
-        [Equation(eq.lhs, simplify_formula(eq.rhs)) for eq in s],
-        s.names, s.layouts)
+    """Every formula through `simplify_formula`, once per group's form when
+    s holds its groups (the laws read no reference), so the result holds
+    them too; else one equation at a time, as grouping costs more."""
+
+    def rewrite(key, members):
+        form = members[0].rhs if key is None else key[1]
+        new = simplify_formula(form)
+        if new is not form:
+            members = [Equation._make((eq.lhs, new if eq.rhs is form else simplify_formula(eq.rhs)))
+                       for eq in members]
+        return [(key and (key[0], new), members)]
+
+    return _by_class(s, rewrite)
 
 
 # ---------------------------------------------------------------------------

@@ -451,19 +451,31 @@ def to_relative(f: Formula, anchor: CellAddr) -> Formula:
 def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
     """Lenient relative view used as a comparison/grouping key: same-sheet
     absolute references and bounded ranges become offsets, cross-sheet ones
-    and whole columns and rows stay absolute."""
+    and whole columns and rows stay absolute.  f itself when nothing moved."""
     if anchor is None:
         return f
-    return map_refs(f, relativizer(anchor, strict=False))
+    sheet, col, row = anchor
+
+    def leaf(node):
+        t = type(node)
+        if t is AbsRef:  # made relative directly, the commonest leaf to move
+            at = node.addr
+            if at[0] == sheet:
+                return RelRef._make((at[1] - col, at[2] - row))
+        elif t is RangeArg:
+            return move_node(relativizer(anchor, strict=False), node)
+        return node
+
+    return map_leaves(f, leaf)
 
 
 def formula_groups(s) -> MappingProxyType:
     """The cell equations of s grouped by sheet and relative form, so that
     copy-filled formulas share one group: (sheet, relative form) -> tuple of
     equations, the groups and the equations of each in canonical order.
-    They are built on the first call and kept on the set, which is immutable.
-    A tree the equation before held on the sheet as its own relative form
-    is not walked again."""
+    They are built on the first call and kept on the set, which is immutable
+    (`replace` and `simplify` pass theirs on).  A tree the equation before
+    held on the sheet as its own relative form is not walked again."""
     if s._groups is None:
         groups: dict[tuple[str, Formula], list] = {}
         own = own_sheet = None

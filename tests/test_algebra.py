@@ -2,6 +2,8 @@ import copy
 import itertools
 import pickle
 import random
+import time
+from unittest import mock
 
 import pytest
 
@@ -64,7 +66,7 @@ from sheetalgebra.errors import (
     SubstitutionError,
 )
 from sheetalgebra import algebra, formula
-from sheetalgebra.formula import formula_groups
+from sheetalgebra.formula import formula_groups, relative_form
 from sheetalgebra.model import BINARY_OPS, MAX_NESTING
 
 from conftest import make_set, rand_cell_set, typed_values
@@ -291,6 +293,16 @@ class TestReplicate:
         with pytest.raises(DomainError):
             replicate(make_set(("y[1]", "1")), 3, 2)
 
+    def test_equations_sharing_a_tree_share_its_copies(self):
+        one = parse_formula("a[1]*2", "canonical")
+        s = EquationSet([Equation(ArrayElem("b", (i,)), one) for i in range(1, 4)]
+                        + [Equation(ArrayElem("a", (1,)), Number(1.0))])
+        out = replicate(s, 1, 3)
+        for k in range(1, 4):
+            copies = {id(out.get(ArrayElem("b", (i, k))).rhs) for i in range(1, 4)}
+            assert len(copies) == 1
+            assert out.get(ArrayElem("b", (1, k))).rhs == parse_formula(f"a[1,{k}]*2", "canonical")
+
     @pytest.mark.parametrize("k", [10**18, -(10**18)])
     def test_index_past_the_readers_digits(self, k):
         # the new subscripts are built unchecked, so the bounds are checked first
@@ -313,6 +325,19 @@ class TestQuotient:
         s = make_set(("y[1,2000]", "1"))
         with pytest.raises(DomainError):
             quotient(s, 2000, 2001)
+
+    def test_short_fiber_costs_what_the_set_holds(self):
+        start = time.process_time()
+        with pytest.raises(DomainError) as err:
+            quotient(make_set(("y[1,1]", "1")), 1, 3000000)
+        assert time.process_time() - start < 0.1
+        assert str(err.value) == ("fiber of y[1] is missing 2999999 of the indices 1:3000000, "
+                                  "the first 2")
+
+    def test_empty_set_over_a_wide_range(self):
+        start = time.process_time()
+        assert quotient(EquationSet(), 1, 30000000) == EquationSet()
+        assert time.process_time() - start < 0.1
 
     def test_round_trip_random(self):
         from conftest import rand_array_set
@@ -382,6 +407,29 @@ class TestReplace:
         save(out, path)
         assert load(path) == out
         assert diff(out, load(path)).empty
+
+    def test_relative_forms_are_built_once(self):
+        # a copy-filled column without the pattern: grouping in replace walks
+        # each formula once, and simplify and stylecheck_unique take the
+        # groups replace passed on
+        s = parse_document("\n".join(f"B{r} = A{r}*2+1" for r in range(1, 1001)))
+        pattern, replacement = Number(0.07), Number(0.08)
+        seen = []
+
+        def counting(f, anchor):
+            seen.append(id(f))
+            return relative_form(f, anchor)
+
+        with mock.patch("sheetalgebra.formula.relative_form", counting), \
+                mock.patch("sheetalgebra.algebra.relative_form", counting):
+            out = replace(s, pattern, replacement)
+            on_formulas = [i for i in seen if i not in (id(pattern), id(replacement))]
+            assert len(on_formulas) == len(set(on_formulas)) <= len(s)
+            assert set(on_formulas) <= {id(eq.rhs) for eq in s}
+            seen.clear()
+            assert stylecheck_unique(simplify(out)) == stylecheck_unique(s)
+            assert seen == []
+        assert all(out.get(eq.lhs) is eq for eq in s)
 
     def test_result_nested_to_the_limit_saves_and_loads(self, tmp_path):
         s = parse_document("B1 = " + "-" * (MAX_NESTING - 1) + "A1")

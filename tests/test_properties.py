@@ -51,6 +51,7 @@ from sheetalgebra import (
     parse_formula,
     parse_listing,
     print_formula,
+    replace,
     shift,
     show,
     simplify,
@@ -60,10 +61,25 @@ from sheetalgebra import (
     to_relative,
     union,
 )
-from sheetalgebra.errors import CrossSheetError, DomainError, LayoutError, SheetError
+from sheetalgebra.errors import (
+    CrossSheetError,
+    DomainError,
+    FormulaSyntaxError,
+    LayoutError,
+    SheetError,
+)
 from sheetalgebra.fileio import format_value
-from sheetalgebra.formula import formula_groups, relative_form
-from sheetalgebra.model import BINARY_OPS, fold, lhs_sort_key
+from sheetalgebra.formula import formula_groups, relative_form, relativizer
+from sheetalgebra.model import (
+    BINARY_OPS,
+    MAX_NESTING,
+    depth,
+    fold,
+    lhs_sort_key,
+    move_node,
+    rebuild,
+    walk,
+)
 
 from conftest import rand_cell_set
 
@@ -674,12 +690,14 @@ def _fresh(f):
 
 
 def _result(f, *args):
-    """f's result with each value as its repr, or the class and message of
-    the SheetError it raises."""
+    """f's result with each value as its repr (an equation set as it is),
+    or the class and message of the SheetError it raises."""
     try:
         v = f(*args)
     except SheetError as e:
         return type(e), str(e)
+    if type(v) is EquationSet:
+        return v
     return {a: repr(x) for a, x in v.items()} if type(v) is dict else repr(v)
 
 
@@ -709,6 +727,142 @@ class TestSharedTrees:
         assert _result(evaluate, s) == _result(evaluate, fresh)
         for eq in s:
             assert _result(evaluate_cell, s, eq.lhs) == _result(evaluate_cell, fresh, eq.lhs)
+
+# -- replace by relative-form group against replace of each equation --------
+
+
+def _replace_each(s, pattern, replacement):
+    """The reference: every equation matched on its own, the pattern and
+    the replacement made relative at its cell and each of its nodes as the
+    fold reaches it, nothing grouped."""
+    out = []
+    for eq in s:
+        anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
+        key = relative_form(pattern, anchor)
+        swap = (replacement, relative_form(replacement, anchor))
+        relativize = None if anchor is None else relativizer(anchor, strict=False)
+
+        def leaf(node):
+            rel = node if relativize is None else move_node(relativize, node)
+            return swap if rel == key else (node, rel)
+
+        def inner(node, kids, done):
+            rel = rebuild(node, kids, [r for _, r in done])
+            return swap if rel == key else (rebuild(node, kids, [new for new, _ in done]), rel)
+
+        rhs = fold(eq.rhs, leaf, inner)[0]
+        if rhs is not eq.rhs and depth(rhs) > MAX_NESTING:
+            try:
+                parse_formula(canonical_text(rhs), CANONICAL)
+            except FormulaSyntaxError as e:
+                raise FormulaSyntaxError(f"replacing in {eq.lhs} gives a formula that does "
+                                         f"not read back: {e}") from None
+        out.append(Equation(eq.lhs, rhs))
+    return EquationSet(out, s.names, s.layouts)
+
+
+_block_leaves = st.one_of(
+    st.sampled_from([0.07, 1.0, 2.0]).map(Number),
+    st.builds(RelRef, st.integers(min_value=-2, max_value=0),
+              st.integers(min_value=-2, max_value=0)),
+    st.builds(lambda sheet, c, r: AbsRef(CellAddr(sheet, c, r)),
+              st.sampled_from(["Sheet1", "Sheet2"]),
+              st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)),
+    st.just(Call("SUM", (RangeArg(CellRange((Rect(None, -1, -1, -2, 0),))),))),
+    st.just(ElemRef("x", (1,))))
+_block_formulas = st.recursive(
+    _block_leaves,
+    lambda inner: st.one_of(st.builds(Binary, st.sampled_from("+-*"), inner, inner),
+                            st.builds(Neg, inner)),
+    max_leaves=5)
+
+
+def _blocks(*blocks):
+    """A set of blocks (sheet, col, rows, formula, resolved): the formula
+    copied down the rows of the column, as it stands or resolved at each
+    cell."""
+    return EquationSet([Equation(a, to_absolute(f, a) if resolved else f)
+                        for sheet, col, rows, f, resolved in blocks
+                        for a in (CellAddr(sheet, col, r) for r in rows)])
+
+
+@st.composite
+def replace_cases(draw):
+    """Up to three copy-filled blocks on two sheets and an array element,
+    with a pattern drawn from the set's formulas, as it stands or relative
+    at its cell, and a replacement: a formula, or one that holds the
+    pattern.  The set knows its groups beforehand or not."""
+    eqs = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        f = draw(_block_formulas)
+        sheet = draw(st.sampled_from(["Sheet1", "Sheet2"]))
+        col, row = draw(st.integers(min_value=3, max_value=5)), draw(st.integers(min_value=3, max_value=6))
+        width, height = draw(st.integers(min_value=1, max_value=2)), draw(st.integers(min_value=1, max_value=4))
+        resolved = draw(st.booleans())
+        for c in range(col, col + width):
+            for eq in _blocks((sheet, c, range(row, row + height), f, resolved)):
+                eqs.setdefault(eq.lhs, eq)
+    y = ArrayElem("y", (1,))
+    eqs[y] = Equation(y, draw(_block_formulas))
+    s = EquationSet(eqs.values())
+    eq = draw(st.sampled_from(list(s)))
+    pattern = draw(st.sampled_from(list(walk(eq.rhs))))
+    if isinstance(eq.lhs, CellAddr) and draw(st.booleans()):
+        pattern = relative_form(pattern, eq.lhs)
+    replacement = draw(st.one_of(_block_formulas, st.just(Binary("+", pattern, Number(1.0))),
+                                 st.just(Neg(pattern))))
+    if draw(st.booleans()):
+        formula_groups(s)
+    return s, pattern, replacement
+
+
+def _deep(f, n):
+    for _ in range(n):
+        f = Neg(f)
+    return f
+
+
+_DOUBLED = Binary("*", RelRef(-1, 0), Number(2.0))
+_PLUS_ONE = Binary("+", RelRef(-1, 0), Number(1.0))
+
+
+class TestReplaceByGroup:
+    """replace matches each relative-form group once where it can; it
+    agrees with replacing in each equation on its own, and passes on the
+    groups that grouping its result would give."""
+
+    @given(replace_cases())
+    @example((_blocks(("Sheet1", 2, (1, 3), _DOUBLED, True),  # absolute pattern on the sheet
+                      ("Sheet1", 2, (2, 4), Binary("*", RelRef(-1, 0), Number(3.0)), True)),
+              AbsRef(CellAddr("Sheet1", 1, 3)), Number(5.0)))
+    @example((_blocks(("Sheet1", 2, range(1, 5), _DOUBLED, False)),  # absolute replacement
+              RelRef(-1, 0), AbsRef(CellAddr("Sheet1", 3, 1))))
+    @example((_blocks(("Sheet1", 2, range(1, 5), Binary("+", _PLUS_ONE, Number(1.0)), True)),
+              _PLUS_ONE, RelRef(-1, 0)))  # an inner node, and then its parent, match
+    @example((_blocks(("Sheet1", 2, range(1, 5), _DOUBLED, False)),  # the replacement holds the pattern
+              RelRef(-1, 0), _PLUS_ONE))
+    @example((_blocks(("Sheet1", 2, (1, 3), _DOUBLED, True),  # two groups merge
+                      ("Sheet1", 2, (2, 4), Binary("*", RelRef(-1, 0), Number(3.0)), True)),
+              Number(3.0), Number(2.0)))
+    @example((_blocks(("Sheet1", 2, (2, 3), _deep(NameRef("k"), 63), False),  # nested past the readers
+                      ("Sheet1", 3, (1, 2), _deep(Binary("*", NameRef("k"), Number(2.0)), 62), False)),
+              NameRef("k"), Neg(Neg(NameRef("k")))))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_replacing_each_equation(self, case):
+        s, pattern, replacement = case
+        want = _result(_replace_each, s, pattern, replacement)
+        got = _result(replace, s, pattern, replacement)
+        assert got == want
+        if type(got) is tuple:
+            return
+        for eq in s:  # an equation without a match is the input's own
+            if want.get(eq.lhs).rhs is eq.rhs:
+                assert got.get(eq.lhs) is eq
+        for out in (got, simplify(got)):
+            assert out._groups is not None
+            fresh = formula_groups(EquationSet(list(out), out.names, out.layouts))
+            assert list(formula_groups(out).items()) == list(fresh.items())
+
 
 # -- the layout index against a scan of every footprint ---------------------
 
