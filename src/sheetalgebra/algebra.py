@@ -173,7 +173,6 @@ def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:
     defined = {lhs.name for lhs in s.lhs_set()}
 
     trees = {id(eq.rhs): eq.rhs for eq in s}  # equations sharing a tree share its copies
-
     out = []
     for k in range(lo, hi + 1) if s else ():  # an empty set makes no copies, however wide lo..hi
         def extend(node):
@@ -251,11 +250,13 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
     """Global search-and-replace on formulas.  Subtrees are matched in
     relative representation anchored at each equation's cell, so an absolute
     pattern matches only the exact cells it names, while a relative pattern
-    matches every copy.  A group (`formula_groups`) is matched on its form,
-    once where the pattern and the replacement read alike at all its cells,
-    in a bottom-up pass that does not rescan inserted replacements.  The
-    result holds its groups.  A result nested deeper than the readers read
-    is a FormulaSyntaxError, so that `save` never writes what `load` refuses."""
+    matches every copy.  Each group (`formula_groups`) is matched on its
+    form, once if the pattern and the replacement read alike at all its
+    cells, else once per member, in a bottom-up pass that does not rescan
+    inserted replacements; a group without a match keeps its equations, and
+    the result holds its groups.  A result nested deeper than the readers
+    read is a FormulaSyntaxError, so that `save` never writes what `load`
+    refuses."""
     formula_groups(s)
     deep = []  # rewritten equations nested past MAX_NESTING
 
@@ -284,7 +285,7 @@ def replace(s: EquationSet, pattern: Formula, replacement: Formula) -> EquationS
         classes = []
         for eq in members:
             target, swap = relative_form(pattern, eq.lhs), relative_form(replacement, eq.lhs)
-            if target is pattern and swap is replacement:  # so at every cell of the sheet
+            if target is pattern and swap is replacement:  # as at every cell of its sheet
                 return [matched(key, members, key[1], pattern, replacement)]
             classes.append(matched(key, (eq,), key[1], target, swap))
         return classes
@@ -310,7 +311,8 @@ def _fold_at(f: Formula, step) -> Formula:
 def _by_class(s: EquationSet, rewrite) -> EquationSet:
     """s rewritten by rewrite(key, members) -> [(key, members)] one class at
     a time: each group, when s holds its groups, which the result then holds
-    too, merged where they meet; any other equation alone, keyed None."""
+    too, merged where they meet; any other equation alone, keyed None.  The
+    rewrite keeps every left-hand side, so the result keeps the order of s."""
     grouped = s._groups is not None
     classes = list(s._groups.items()) if grouped else []
     classes += [(None, (eq,)) for eq in s if not (grouped and isinstance(eq.lhs, CellAddr))]
@@ -321,6 +323,7 @@ def _by_class(s: EquationSet, rewrite) -> EquationSet:
             if new_key is not None:
                 groups.setdefault(new_key, []).append(new_members)
     out = EquationSet(eqs, s.names, s.layouts)
+    out._order = tuple(map(out.get, (eq.lhs for eq in s)))
     if grouped:
         by_lhs = lambda eq: lhs_sort_key(eq.lhs)  # noqa: E731
         merged = [(key, tuple(sorted(chain(*parts), key=by_lhs) if len(parts) > 1 else parts[0]))

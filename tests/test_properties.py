@@ -860,8 +860,9 @@ class TestReplaceByGroup:
                 assert got.get(eq.lhs) is eq
         for out in (got, simplify(got)):
             assert out._groups is not None
-            fresh = formula_groups(EquationSet(list(out), out.names, out.layouts))
-            assert list(formula_groups(out).items()) == list(fresh.items())
+            fresh = EquationSet(list(out), out.names, out.layouts)
+            assert list(out) == list(fresh)
+            assert list(formula_groups(out).items()) == list(formula_groups(fresh).items())
 
 
 # -- the layout index against a scan of every footprint ---------------------
