@@ -475,18 +475,27 @@ def formula_groups(s) -> MappingProxyType:
     equations, the groups and the equations of each in canonical order.
     They are built on the first call and kept on the set, which is immutable
     (`replace` and `simplify` pass theirs on).  A tree the equation before
-    held on the sheet as its own relative form is not walked again."""
+    held on the sheet as its own relative form is not walked again, nor is
+    a cell that `compile_set` made a copy of an earlier cell's form."""
     if s._groups is None:
         groups: dict[tuple[str, Formula], list] = {}
+        copies, known = s._copies, {}  # copy class -> its group
         own = own_sheet = None
         for eq in s:
             cell, f = eq
             if isinstance(cell, CellAddr):
-                rel = f if f is own and cell.sheet == own_sheet else relative_form(f, cell)
-                if rel is f:
-                    own, own_sheet = f, cell.sheet
-                groups.setdefault((cell.sheet, rel), []).append(eq)
+                c = copies.get(cell) if copies else None
+                members = known.get(c)
+                if members is None:
+                    rel = f if f is own and cell.sheet == own_sheet else relative_form(f, cell)
+                    if rel is f:
+                        own, own_sheet = f, cell.sheet
+                    members = groups.setdefault((cell.sheet, rel), [])
+                    if c is not None:
+                        known[c] = members
+                members.append(eq)
         s._groups = {key: tuple(eqs) for key, eqs in groups.items()}
+        s._copies = None
     return MappingProxyType(s._groups)
 
 

@@ -9,11 +9,13 @@ advances right.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import CollisionError, DomainError, LayoutError
+from .errors import DomainError, LayoutError
+from .formula import relative_form
 from .model import (
     AbsRef,
     ArrayElem,
@@ -23,10 +25,13 @@ from .model import (
     EquationSet,
     Formula,
     Here,
+    RangeArg,
     Rect,
     check_subscripts,
+    fold,
     has_here,
     map_leaves,
+    rebuild,
 )
 
 DOWN = "down"
@@ -67,13 +72,13 @@ class LayoutDirective:
 
     @cached_property
     def _origin(self) -> tuple:
-        """(CellAddr field, subscript minus coordinate) for each subscript."""
-        return tuple((field, lo - self.anchor[field])
-                     for field, (lo, _) in zip(_AXES[self.orientation], self.index_box))
+        """(CellAddr field, subscript minus coordinate, lo, hi) per subscript."""
+        return tuple((field, lo - self.anchor[field], lo, hi)
+                     for field, (lo, hi) in zip(_AXES[self.orientation], self.index_box))
 
     def _elem_at(self, a: CellAddr) -> ArrayElem:
         """The element laid out at cell a, which the footprint holds."""
-        return ArrayElem._make((self.array, tuple([a[f] + off for f, off in self._origin])))
+        return ArrayElem._make((self.array, tuple([a[f] + off for f, off, _, _ in self._origin])))
 
     def __str__(self):
         box = ",".join(f"{lo}:{hi}" for lo, hi in self.index_box)
@@ -134,7 +139,7 @@ def elem_to_cell(d: LayoutDirective, subs: tuple) -> CellAddr:
         raise LayoutError(
             f"{d.array} takes {d.arity} subscripts, got {len(subs)}")
     cell = list(d.anchor)
-    for (field, off), sub, (lo, hi) in zip(d._origin, subs, d.index_box):
+    for (field, off, lo, hi), sub in zip(d._origin, subs):
         if not (lo <= sub <= hi):
             raise LayoutError(f"{d.array}[{sub}] is outside {lo}:{hi}")
         cell[field] = sub - off
@@ -157,7 +162,10 @@ def resolve_here(subs: tuple, at: tuple) -> tuple:
 
 def compile_set(spec: EquationSet, layouts: LayoutSet | None = None) -> EquationSet:
     """Rewrite a named-array equation set into cell equations as directed by
-    the layouts.  Every array used must have a directive."""
+    the layouts.  Every array used must have a directive.  A tree that two
+    or more equations share is walked once, into a template that each of
+    them runs at its own subscripts; the result knows which of those cells
+    copy one relative form, so that `formula_groups` walks only the first."""
     if layouts is None:
         layouts = LayoutSet(spec.layouts)
 
@@ -167,24 +175,80 @@ def compile_set(spec: EquationSet, layouts: LayoutSet | None = None) -> Equation
             raise LayoutError(f"no layout directive for array {name!r}")
         return d
 
-    def compile_formula(f: Formula, at: tuple) -> Formula:
-        def fix(node):
-            if isinstance(node, ElemRef):
-                subs = resolve_here(node.subs, at)
-                return AbsRef(elem_to_cell(directive(node.name), subs))
-            return node
+    def cell_of(node: ElemRef, at: tuple, recipe=()) -> CellAddr:
+        """The cell node names at subscripts at: by its recipe if that fits."""
+        if recipe:
+            cell = recipe[0].copy()
+            for field, pos, lo, hi, shift in recipe[1]:
+                if pos >= len(at) or not lo <= at[pos] <= hi:
+                    break
+                cell[field] = at[pos] + shift
+            else:  # inside the box, so on the footprint, which is on the grid
+                return CellAddr._make(cell)
+        subs = resolve_here(node.subs, at)  # a HERE fault before a missing directive
+        return elem_to_cell(directive(node.name), subs)
 
-        return map_leaves(f, fix)
+    def template(f: Formula) -> tuple:
+        """f's nodes in postorder with their children and, for an element
+        reference, its recipe: the anchor with the constant subscripts laid
+        out, and per HERE subscript (field, position, bounds on the subscript
+        there, shift to the coordinate); () if the directive or a constant
+        does not fit.  Then f's other references, made relative per cell."""
+        nodes, refs = [], []
 
-    out = {}
+        def leaf(node):
+            recipe = None
+            if type(node) is ElemRef:
+                d, recipe = layouts.get(node.name), ()
+                if d is not None and len(node.subs) == d.arity:
+                    cell, steps = list(d.anchor), []
+                    for pos, ((field, off, lo, hi), sub) in enumerate(zip(d._origin, node.subs)):
+                        if type(sub) is Here:
+                            k = sub.offset
+                            steps.append((field, pos, lo - k, hi - k, k - off))
+                        elif lo <= sub <= hi:
+                            cell[field] = sub - off
+                        else:
+                            break
+                    else:
+                        recipe = cell, steps
+            elif type(node) in (AbsRef, RangeArg):
+                refs.append(node)
+            nodes.append((node, (), recipe))
+
+        fold(f, leaf, lambda node, kids, _: nodes.append((node, kids, None)))
+        return nodes, refs
+
+    uses = Counter([id(eq.rhs) for eq in spec])
+    templates, classes, copies, out = {}, {}, {}, []
     for eq in spec:
-        if not isinstance(eq.lhs, ArrayElem):
-            raise LayoutError(f"compile expects array left-hand sides, got {eq.lhs}")
-        cell = elem_to_cell(directive(eq.lhs.name), eq.lhs.subs)
-        if cell in out:
-            raise CollisionError(f"two equations land on {cell}")
-        out[cell] = Equation(cell, compile_formula(eq.rhs, eq.lhs.subs))
-    return EquationSet(out.values(), spec.names, ())
+        lhs, f = eq
+        if not isinstance(lhs, ArrayElem):
+            raise LayoutError(f"compile expects array left-hand sides, got {lhs}")
+        cell, at = elem_to_cell(directive(lhs.name), lhs.subs), lhs.subs
+        if uses[id(f)] == 1:
+            f = map_leaves(f, lambda x: AbsRef(cell_of(x, at)) if type(x) is ElemRef else x)
+        else:  # its copy class: the tree, and where its references lie from the cell
+            nodes, refs = templates.get(id(f)) or templates.setdefault(id(f), template(f))
+            stack, key = [], [id(f), cell[0]]
+            for node, kids, recipe in nodes:
+                if recipe is not None:
+                    a = cell_of(node, at, recipe)
+                    key.append((a[1] - cell[1], a[2] - cell[2]) if a[0] == cell[0] else a)
+                    stack.append(AbsRef._make((a,)))
+                elif kids:
+                    new = stack[-len(kids):]
+                    del stack[-len(kids):]
+                    stack.append(rebuild(node, kids, new))
+                else:
+                    stack.append(node)
+            key += [relative_form(x, cell) for x in refs]
+            copies[cell] = classes.setdefault(tuple(key), len(classes))
+            f = stack[0]
+        out.append(Equation._make((cell, f)))
+    cells = EquationSet(out, spec.names, ())
+    cells._copies = copies
+    return cells
 
 
 def decompile_set(cells: EquationSet, layouts: LayoutSet | None = None) -> EquationSet:

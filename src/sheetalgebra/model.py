@@ -546,7 +546,7 @@ class EquationSet:
     """Immutable set of equations plus a defined-name table and optional
     layout directives carried along from a source document."""
 
-    __slots__ = ("_eqs", "_names", "_layouts", "_order", "_groups")
+    __slots__ = ("_eqs", "_names", "_layouts", "_order", "_groups", "_copies")
 
     def __init__(self, equations=(), names=None, layouts=()):
         eqs = {}
@@ -559,6 +559,7 @@ class EquationSet:
         self._names = dict(names) if names else {}
         self._layouts = tuple(layouts)
         self._order = self._groups = None  # canonical order and formula_groups, on first use
+        self._copies = None  # cell -> copy class, from compile_set, until formula_groups
 
     @property
     def names(self) -> dict:

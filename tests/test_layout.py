@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 
 from sheetalgebra import (
     ArrayElem,
     CellAddr,
+    EquationSet,
     LayoutDirective,
     LayoutSet,
     Number,
@@ -17,6 +19,7 @@ from sheetalgebra import (
     parse_formula,
 )
 from sheetalgebra.errors import DomainError, LayoutError
+from sheetalgebra.formula import formula_groups, relative_form
 
 from conftest import make_set, rand_layout_spec
 
@@ -130,6 +133,24 @@ class TestCompile:
     def test_rejects_cell_lhs(self, accounts):
         with pytest.raises(LayoutError):
             compile_set(accounts, LayoutSet([]))
+
+    def test_copies_are_grouped_without_relative_forms(self):
+        # v[2..1000] share one tree: grouping the compiled column makes the
+        # relative form of v[1]'s cell and of one copy, not of each cell
+        rows = [f"v[{r}] = v[HERE-1]+1" for r in range(2, 1001)]
+        spec = parse_document("\n".join(["v[1] = 0", *rows, "layout v[1:1000] as B1 down"]))
+        cells = compile_set(spec)
+        seen = []
+
+        def counting(f, anchor):
+            seen.append(anchor)
+            return relative_form(f, anchor)
+
+        with mock.patch("sheetalgebra.formula.relative_form", counting):
+            groups = formula_groups(cells)
+        assert len(seen) <= 2
+        assert [len(eqs) for eqs in groups.values()] == [1, 999]
+        assert list(groups.items()) == list(formula_groups(EquationSet(list(cells))).items())
 
 
 class TestDecompile:

@@ -52,6 +52,7 @@ from sheetalgebra import (
     parse_listing,
     print_formula,
     replace,
+    replicate,
     shift,
     show,
     simplify,
@@ -62,6 +63,7 @@ from sheetalgebra import (
     union,
 )
 from sheetalgebra.errors import (
+    CollisionError,
     CrossSheetError,
     DomainError,
     FormulaSyntaxError,
@@ -70,12 +72,14 @@ from sheetalgebra.errors import (
 )
 from sheetalgebra.fileio import format_value
 from sheetalgebra.formula import formula_groups, relative_form, relativizer
+from sheetalgebra.layout import resolve_here
 from sheetalgebra.model import (
     BINARY_OPS,
     MAX_NESTING,
     depth,
     fold,
     lhs_sort_key,
+    map_leaves,
     move_node,
     rebuild,
     walk,
@@ -953,3 +957,132 @@ class TestLayoutIndex:
     def test_compile_decompile_two_dimensional(self, spec):
         layouts = LayoutSet(spec.layouts)
         assert decompile_set(compile_set(spec), layouts) == spec
+
+
+# -- the compiler against compiling each equation on its own ---------------
+
+
+def _compile_each(spec, layouts=None):
+    """The reference: every equation compiled on its own, each element
+    reference checked as it stands, nothing shared."""
+    if layouts is None:
+        layouts = LayoutSet(spec.layouts)
+
+    def directive(name):
+        d = layouts.get(name)
+        if d is None:
+            raise LayoutError(f"no layout directive for array {name!r}")
+        return d
+
+    def compile_formula(f, at):
+        def fix(node):
+            if isinstance(node, ElemRef):
+                subs = resolve_here(node.subs, at)
+                return AbsRef(elem_to_cell(directive(node.name), subs))
+            return node
+
+        return map_leaves(f, fix)
+
+    out = {}
+    for eq in spec:
+        if not isinstance(eq.lhs, ArrayElem):
+            raise LayoutError(f"compile expects array left-hand sides, got {eq.lhs}")
+        cell = elem_to_cell(directive(eq.lhs.name), eq.lhs.subs)
+        if cell in out:
+            raise CollisionError(f"two equations land on {cell}")
+        out[cell] = Equation(cell, compile_formula(eq.rhs, eq.lhs.subs))
+    return EquationSet(out.values(), spec.names, ())
+
+
+def _module_trees(arity):
+    """Formulas over the module's arrays m0, m1 (arity subscripts each,
+    now and then one more), the 1-D array x, the array w without a
+    directive, cell references on two sheets and ranges."""
+    subs = st.one_of(st.sampled_from([Here(0), Here(0), Here(0), Here(-1), Here(1)]),
+                     st.integers(min_value=1, max_value=3))
+    elems = st.sampled_from([("m0", arity), ("m1", arity), ("x", 1)] * 3 + [("w", 1)]).flatmap(
+        lambda ref: st.builds(ElemRef, st.just(ref[0]), st.sampled_from([0, 0, 0, 1]).flatmap(
+            lambda more: st.tuples(*[subs] * (ref[1] + more)))))
+    leaves = st.one_of(
+        elems, elems,  # half the leaves
+        st.sampled_from([1.0, 2.0]).map(Number),
+        st.builds(lambda sheet, c, r: AbsRef(CellAddr(sheet, c, r)),
+                  st.sampled_from(["Sheet1", "Sheet2"]),
+                  st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)),
+        st.sampled_from([Call("SUM", (RangeArg(CellRange((Rect(None, -1, 0, -1, 0),))),)),
+                         Call("SUM", (RangeArg(CellRange.box(CellAddr("Sheet2", 1, 1),
+                                                             CellAddr("Sheet2", 2, 3))),))]))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.builds(Binary, st.sampled_from("+-*"), inner, inner),
+                                st.builds(Neg, inner)),
+        max_leaves=4)
+
+
+@st.composite
+def replicated_specs(draw):
+    """A module of two arrays m0, m1, whose elements share up to
+    three trees, replicated over 1..R, with the 1-D array x beside it:
+    m0 and m1 laid out 2-D, x down or right, anchors on two sheets; now
+    and then a directive is missing or a box is wider than its array."""
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=2))
+    regions = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(_module_trees(1), min_size=1, max_size=3))
+    module = EquationSet([Equation(ArrayElem(f"m{j}", (i,)), draw(st.sampled_from(pool)))
+                          for j, n in enumerate(lengths) for i in range(1, n + 1)])
+    n_x = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(_module_trees(2), min_size=1, max_size=2))
+    xs = [Equation(ArrayElem("x", (i,)), draw(st.sampled_from(pool))) for i in range(1, n_x + 1)]
+    sheets, wider = st.sampled_from(["Sheet1", "Sheet2"]), st.integers(min_value=0, max_value=1)
+    layouts = [LayoutDirective(f"m{j}", ((1, n + draw(wider)), (1, regions + draw(wider))),
+                               CellAddr(draw(sheets), 1 + 6 * j, draw(st.integers(1, 3))), None)
+               for j, n in enumerate(lengths)]
+    layouts.append(LayoutDirective("x", ((1, n_x + draw(wider)),),
+                                   CellAddr(draw(sheets), 13, draw(st.integers(1, 3))),
+                                   draw(st.sampled_from(["down", "right"]))))
+    missing = draw(st.sampled_from([None] * 12 + [0, 1, 2]))
+    if missing is not None:
+        del layouts[missing]
+    return EquationSet(list(replicate(module, 1, regions)) + xs, layouts=layouts)
+
+
+def _shared(layouts, *rows):
+    """A spec of rows (array, subscript lists, formula text), the elements
+    of each row sharing one tree."""
+    return EquationSet([Equation(ArrayElem(name, subs), tree)
+                        for name, subss, text in rows for tree in [parse_formula(text)]
+                        for subs in subss], layouts=layouts)
+
+
+_V = LayoutDirective("v", ((1, 3),), CellAddr("Sheet1", 2, 1), "down")
+_M = LayoutDirective("m", ((1, 2), (1, 2)), CellAddr("Sheet2", 4, 1), None)
+_X = LayoutDirective("x", ((1, 2),), CellAddr("Sheet3", 1, 1), "right")
+_VS = [(1,), (2,), (3,)]
+
+
+class TestCompileShared:
+    """compile_set runs one template per shared tree; it agrees with
+    compiling each equation on its own, and the copy classes it hands on
+    give the groups that grouping its result afresh gives."""
+
+    @given(replicated_specs())
+    @example(_shared([_V], ("v", _VS, "w[HERE]+1")))  # no directive
+    @example(_shared([_V], ("v", _VS, "v[HERE,1]")))  # a wrong arity
+    @example(_shared([_V], ("v", _VS, "v[HERE-1]+1")))  # before the box, at the first use
+    @example(_shared([_V], ("v", _VS, "v[HERE+1]*2")))  # past the box, at a later use
+    @example(_shared([_V, _M], ("v", _VS, "m[HERE,HERE]")))  # HERE without a subscript
+    @example(_shared([_V, _M], ("m", [(1, 1), (2, 2)], "m[HERE,HERE]+1"),
+                     ("v", _VS, "m[HERE,HERE]+1")))  # the same, at a later use
+    @example(_shared([_V, _M, _X], ("m", [(1, 1), (1, 2), (2, 1)], "x[2]*2+A1"),
+                     ("v", _VS, "x[2]*2+A1")))  # one tree on two sheets
+    @example(_shared([_V, _M], ("v", _VS, "SUM(B1:B2,Sheet2!A1:A2)+Sheet2!D1+m[HERE,1]"),
+                     ("m", [(1, 1), (2, 1), (1, 2)], "SUM(B1:B2,Sheet2!A1:A2)+Sheet2!D1")))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_compiling_each_equation(self, spec):
+        got = _result(compile_set, spec)
+        assert got == _result(_compile_each, spec)
+        if type(got) is tuple:
+            return
+        assert len(got) == len(spec)
+        fresh = EquationSet(list(got), got.names, got.layouts)
+        assert list(formula_groups(got).items()) == list(formula_groups(fresh).items())
