@@ -485,7 +485,7 @@ def formula_groups(s) -> MappingProxyType:
             cell, f = eq
             if isinstance(cell, CellAddr):
                 c = copies.get(cell) if copies else None
-                members = known.get(c)
+                members = None if c is None else known.get(c)
                 if members is None:
                     rel = f if f is own and cell.sheet == own_sheet else relative_form(f, cell)
                     if rel is f:
