@@ -32,8 +32,10 @@ from .formula import (
 )
 from .model import (
     ARITH_OPS,
+    MAX_COL,
     MAX_EQUATIONS,
     MAX_NESTING,
+    MAX_ROW,
     ArrayElem,
     Binary,
     Bool,
@@ -45,6 +47,7 @@ from .model import (
     Formula,
     Neg,
     Number,
+    RangeArg,
     Rect,
     check_subscripts,
     depth,
@@ -82,9 +85,10 @@ def union(a: EquationSet, b: EquationSet) -> EquationSet:
 
 def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     """Move the whole sheet dx columns right and dy rows down.  Absolute
-    references and every bounded side of a range in formulas move too, even
-    when they point at cells outside the set; relative references and
-    unbounded sides are untouched."""
+    references and every bounded side of a range, in formulas and defined
+    names, move too, even when they point at cells outside the set; relative
+    references and unbounded sides stay.  Each tree object moves once, so
+    shared trees stay shared, and the result keeps the canonical order."""
 
     def move(p):
         sheet, col, row = p
@@ -99,20 +103,35 @@ def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     def move_box(lo, hi):
         return move(lo), move(hi)
 
-    out = []
-    for eq in s:
-        lhs = eq.lhs
+    moved, out = {}, []  # id of a tree -> the tree moved; s keeps each tree alive
+    for lhs, rhs in s:
         if isinstance(lhs, CellAddr):
-            lhs = CellAddr(*move(lhs))
-        out.append(Equation(lhs, map_refs(eq.rhs, move_box)))
-    return EquationSet(out, s.names, s.layouts)
+            lhs = CellAddr._make(move(lhs))  # move checked it on the grid
+        new = moved.get(id(rhs))
+        if new is None:
+            new = moved[id(rhs)] = map_refs(rhs, move_box)
+        out.append(Equation._make((lhs, new)))
+    names = {name: map_refs(RangeArg(rng), move_box).range for name, rng in s.names.items()}
+    result = EquationSet(out, names, s.layouts)
+    result._order = tuple(out)
+    return result
 
 
 def extract(s: EquationSet, r: CellRange) -> EquationSet:
-    """Keep exactly the equations whose left-hand sides lie within the range."""
-    kept = [eq for eq in s
-            if isinstance(eq.lhs, CellAddr) and r.contains(eq.lhs)]
-    return EquationSet(kept, s.names, s.layouts)
+    """Keep exactly the equations whose left-hand sides lie within r, in order."""
+    boxes = [(sheet, c0 or 1, c1 or MAX_COL, r0 or 1, r1 or MAX_ROW)
+             for sheet, c0, c1, r0, r1 in r.rects]  # unbounded sides at the grid edges
+    kept = []
+    for eq in s:
+        if isinstance(eq.lhs, CellAddr):
+            sheet, col, row = eq.lhs
+            for sh, c0, c1, r0, r1 in boxes:
+                if sheet == sh and c0 <= col <= c1 and r0 <= row <= r1:
+                    kept.append(eq)
+                    break
+    out = EquationSet(kept, s.names, s.layouts)
+    out._order = tuple(kept)
+    return out
 
 
 def map_range(s: EquationSet, src: CellRange, dst: CellRange) -> EquationSet:

@@ -67,7 +67,7 @@ from sheetalgebra.errors import (
 )
 from sheetalgebra import algebra, formula
 from sheetalgebra.formula import formula_groups, relative_form
-from sheetalgebra.model import BINARY_OPS, MAX_NESTING
+from sheetalgebra.model import BINARY_OPS, MAX_NESTING, map_refs
 
 from conftest import make_set, rand_cell_set, typed_values
 
@@ -173,6 +173,34 @@ class TestShift:
         assert shift(s, 0, 1048575).get(addr("A1048576")).rhs == parse_formula("1")
         with pytest.raises(OutOfGridError):
             shift(s, 0, 1048576)
+
+    def test_defined_names_move(self):
+        # SUM(costs) moves as SUM(B2:B3) written out does; the rows of the
+        # unbounded band stay
+        s = parse_document("B2 = 1\nB3 = 2\nA1 = SUM(costs)\nA2 = SUM(B2:B3)\n"
+                           "D1 = SUM(band)\nname B2:B3 as costs\nname 2:3 as band")
+        moved = shift(s, 1, 0)
+        assert moved.names == {"costs": CellRange.box(addr("C2"), addr("C3")),
+                               "band": CellRange.rows(2, 3)}
+        assert evaluate(moved) == {CellAddr(a.sheet, a.col + 1, a.row): v
+                                   for a, v in evaluate(s).items()}
+        with pytest.raises(OutOfGridError):
+            shift(parse_document("A5 = 1\nname B2:B3 as costs"), 0, -2)
+
+    def test_each_tree_object_moves_once(self):
+        s = parse_document("\n".join(f"B{r} = R[-1]C*A1" for r in range(2, 1002)))
+        trees = {id(eq.rhs) for eq in s}
+        calls = []
+
+        def counting(f, fn):
+            calls.append(f)
+            return map_refs(f, fn)
+
+        with mock.patch("sheetalgebra.algebra.map_refs", counting):
+            out = shift(s, 2, 3)
+        assert len(calls) <= len(trees) < len(s)
+        assert len({id(eq.rhs) for eq in out}) == len(trees)
+        assert out.get(addr("D5")).rhs == Binary("*", RelRef(0, -1), AbsRef(addr("C4")))
 
 
 class TestExtract:

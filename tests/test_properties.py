@@ -45,6 +45,7 @@ from sheetalgebra import (
     elem_to_cell,
     evaluate,
     evaluate_cell,
+    extract,
     letters_to_col,
     map_range,
     parse_document,
@@ -68,6 +69,7 @@ from sheetalgebra.errors import (
     DomainError,
     FormulaSyntaxError,
     LayoutError,
+    OutOfGridError,
     SheetError,
 )
 from sheetalgebra.fileio import format_value
@@ -80,7 +82,9 @@ from sheetalgebra.model import (
     fold,
     lhs_sort_key,
     map_leaves,
+    map_refs,
     move_node,
+    on_grid,
     rebuild,
     walk,
 )
@@ -1086,3 +1090,94 @@ class TestCompileShared:
         assert len(got) == len(spec)
         fresh = EquationSet(list(got), got.names, got.layouts)
         assert list(formula_groups(got).items()) == list(formula_groups(fresh).items())
+
+
+# -- shift of shared trees against shifting each equation on its own -------
+
+
+def _shift_each(s, dx, dy):
+    """The reference: every equation's tree moved by its own walk, in
+    canonical order, the left-hand side before the tree; then the names."""
+
+    def move(p):
+        sheet, col, row = p
+        if sheet is None:
+            return p
+        col = None if col is None else col + dx
+        row = None if row is None else row + dy
+        if not on_grid(1 if col is None else col, 1 if row is None else row):
+            raise OutOfGridError(f"a reference on {sheet} shifted by ({dx},{dy}) leaves the grid")
+        return sheet, col, row
+
+    def move_box(lo, hi):
+        return move(lo), move(hi)
+
+    out = []
+    for eq in s:
+        lhs = eq.lhs
+        if isinstance(lhs, CellAddr):
+            lhs = CellAddr(*move(lhs))
+        out.append(Equation(lhs, map_refs(eq.rhs, move_box)))
+    names = {name: map_refs(RangeArg(rng), move_box).range for name, rng in s.names.items()}
+    return EquationSet(out, names, s.layouts)
+
+
+_sheets = st.sampled_from(["Sheet1", "Sheet2"])
+_near = st.integers(min_value=1, max_value=6)
+_near_rects = st.one_of(
+    st.builds(lambda sh, c, d, r, s: Rect(sh, *_ordered(c, d), *_ordered(r, s)),
+              _sheets, _near, _near, _near, _near),
+    st.builds(lambda sh, c, d: Rect(sh, *_ordered(c, d), None, None), _sheets, _near, _near),
+    st.builds(lambda sh, r, s: Rect(sh, None, None, *_ordered(r, s)), _sheets, _near, _near))
+
+
+def shared_sheets():
+    """Sets near the grid's top-left corner in which each tree object
+    stands at up to four cells on two sheets: SUM over references to
+    either sheet, ranges with and without unbounded sides, offsets, array
+    elements and the defined name `costs`; a few array left-hand sides."""
+    leaf = st.one_of(
+        st.builds(CellAddr, _sheets, _near, _near).map(AbsRef),
+        st.builds(RelRef, offsets, offsets),
+        _near_rects.map(lambda r: RangeArg(CellRange((r,)))),
+        st.builds(ElemRef, st.just("v"), st.tuples(_near)),
+        st.just(NameRef("costs")))
+    tree = st.lists(leaf, min_size=1, max_size=3).map(lambda xs: Call("SUM", tuple(xs)))
+    cells = st.lists(st.builds(CellAddr, _sheets, _near, _near), min_size=1, max_size=4)
+    elems = st.lists(st.builds(lambda i: ArrayElem("v", (i,)), _near), max_size=2)
+
+    def build(placed, at_elems, name):
+        eqs = {a: Equation(a, f) for f, cells in placed for a in cells}
+        eqs.update((e, Equation(e, f)) for f, es in at_elems for e in es)
+        return EquationSet(eqs.values(), {"costs": CellRange((name,))})
+
+    return st.builds(build, st.lists(st.tuples(tree, cells), min_size=1, max_size=4),
+                     st.lists(st.tuples(tree, elems), max_size=2), _near_rects)
+
+
+_STEPS = st.integers(min_value=-5, max_value=5)
+
+
+class TestShiftShared:
+    """shift moves each tree object once; it agrees with moving every
+    equation on its own, errors included, and hands on the canonical
+    order."""
+
+    @given(shared_sheets(), _STEPS, _STEPS)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_shifting_each_equation(self, s, dx, dy):
+        got = _result(shift, s, dx, dy)
+        assert got == _result(_shift_each, s, dx, dy)
+        if type(got) is tuple:
+            assert got[0] is OutOfGridError
+            return
+        assert list(got) == list(EquationSet(got.equations(), got.names))
+        assert len({id(eq.rhs) for eq in got}) <= len({id(eq.rhs) for eq in s})
+
+    @given(shared_sheets(), st.lists(st.one_of(rects, _near_rects), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_extract_keeps_the_canonical_order(self, s, rs):
+        r = CellRange(tuple(rs))
+        got = extract(s, r)
+        assert list(got) == [eq for eq in s if isinstance(eq.lhs, CellAddr) and r.contains(eq.lhs)]
+        assert list(got) == list(EquationSet(got.equations()))
