@@ -77,7 +77,6 @@ from .model import (
     Text,
     addr,
     col_to_letters,
-    enumerate_range,
     letters_to_col,
 )
 from .script import Interpreter, eval_script, parse_script, repl

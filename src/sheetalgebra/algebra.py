@@ -7,10 +7,12 @@ All operators are pure: inputs are never modified.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import accumulate, chain, count
 
 from .errors import (
+    BoundednessError,
     CardinalityError,
     CollisionError,
     ConflictError,
@@ -51,7 +53,6 @@ from .model import (
     Rect,
     check_subscripts,
     depth,
-    enumerate_range,
     fold,
     is_constant,
     lhs_sort_key,
@@ -103,18 +104,27 @@ def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:
     def move_box(lo, hi):
         return move(lo), move(hi)
 
+    # move checks a cell on the grid
+    result, out = _move(s, lambda a: CellAddr._make(move(a)), move_box)
+    result._order = tuple(out)
+    return result
+
+
+def _move(s: EquationSet, cell, box) -> tuple[EquationSet, list[Equation]]:
+    """s with each cell left-hand side sent through cell, and the references
+    and range rectangles of its formulas and defined names through box (as
+    map_refs takes it), each tree object once so that shared trees stay
+    shared; and the moved equations in s's order.  Layout anchors stay."""
     moved, out = {}, []  # id of a tree -> the tree moved; s keeps each tree alive
     for lhs, rhs in s:
         if isinstance(lhs, CellAddr):
-            lhs = CellAddr._make(move(lhs))  # move checked it on the grid
+            lhs = cell(lhs)
         new = moved.get(id(rhs))
         if new is None:
-            new = moved[id(rhs)] = map_refs(rhs, move_box)
+            new = moved[id(rhs)] = map_refs(rhs, box)
         out.append(Equation._make((lhs, new)))
-    names = {name: map_refs(RangeArg(rng), move_box).range for name, rng in s.names.items()}
-    result = EquationSet(out, names, s.layouts)
-    result._order = tuple(out)
-    return result
+    names = {name: map_refs(RangeArg(rng), box).range for name, rng in s.names.items()}
+    return EquationSet(out, names, s.layouts), out
 
 
 def extract(s: EquationSet, r: CellRange) -> EquationSet:
@@ -135,46 +145,95 @@ def extract(s: EquationSet, r: CellRange) -> EquationSet:
 
 
 def map_range(s: EquationSet, src: CellRange, dst: CellRange) -> EquationSet:
-    """Rewrite cells in src to the positionally corresponding cells in dst.
-    A reference or range rectangle moves when the map carries all of its
-    cells by one offset, and stays when it has no cell in src; any other
-    rectangle is an error.  Relative references stay."""
-    src_cells = enumerate_range(src)
-    dst_cells = enumerate_range(dst)
-    if len(src_cells) != len(dst_cells):
-        raise CardinalityError(
-            f"source has {len(src_cells)} cells, target has {len(dst_cells)}")
-    moves = dict(zip(src_cells, dst_cells))
-    if len(set(moves.values())) != len(moves):
-        raise CardinalityError("mapping correspondence is not injective")
+    """Rewrite cells in src to the positionally corresponding cells in dst,
+    both read rectangle by rectangle and row-major within each.  A reference,
+    or a rectangle of a range in a formula or a defined name, moves when the
+    map carries all of its cells by one offset and stays when it has no cell
+    in src; any other is an error.  Relative references and layout anchors
+    stay.  src and dst must each be bounded, of rectangles that do not overlap.
+    The work grows with the rectangles, not with their cells."""
+    for rng in (src, dst):
+        if not rng.bounded:
+            raise BoundednessError(f"cannot map the unbounded range {rng}")
+        rects = rng.rects
+        if any(_meet(a, b) for i, a in enumerate(rects) for b in rects[i + 1:]):
+            raise DomainError(f"the rectangles of {rng} overlap")
+    at = list(accumulate(map(_area, src.rects), initial=0))  # each rectangle's first position
+    to = list(accumulate(map(_area, dst.rects), initial=0))
+    if at[-1] != to[-1]:
+        raise CardinalityError(f"source has {at[-1]} cells, target has {to[-1]}")
+
+    def image(i, col, row):  # the cell that (col, row) of src rectangle i goes to
+        _, c0, c1, r0, _ = src.rects[i]
+        pos = at[i] + (row - r0) * (c1 - c0 + 1) + col - c0
+        j = bisect_right(to, pos) - 1
+        sheet, c0, c1, r0, _ = dst.rects[j]
+        dr, dc = divmod(pos - to[j], c1 - c0 + 1)
+        return sheet, c0 + dc, r0 + dr
+
+    runs = []  # (a rectangle of src rectangle i whose cells all go to one dst rectangle, i)
+    for i, (sheet, c0, c1, r0, _) in enumerate(src.rects):
+        w = c1 - c0 + 1
+        for j in range(bisect_right(to, at[i]) - 1, bisect_left(to, at[i + 1])):
+            # the first and the last (row, column) of rectangle i that go to j
+            (ru, cu), (rv, cv) = (divmod(max(at[i], to[j]) - at[i], w),
+                                  divmod(min(at[i + 1], to[j + 1]) - 1 - at[i], w))
+            if ru == rv:
+                parts = [(ru, ru, cu, cv)]
+            else:  # the whole rows, a first row from cu, a last row up to cv
+                parts = [(ru + (cu > 0), rv - (cv < w - 1), 0, w - 1)]
+                parts += [(ru, ru, cu, w - 1)] * (cu > 0) + [(rv, rv, 0, cv)] * (cv < w - 1)
+            runs += [((sheet, c0 + a, c0 + b, r0 + p, r0 + q), i)
+                     for p, q, a, b in parts if p <= q]
 
     def carry(lo, hi):
-        (sheet, c0, r0), (_, c1, r1) = lo, hi
-        if sheet is None:
+        rect = lo[0], lo[1], hi[1], lo[2], hi[2]
+        offsets, area = set(), 0
+        for run, i in runs:
+            piece = _meet(rect, run)
+            if piece is None:
+                continue
+            # a piece of a run moves by one offset when its two corners do: the
+            # run keeps the distance in cells between them, so the rows of the
+            # piece are then one row apart in dst too (its rectangles are as wide)
+            _, c0, c1, r0, r1 = piece
+            area += _area(piece)
+            a, b = image(i, c0, r0), image(i, c1, r1)
+            offsets |= {(a[0], a[1] - c0, a[2] - r0), (b[0], b[1] - c1, b[2] - r1)}
+        if not offsets:
             return lo, hi
-        if lo == hi and None not in lo:  # a cell
-            q = moves.get(lo, lo)
-            return q, q
-        inside = [p for p in moves if p[0] == sheet
-                  and (c0 is None or c0 <= p[1] <= c1) and (r0 is None or r0 <= p[2] <= r1)]
-        if not inside:
-            return lo, hi
-        offsets = {(moves[p][0], moves[p][1] - p[1], moves[p][2] - p[2]) for p in inside}
-        if None in lo or len(inside) != (c1 - c0 + 1) * (r1 - r0 + 1) or len(offsets) > 1:
+        if None in rect or area != _area(rect) or len(offsets) > 1:
             raise DomainError(f"mapping {src} to {dst} does not carry the range "
-                              f"{CellRange((Rect(sheet, c0, c1, r0, r1),))} as one block")
-        to_sheet, dc, dr = offsets.pop()
-        return (to_sheet, c0 + dc, r0 + dr), (to_sheet, c1 + dc, r1 + dr)
+                              f"{CellRange((Rect(*rect),))} as one block")
+        sheet, dc, dr = offsets.pop()
+        return (sheet, lo[1] + dc, lo[2] + dr), (sheet, hi[1] + dc, hi[2] + dr)
 
-    out = {}
-    for eq in s:
-        lhs = eq.lhs
-        if isinstance(lhs, CellAddr):
-            lhs = moves.get(lhs, lhs)
-        if lhs in out:
-            raise CollisionError(f"two equations land on {lhs} after mapping")
-        out[lhs] = Equation(lhs, map_refs(eq.rhs, carry))
-    return EquationSet(out.values(), s.names, s.layouts)
+    seen = set()
+
+    def cell(a):
+        a = CellAddr._make(carry(a, a)[0])  # a cell is never refused
+        if a in seen:
+            raise CollisionError(f"two equations land on {a} after mapping")
+        seen.add(a)
+        return a
+
+    return _move(s, cell, carry)[0]
+
+
+def _area(rect) -> int:
+    """The number of cells of a bounded rectangle (sheet, c0, c1, r0, r1)."""
+    return (rect[2] - rect[1] + 1) * (rect[4] - rect[3] + 1)
+
+
+def _meet(a, b):
+    """The rectangle (sheet, c0, c1, r0, r1) where a meets the bounded b, or
+    None; a's unbounded sides reach the grid's edges."""
+    sheet, c0, c1, r0, r1 = a
+    if sheet != b[0]:
+        return None
+    c0, c1 = max(c0 or 1, b[1]), min(c1 or MAX_COL, b[2])
+    r0, r1 = max(r0 or 1, b[3]), min(r1 or MAX_ROW, b[4])
+    return (sheet, c0, c1, r0, r1) if c0 <= c1 and r0 <= r1 else None
 
 
 def replicate(s: EquationSet, lo: int, hi: int) -> EquationSet:

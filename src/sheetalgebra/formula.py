@@ -60,7 +60,6 @@ from .model import (
     RelRef,
     Text,
     col_to_letters,
-    enumerate_range,
     fold,
     has_here,
     map_leaves,
@@ -503,7 +502,10 @@ def name_node(rng) -> Formula:
     """The node a defined name of range rng stands for: a single-cell name a
     plain reference, a multi-cell name a range argument (only legal inside a
     function call)."""
-    return AbsRef(enumerate_range(rng)[0]) if rng.is_single_cell() else RangeArg(rng)
+    if rng.is_single_cell():
+        sheet, col, _, row, _ = rng.rects[0]
+        return AbsRef(CellAddr._make((sheet, col, row)))  # a Rect's bounds are checked
+    return RangeArg(rng)
 
 
 def substitute_names(f: Formula, names: dict) -> Formula:

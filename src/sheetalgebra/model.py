@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import is_not
 
-from .errors import BoundednessError, ConflictError, DomainError
+from .errors import ConflictError, DomainError
 
 DEFAULT_SHEET = "Sheet1"
 
@@ -139,13 +139,6 @@ class Rect(namedtuple("Rect", "sheet col_lo col_hi row_lo row_hi")):
             and (self.row_hi is None or a.row <= self.row_hi)
         )
 
-    def cells(self):
-        if not self.bounded:
-            raise BoundednessError("cannot enumerate an unbounded rectangle")
-        for r in range(self.row_lo, self.row_hi + 1):
-            for c in range(self.col_lo, self.col_hi + 1):
-                yield CellAddr(self.sheet, c, r)
-
 
 @dataclass(frozen=True)
 class CellRange:
@@ -191,21 +184,6 @@ class CellRange:
         from .formula import print_range
 
         return print_range(self)
-
-
-def enumerate_range(r: CellRange) -> list[CellAddr]:
-    """Cells rectangle by rectangle, row-major within each; duplicates dropped,
-    first occurrence kept."""
-    if not r.bounded:
-        raise BoundednessError("cannot enumerate an unbounded range")
-    seen = set()
-    out = []
-    for rect in r.rects:
-        for a in rect.cells():
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-    return out
 
 
 # ---------------------------------------------------------------------------

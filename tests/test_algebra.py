@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -16,6 +17,7 @@ from sheetalgebra import (
     ArrayElem,
     Binary,
     Bool,
+    Call,
     CellAddr,
     CellRange,
     ElemRef,
@@ -25,10 +27,13 @@ from sheetalgebra import (
     LayoutSet,
     NameRef,
     Number,
+    RangeArg,
+    Rect,
     RelRef,
     addr,
     diff,
     discover_groups,
+    eval_script,
     evaluate,
     evaluate_cell,
     extract,
@@ -41,6 +46,7 @@ from sheetalgebra import (
     parse_document,
     parse_formula,
     parse_listing,
+    parse_script,
     quotient,
     replace,
     replicate,
@@ -55,6 +61,7 @@ from sheetalgebra import (
     union,
 )
 from sheetalgebra.errors import (
+    BoundednessError,
     CardinalityError,
     CollisionError,
     ConflictError,
@@ -63,6 +70,7 @@ from sheetalgebra.errors import (
     NotFoundError,
     FormulaSyntaxError,
     OutOfGridError,
+    SheetError,
     SubstitutionError,
 )
 from sheetalgebra import algebra, formula
@@ -297,6 +305,240 @@ class TestMapping:
         dst = CellRange.cell(addr("E2")).union(CellRange.cell(addr("E1")))
         with pytest.raises(DomainError, match="C1:C2"):
             map_range(s, CellRange.box(addr("C1"), addr("C2")), dst)
+
+    def test_cells_pair_up_row_major(self):
+        s = make_set(("A1", "1"), ("B1", "2"), ("A2", "3"), ("B2", "4"))
+        out = map_range(s, CellRange.box(addr("A1"), addr("B2")),
+                        CellRange.box(addr("D1"), addr("D4")))
+        assert out == make_set(("D1", "1"), ("D2", "2"), ("D3", "3"), ("D4", "4"))
+
+    def test_unbounded_range_is_refused(self):
+        s = make_set(("A1", "1"))
+        for src, dst in ((CellRange.columns(1, 1), CellRange.columns(2, 2)),
+                         (CellRange.cell(addr("A1")), CellRange.rows(1, 1))):
+            with pytest.raises(BoundednessError):
+                map_range(s, src, dst)
+
+    def test_names_move_with_their_cells(self):
+        s = parse_document("B2 = 1\nB3 = 2\nA1 = SUM(costs)\nA2 = SUM(B2:B3)\n"
+                           "name B2:B3 as costs\nname B2 as first\n")
+        out = map_range(s, CellRange.box(addr("B2"), addr("B3")),
+                        CellRange.box(addr("D2"), addr("D3")))
+        assert out.names == {"costs": CellRange.box(addr("D2"), addr("D3")),
+                             "first": CellRange.cell(addr("D2"))}
+        values = evaluate(out)
+        assert values[addr("A1")] == values[addr("A2")] == 3.0
+
+    def test_overlapping_rectangles_are_refused(self):
+        s = make_set(("A1", "1"))
+        two = CellRange.box(addr("A1"), addr("B2")).union(CellRange.cell(addr("B2")))
+        five = CellRange.box(addr("D1"), addr("D5"))
+        for src, dst in ((two, five), (five, two)):
+            with pytest.raises(DomainError, match="overlap"):
+                map_range(s, src, dst)
+
+    def test_the_whole_grid_maps_at_once(self):
+        start = time.process_time()
+        value, _ = eval_script(parse_script(
+            "{ A1 = 1 } mapping A1:XFD1048576 to A1:XFD1048576."))
+        assert time.process_time() - start < 0.1
+        assert value == make_set(("A1", "1"))
+
+    def test_thousands_of_rows_map_in_linear_time(self):
+        def best(n):
+            s = parse_document("".join(f"A{r} = SUM(B{r}:C{r})\n" for r in range(1, n + 1)))
+            src, dst = (CellRange.box(addr(f"{a}1"), addr(f"{b}{n}")) for a, b in ("BC", "EF"))
+            times = []
+            for _ in range(3):
+                start = time.process_time()
+                out = map_range(s, src, dst)
+                times.append(time.process_time() - start)
+            assert out.get(addr(f"A{n}")).rhs == parse_formula(f"SUM(E{n}:F{n})")
+            return min(times)
+
+        small, large = best(4000), best(8000)
+        assert small < 0.1
+        assert large < 3 * small  # linear in the equations
+
+    def test_agrees_with_the_cell_list_reference(self):
+        rng = random.Random(26)
+        outcomes = collections.Counter()
+        for _ in range(3000):
+            s, src, dst = _random_mapping(rng)
+            got, want = (_outcome(f, s, src, dst) for f in (map_range, _reference_map_range))
+            assert got == want, (show(s), src, dst)
+            outcomes["set" if isinstance(want, EquationSet) else want[0].__name__] += 1
+        # a set, and each error: DomainError, CardinalityError, CollisionError
+        assert len(outcomes) == 4 and min(outcomes.values()) > 50, outcomes
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SheetError as e:
+        return type(e), str(e)
+
+
+def _reference_cells(r):
+    """The cells of a range rectangle by rectangle, row-major within each,
+    without repeats."""
+    if not r.bounded:
+        raise BoundednessError("cannot enumerate an unbounded range")
+    cells = (CellAddr(sheet, col, row) for sheet, c0, c1, r0, r1 in r.rects
+             for row in range(r0, r1 + 1) for col in range(c0, c1 + 1))
+    return list(dict.fromkeys(cells))
+
+
+def _reference_map_range(s, src, dst):
+    """map_range as it was written with cell lists: it lists the cells of
+    both ranges and scans them for each range of a formula.  Defined names
+    go through its carry too."""
+    src_cells = _reference_cells(src)
+    dst_cells = _reference_cells(dst)
+    if len(src_cells) != len(dst_cells):
+        raise CardinalityError(
+            f"source has {len(src_cells)} cells, target has {len(dst_cells)}")
+    moves = dict(zip(src_cells, dst_cells))
+
+    def carry(lo, hi):
+        (sheet, c0, r0), (_, c1, r1) = lo, hi
+        if sheet is None:
+            return lo, hi
+        if lo == hi and None not in lo:  # a cell
+            q = moves.get(lo, lo)
+            return q, q
+        inside = [p for p in moves if p[0] == sheet
+                  and (c0 is None or c0 <= p[1] <= c1) and (r0 is None or r0 <= p[2] <= r1)]
+        if not inside:
+            return lo, hi
+        offsets = {(moves[p][0], moves[p][1] - p[1], moves[p][2] - p[2]) for p in inside}
+        if None in lo or len(inside) != (c1 - c0 + 1) * (r1 - r0 + 1) or len(offsets) > 1:
+            raise DomainError(f"mapping {src} to {dst} does not carry the range "
+                              f"{CellRange((Rect(sheet, c0, c1, r0, r1),))} as one block")
+        to_sheet, dc, dr = offsets.pop()
+        return (to_sheet, c0 + dc, r0 + dr), (to_sheet, c1 + dc, r1 + dr)
+
+    out = {}
+    for eq in s:
+        lhs = eq.lhs
+        if isinstance(lhs, CellAddr):
+            lhs = moves.get(lhs, lhs)
+        if lhs in out:
+            raise CollisionError(f"two equations land on {lhs} after mapping")
+        out[lhs] = Equation(lhs, map_refs(eq.rhs, carry))
+    names = {name: map_refs(RangeArg(rng), carry).range for name, rng in s.names.items()}
+    return EquationSet(out.values(), names, s.layouts)
+
+
+def _random_rect(rng, sheet, width, height, span=8):
+    col, row = rng.randint(1, span - width + 1), rng.randint(1, span - height + 1)
+    return Rect(sheet, col, col + width - 1, row, row + height - 1)
+
+
+def _size(r):
+    return (r.col_hi - r.col_lo + 1) * (r.row_hi - r.row_lo + 1)
+
+
+def _overlap(a, b):
+    return (a.sheet == b.sheet and a.col_lo <= b.col_hi and b.col_lo <= a.col_hi
+            and a.row_lo <= b.row_hi and b.row_lo <= a.row_hi)
+
+
+def _disjoint(rng, sizes, sheets):
+    """Disjoint rectangles in A1:H8, one of each size, each on one of
+    sheets; None when a size fits no rectangle or the draws keep meeting."""
+    rects = []
+    for size in sizes:
+        widths = [w for w in range(1, 9) if size % w == 0 and size // w <= 8]
+        for _ in range(50 if widths else 0):
+            width = rng.choice(widths)
+            r = _random_rect(rng, rng.choice(sheets), width, size // width)
+            if not any(_overlap(r, q) for q in rects):
+                rects.append(r)
+                break
+        else:
+            return None
+    return CellRange(tuple(rects))
+
+
+def _cut(rng, rect):
+    """A range of rect cut into one to three bands of whole rows or of whole
+    columns, in order or not."""
+    sheet, c0, c1, r0, r1 = rect
+    rows = rng.random() < 0.5
+    lo, hi = (r0, r1) if rows else (c0, c1)
+    cuts = sorted(rng.sample(range(lo + 1, hi + 1), min(hi - lo, rng.randint(0, 2))))
+    bands = list(zip([lo] + cuts, [c - 1 for c in cuts] + [hi]))
+    if rng.random() < 0.2:
+        rng.shuffle(bands)
+    return CellRange(tuple(Rect(sheet, c0, c1, a, b) if rows else Rect(sheet, a, b, r0, r1)
+                           for a, b in bands))
+
+
+def _random_mapping(rng):
+    """A mapping of one to three disjoint rectangles in A1:H8 of Sheet1 to
+    one to three disjoint rectangles there or on Sheet2, with as many cells
+    or now and then not, at times one box cut two ways; and a set of up to
+    three cells in either, with references, relative references, ranges
+    (some in the source, some whole columns) and a defined name."""
+    src = dst = None
+    if rng.random() < 0.3:  # one box cut two ways, so that ranges across the cuts move
+        width, height = rng.randint(1, 4), rng.randint(1, 4)
+        src = _cut(rng, _random_rect(rng, "Sheet1", width, height))
+        dst = _cut(rng, _random_rect(rng, rng.choice(["Sheet1", "Sheet2"]), width, height))
+    while src is None:
+        src = _disjoint(rng, [rng.randint(1, 6) for _ in range(rng.randint(1, 3))], ["Sheet1"])
+    total = sum(map(_size, src.rects)) + (rng.random() < 0.05)
+    while dst is None:
+        cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(0, 2))))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        dst = _disjoint(rng, sizes, rng.choice([["Sheet1"], ["Sheet2"], ["Sheet1", "Sheet2"]]))
+
+    def some_rect():
+        kind = rng.random()
+        if kind < 0.1:  # around all of src
+            rects = src.rects
+            return Rect("Sheet1", min(r.col_lo for r in rects), max(r.col_hi for r in rects),
+                        min(r.row_lo for r in rects), max(r.row_hi for r in rects))
+        if kind < 0.5:  # within a rectangle of src, or the whole of one
+            sheet, c0, c1, r0, r1 = rng.choice(src.rects)
+            a, b = sorted(rng.randint(c0, c1) for _ in "ab")
+            c, d = sorted(rng.randint(r0, r1) for _ in "cd")
+            return Rect(sheet, a, b, c, d) if kind < 0.4 else Rect(sheet, c0, c1, r0, r1)
+        if kind < 0.6:
+            return Rect(rng.choice(["Sheet1", "Sheet2"]), *[rng.randint(1, 8)] * 2, None, None)
+        if kind < 0.65:
+            return Rect(None, 0, 1, -1, 0)
+        return _random_rect(rng, rng.choice(["Sheet1", "Sheet1", "Sheet2"]),
+                            rng.randint(1, 3), rng.randint(1, 3))
+
+    def leaf():
+        kind = rng.random()
+        if kind < 0.3:
+            sheet, c0, _, r0, _ = (rng.choice(src.rects) if kind < 0.2
+                                   else _random_rect(rng, rng.choice(["Sheet1", "Sheet2"]), 1, 1))
+            return AbsRef(CellAddr(sheet, c0, r0))
+        if kind < 0.4:
+            return RelRef(rng.randint(-1, 1), rng.randint(-1, 1))
+        if kind < 0.5:
+            return Number(1.0)
+        if kind < 0.6:
+            return Call("SUM", (NameRef("costs"),))
+        rects = tuple(some_rect() for _ in range(rng.randint(1, 2)))
+        return Call("SUM", (RangeArg(CellRange(rects)),))
+
+    def some_cell():  # in src, in dst, or anywhere
+        sheet, c0, c1, r0, r1 = rng.choice([rng.choice(src.rects), rng.choice(dst.rects),
+                                             _random_rect(rng, "Sheet1", 8, 8)])
+        return CellAddr(sheet, rng.randint(c0, c1), rng.randint(r0, r1))
+
+    cells = sorted({some_cell() for _ in range(rng.randint(0, 3))})
+    eqs = [Equation(a, leaf() if rng.random() < 0.7 else Binary("+", leaf(), leaf()))
+           for a in cells]
+    if rng.random() < 0.1:
+        eqs.append(Equation(ArrayElem("x", (1,)), leaf()))
+    names = {"costs": CellRange((some_rect(),))} if rng.random() < 0.5 else {}
+    return EquationSet(eqs, names), src, dst
 
 
 class TestReplicate:

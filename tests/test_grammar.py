@@ -3,13 +3,15 @@ point, every range the printer writes reads back, and no module reaches
 into another module's private names."""
 
 import ast
+import io
 import os
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheetalgebra import (
@@ -25,6 +27,8 @@ from sheetalgebra import (
     RangeArg,
     Rect,
     addr,
+    eval_script,
+    evaluate,
     load,
     parse_document,
     parse_formula,
@@ -32,10 +36,13 @@ from sheetalgebra import (
     parse_script,
     print_formula,
     save,
+    show,
 )
 from sheetalgebra.errors import DomainError, FormulaSyntaxError, SheetError
+from sheetalgebra.fileio import format_value
 from sheetalgebra.grammar import EntryReader, TokenStream, tokenize
 from sheetalgebra.model import MAX_NESTING
+from sheetalgebra.script import format_script_value
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sheetalgebra"
 
@@ -132,6 +139,53 @@ def test_an_unknown_character_is_the_first_error(head, unknown, tail):
             read(text)
         assert (type(caught.value), str(caught.value), caught.value.pos) == (
             FormulaSyntaxError, *expected), read.__name__
+
+
+# -- every reader is total: a SheetError, or a value that prints -------------
+
+SOUP = [  # integers of at most two digits, so that no text asks for long work
+    "A1", "B2", "C3", "A1:B2", "A1:XFD1048576", "A:A", "B:C", "2:3", "Sheet2!A1", "R1C1",
+    "RC[-1]", "R[1]C", "x", "x[1]", "x[HERE-1]", "costs", "SUM(", "IF(", "MOD(", "AND(",
+    "MAX(", "(", ")", ",", ";", ":", "=", "+", "-", "*", "/", "^", "<", "<>", "0", "1",
+    "12", "2.5", '"t"', "TRUE", "{", "}", "[", "]", ".", "let", "s", "mapping", "to",
+    "shift", "(1,0)", "@", "times", "quotient", "1:12", "\\/", "name", "as", "layout",
+    "down", "right", "Sheet1[", "><", "{1..5}", "..", "by", "evaluate(", "simplify(",
+    "show(", "diff(", "\n",
+]
+
+
+def _prints_set(s):
+    show(s)
+    show(s, grouped=True)
+    try:
+        values = evaluate(s)
+    except SheetError:
+        return
+    for v in values.values():
+        format_value(v)
+
+
+def _prints_formula(f):
+    print_formula(f)
+    _prints_set(EquationSet([Equation(addr("Z99"), f)]))
+
+
+@given(st.lists(st.sampled_from(SOUP), max_size=16).map(" ".join))
+@settings(max_examples=300, deadline=None)
+@example("{ A1 = 1 } mapping A1:XFD1048576 to A1:XFD1048576.")
+@example("{ x[1] = 1 } times 1:12 times 1:12.")
+@example("A1 = SUM(A1:XFD1048576)")
+def test_every_reader_gives_an_error_or_a_value_that_prints(text):
+    readers = [(parse_document, _prints_set), (parse_listing, _prints_set)]
+    readers += [(partial(parse_formula, dialect=d), _prints_formula) for d in (A1, R1C1, CANONICAL)]
+    readers.append((lambda t: eval_script(parse_script(t), out=io.StringIO())[0],
+                    format_script_value))
+    for read, prints in readers:
+        try:
+            value = read(text)
+        except SheetError:
+            continue
+        prints(value)
 
 
 @pytest.mark.parametrize("build", [
@@ -339,6 +393,21 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level > 0 or (node.module or "").startswith("sheetalgebra")):
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_the_library_imports_only_the_standard_library():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 

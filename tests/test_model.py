@@ -27,10 +27,9 @@ from sheetalgebra import (
     Text,
     addr,
     col_to_letters,
-    enumerate_range,
     letters_to_col,
 )
-from sheetalgebra.errors import BoundednessError, ConflictError, DomainError
+from sheetalgebra.errors import ConflictError, DomainError
 from sheetalgebra.formula import formula_groups
 from sheetalgebra.model import map_leaves
 
@@ -95,36 +94,6 @@ class TestCellAddr:
     def test_addr_parsing(self):
         assert addr("D2") == CellAddr("Sheet1", 4, 2)
         assert addr("Sheet2!AA10") == CellAddr("Sheet2", 27, 10)
-
-
-class TestEnumerateRange:
-    def test_row_major(self):
-        r = CellRange.box(addr("A1"), addr("B2"))
-        assert enumerate_range(r) == [addr("A1"), addr("B1"), addr("A2"), addr("B2")]
-
-    def test_single_column(self):
-        r = CellRange.box(addr("B2"), addr("B3"))
-        assert enumerate_range(r) == [addr("B2"), addr("B3")]
-
-    def test_duplicate_removal(self):
-        r = CellRange.cell(addr("A1")).union(CellRange.box(addr("A1"), addr("B1")))
-        assert enumerate_range(r) == [addr("A1"), addr("B1")]
-
-    def test_unbounded_raises(self):
-        with pytest.raises(BoundednessError):
-            enumerate_range(CellRange.columns(1, 3))
-
-    def test_count_distinct_and_contained(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            c1, r1 = rng.randint(1, 10), rng.randint(1, 10)
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            box = CellRange.box(CellAddr("Sheet1", c1, r1),
-                                CellAddr("Sheet1", c1 + m - 1, r1 + n - 1))
-            cells = enumerate_range(box)
-            assert len(cells) == m * n
-            assert len(set(cells)) == m * n
-            assert all(box.contains(a) for a in cells)
 
 
 class TestRangeContains:

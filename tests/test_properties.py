@@ -7,6 +7,7 @@ import random
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -337,15 +338,20 @@ class TestSimplifyPass:
 # -- laws over SUM of bounded rectangles ------------------------------------
 
 
+def boxes(*sheets, col=0, row=0, size=8):
+    """Bounded rectangles of one of sheets in the size by size square after
+    col columns and row rows, A1:H8 by default."""
+    cols, rows = (st.integers(min_value=k + 1, max_value=k + size) for k in (col, row))
+    return st.builds(
+        lambda sheet, c1, c2, r1, r2: Rect(sheet, min(c1, c2), max(c1, c2),
+                                           min(r1, r2), max(r1, r2)),
+        st.sampled_from(sheets), cols, cols, rows, rows)
+
+
 def range_sets():
     """Sets of up to six cells in A1:F6 holding SUM over one or two bounded
     rectangles in A1:H8 of Sheet1 or Sheet2."""
-    coord = st.integers(min_value=1, max_value=8)
-    rect = st.builds(
-        lambda sheet, c1, c2, r1, r2: Rect(sheet, min(c1, c2), max(c1, c2),
-                                           min(r1, r2), max(r1, r2)),
-        st.sampled_from(["Sheet1", "Sheet2"]), coord, coord, coord, coord)
-    formula = st.lists(rect, min_size=1, max_size=2).map(
+    formula = st.lists(boxes("Sheet1", "Sheet2"), min_size=1, max_size=2).map(
         lambda rects: Call("SUM", (RangeArg(CellRange(tuple(rects))),)))
     cell = st.builds(lambda c, r: CellAddr("Sheet1", c, r),
                      st.integers(min_value=1, max_value=6),
@@ -356,6 +362,43 @@ def range_sets():
 
 def _rects(s):
     return [r for eq in s for r in eq.rhs.args[0].range.rects]
+
+
+@st.composite
+def multi_mappings(draw):
+    """A mapping of two or three rectangles in A1:H8 of Sheet1 to as many
+    rectangles of the same sizes from K11 on, on Sheet1 or Sheet2, each of
+    the same shape or turned, in any order; and a set of range_sets with a
+    defined name in A1:H8, often one of the source rectangles.  The source
+    rectangles lie in distinct quarters of A1:H8, or now and then anywhere
+    in it, where they may overlap."""
+    if draw(st.integers(min_value=0, max_value=4)):
+        quarters = draw(st.permutations([(0, 0), (4, 0), (0, 4), (4, 4)]))
+        src = [draw(boxes("Sheet1", col=c, row=r, size=4))
+               for c, r in quarters[:draw(st.integers(min_value=2, max_value=3))]]
+    else:
+        src = draw(st.lists(boxes("Sheet1"), min_size=2, max_size=3))
+    name = draw(st.one_of(boxes("Sheet1", "Sheet2"), st.sampled_from(src)))
+    s = draw(range_sets()).with_names({"costs": CellRange((name,))})
+    dst = []
+    for k, (_, c0, c1, r0, r1) in enumerate(src):
+        width, height = c1 - c0 + 1, r1 - r0 + 1
+        if draw(st.booleans()):
+            width, height = height, width
+        dst.append(Rect(draw(st.sampled_from(["Sheet1", "Sheet2"])),
+                        11 + 9 * k, 10 + 9 * k + width, 11, 10 + height))
+    return s, CellRange(tuple(src)), CellRange(tuple(draw(st.permutations(dst))))
+
+
+def _rect_cells(rect):
+    """The cells of a bounded rectangle, row-major."""
+    return [CellAddr(rect.sheet, col, row) for row, col in product(
+        range(rect.row_lo, rect.row_hi + 1), range(rect.col_lo, rect.col_hi + 1))]
+
+
+def _range_cells(r):
+    """The cells of a bounded range, rectangle by rectangle."""
+    return [a for rect in r.rects for a in _rect_cells(rect)]
 
 
 class TestRangeLaws:
@@ -375,6 +418,30 @@ class TestRangeLaws:
         # in src and refused when it only overlaps src
         refused = any(r.sheet == "Sheet1" and r.col_lo <= col and r.row_lo <= row
                       and (r.col_hi > col or r.row_hi > row) for r in _rects(s))
+        try:
+            there = map_range(s, src, dst)
+        except DomainError:
+            assert refused
+            return
+        assert not refused
+        assert map_range(there, dst, src) == s
+
+    @given(multi_mappings())
+    @settings(max_examples=200)
+    def test_mapping_there_and_back_across_rectangles(self, case):
+        s, src, dst = case
+        cells = _range_cells(src)
+        if len(set(cells)) < len(cells):
+            with pytest.raises(DomainError, match="overlap"):
+                map_range(s, src, dst)
+            return
+        moves = dict(zip(cells, _range_cells(dst)))
+
+        def offsets(rect):  # None for a cell the map leaves
+            return {(b.sheet, b.col - a.col, b.row - a.row) if b else None
+                    for a in _rect_cells(rect) for b in [moves.get(a)]}
+
+        refused = any(len(offsets(r)) > 1 for r in _rects(s) + list(s.names["costs"].rects))
         try:
             there = map_range(s, src, dst)
         except DomainError:
@@ -936,7 +1003,7 @@ class TestLayoutIndex:
     @settings(max_examples=200)
     def test_index_agrees_with_a_scan(self, ds):
         rects = [d.footprint() for d in ds]
-        overlap = any(set(a.cells()) & set(b.cells())
+        overlap = any(set(_rect_cells(a)) & set(_rect_cells(b))
                       for i, a in enumerate(rects) for b in rects[i + 1:])
         try:
             layouts = LayoutSet(ds)
@@ -946,7 +1013,7 @@ class TestLayoutIndex:
         assert not overlap
         cells = [_reference_cells(d) for d in ds]
         for d, rect, ref in zip(ds, rects, cells):
-            assert set(rect.cells()) == set(ref)
+            assert set(_rect_cells(rect)) == set(ref)
             for a in ref:
                 assert elem_to_cell(d, layouts.elem_at(a).subs) == a
         for sheet, col, row in product(["Sheet1", "Data"], range(1, 16), range(1, 16)):
