@@ -510,10 +510,10 @@ def diff(a: EquationSet, b: EquationSet, mode: str = "absolute") -> DiffReport:
         return eq.rhs
 
     changed = []
-    for lhs in sorted(a_lhs & b_lhs, key=lhs_sort_key):
-        old, new = a.get(lhs), b.get(lhs)
-        if old.rhs != new.rhs and view(old) != view(new):
-            changed.append((lhs, old.rhs, new.rhs))
+    for old in a:  # in a's canonical order, which the report keeps
+        new = b.get(old.lhs)
+        if new is not None and old.rhs != new.rhs and view(old) != view(new):
+            changed.append((old.lhs, old.rhs, new.rhs))
     return DiffReport(added, removed, tuple(changed))
 
 

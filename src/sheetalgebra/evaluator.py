@@ -52,19 +52,19 @@ class _Graph:
     ranges read at them, built once per call.  Each formula tree object is
     compiled once into a template (Sestoft, *Spreadsheet Implementation
     Technology*, ch. 4-5): its nodes in postfix order with every leaf that
-    does not depend on the cell resolved.  A cell's entry in deps is its
-    tree's template with only the relative references and relative ranges
+    does not depend on the cell resolved.  A cell's program is its tree's
+    template with only the relative references and relative ranges
     resolved where the cell stands, so the cells and range nodes in it are
     the cell's precedents and one loop over a value stack runs it; copies
-    of one block share one template.  A range node's entry lists the range
-    it extends and its other cells.  Each entry is made once, on first
-    use, so a walk from one cell touches only the nodes it depends on."""
+    of one block share one template.  A range node reads the range it
+    extends and its other cells.  A program is made when the walk first
+    reaches its cell and dropped once the cell has run, so a walk from one
+    cell touches only the nodes it depends on and keeps no program."""
 
     def __init__(self, s: EquationSet):
-        self.formulas, self.deps = {}, {}
+        self.formulas = {}
         # id of a formula tree -> its template, and the template's slots if any
         self.templates, self.slots = {}, {}
-        self.loops = set()  # the cells that read themselves
         # range node -> (the range node it extends or None, its other cells);
         # (sheet, col_lo, col_hi, row_lo) -> the last rows of its ranges, sorted
         self.spans, self.starts = {}, {}
@@ -112,7 +112,6 @@ class _Graph:
                                       bisect_right(line, (sheet, col_hi, r))])
             cells = list(dict.fromkeys(cells))
             self.spans[node] = pred, cells
-            self.deps[node] = [pred] + cells if pred else cells
         return node
 
     def cells(self, node) -> list:
@@ -145,9 +144,6 @@ class _Graph:
         array element or an unknown name as #REF!.  Raises as resolving the
         formula would: on a HERE marker, then on the leftmost offset off
         the grid, then on a range that is not a call's argument."""
-        prog = self.deps.get(k)
-        if prog is not None:
-            return prog
         f = self.formulas[k]
         prog = self.templates.get(id(f))
         if prog is None:
@@ -216,82 +212,83 @@ class _Graph:
                     prog[i] = self.span(node.range, k)
         if loose > 0:
             raise SubstitutionError("range is only allowed as a function argument")
-        self.deps[k] = prog
         return prog
 
-    def components(self, roots):
-        """Strongly connected components of the defined cells and range
-        nodes reachable from roots, by iterative Tarjan.  Each comes after
-        every component it reads, so this is also an evaluation order."""
-        index, low = {}, {}
-        stack, on_stack = [], set()
+    def evaluate(self, roots) -> dict:
+        """Values of the defined cells reachable from roots, by cell, in one
+        iterative Tarjan walk of the cells and range nodes (Tarjan, SIAM J.
+        Comput. 1972).  A component is complete when it pops, after every
+        component it reads: a one-cell component that does not read itself
+        runs its program on a value stack there and then, and the cells of
+        any other are #CYCLE!.  A program lives only in its frame of the
+        walk.  A range node is folded when a cell first reads it, so one on
+        a cycle still folds its cells' values."""
+        formulas, grid = self.formulas, {}
+        index, low, stack, on_stack, loops = {}, {}, [], set(), set()
         for root in roots:
-            if root in index or root not in self.formulas:
+            if root in index or root not in formulas:
                 continue
             index[root] = low[root] = len(index)
             stack.append(root)
             on_stack.add(root)
-            work = [(root, iter(self.precedents(root)))]
+            prog = self.precedents(root)
+            work = [(root, prog, iter(prog))]
             while work:
-                node, it = work[-1]
+                node, prog, it = work[-1]
                 for child in it:
                     t = type(child)
-                    if not (t is tuple or t is CellAddr and child in self.formulas):
+                    if not (t is tuple or t is CellAddr and child in formulas):
                         continue  # a value, an operator or an undefined cell
                     if child not in index:
                         index[child] = low[child] = len(index)
                         stack.append(child)
                         on_stack.add(child)
-                        work.append((child, iter(self.precedents(child))))
+                        if t is tuple:  # a range node reads the range it extends and its cells
+                            pred, cells = self.spans[child]
+                            prog = [pred] + cells
+                        else:
+                            prog = self.precedents(child)
+                        work.append((child, prog, iter(prog)))
                         break
                     if child in on_stack:  # only on a cycle or a self-read
                         low[node] = min(low[node], index[child])
                         if child == node:
-                            self.loops.add(node)
+                            loops.add(node)
                 else:
                     work.pop()
                     if work:
                         parent = work[-1][0]
                         low[parent] = min(low[parent], low[node])
-                    if low[node] == index[node]:
-                        comp = [stack.pop()]
-                        while comp[-1] != node:
-                            comp.append(stack.pop())
-                        on_stack.difference_update(comp)
-                        yield comp
-
-    def evaluate(self, roots) -> dict:
-        """Values of the cells reachable from roots, by cell.  Cells on a
-        cycle are #CYCLE!; each other cell runs its program after its
-        precedents.  A range node is folded when a cell first reads it, so
-        one on a cycle still folds its cells' values."""
-        grid = {}
-        for comp in self.components(roots):
-            k = comp[0]
-            if len(comp) > 1 or k in self.loops:
-                for b in comp:
-                    if b in self.formulas:
-                        grid[b] = CellError(CYCLE)
-            elif k in self.formulas:
-                stack = []
-                for x in self.deps[k]:
-                    t = type(x)
-                    if t is CellAddr:
-                        v = grid.get(x)
-                        # a reference to an empty cell reads as 0, as in a spreadsheet
-                        stack.append(0.0 if v is None else v)
-                    elif t is Binary:
-                        v = stack.pop()
-                        stack[-1] = binary(x.op, stack[-1], v)
-                    elif t is Neg:
-                        v = _to_number(stack[-1])
-                        stack[-1] = v if type(v) is CellError else -v
-                    elif t is Call:
-                        i = len(stack) - len(x.args)
-                        stack[i:] = [self.call(x.func, stack[i:], grid)]
-                    else:  # a value, or a range node as a call's argument
-                        stack.append(x)
-                grid[k] = stack[0]
+                    if low[node] != index[node]:
+                        continue
+                    comp = [stack.pop()]
+                    while comp[-1] is not node:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    if len(comp) > 1 or node in loops:
+                        for b in comp:
+                            if type(b) is CellAddr:
+                                grid[b] = CellError(CYCLE)
+                    elif type(node) is CellAddr:
+                        values = []
+                        for x in prog:
+                            t = type(x)
+                            if t is CellAddr:
+                                v = grid.get(x)
+                                # a reference to an empty cell reads as 0, as in a spreadsheet
+                                values.append(0.0 if v is None else v)
+                            elif t is Binary:
+                                v = values.pop()
+                                values[-1] = binary(x.op, values[-1], v)
+                            elif t is Neg:
+                                v = _to_number(values[-1])
+                                values[-1] = v if type(v) is CellError else -v
+                            elif t is Call:
+                                i = len(values) - len(x.args)
+                                values[i:] = [self.call(x.func, values[i:], grid)]
+                            else:  # a value, or a range node as a call's argument
+                                values.append(x)
+                        grid[node] = values[0]
         return grid
 
     def call(self, func, args, grid):

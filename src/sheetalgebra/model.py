@@ -25,7 +25,7 @@ MAX_ROW = 1048576
 _COL_DIGITS, _ROW_DIGITS = len(str(MAX_COL)), len(str(MAX_ROW))
 MAX_INT_DIGITS = 18  # integers in text: subscripts, offsets, axis values
 MAX_NESTING = 64     # levels a formula or script nests, Excel's own limit
-MAX_EQUATIONS = 2 ** 24  # equations one replication or region line may make
+MAX_EQUATIONS = 2 ** 20  # equations one replication or region line may make: one full column
 SUBSCRIPT_LIMIT = 10 ** MAX_INT_DIGITS  # the least integer past MAX_INT_DIGITS digits
 A1_LABEL = re.compile(r"([A-Za-z]+)(\d+)\Z")
 _COLUMNS: dict[str, int] = {}  # each column text on the grid read so far -> its number

@@ -853,6 +853,24 @@ class TestDiff:
         with pytest.raises(OutOfGridError):
             diff(s, parse_document("A1 = RC[-1]+0"))
 
+    def test_changed_follows_the_canonical_order_of_sets_built_in_reverse(self):
+        def reversed_set(text):
+            return EquationSet(reversed(parse_document(text).equations()))
+
+        a = reversed_set("B2 = 1\nA1 = 2\nSheet2!A1 = 3\nC1 = 4\nx[2] = 5\nx[1] = 6\nD9 = 7")
+        b = reversed_set("x[1] = 60\nD9 = 7\nSheet2!A1 = 30\nx[2] = 50\nC1 = 40\nA1 = 20\nB2 = 10")
+        assert [c[0] for c in diff(a, b).changed] == [
+            addr("A1"), addr("C1"), addr("B2"), addr("Sheet2!A1"),
+            ArrayElem("x", (1,)), ArrayElem("x", (2,))]
+        # C1 (row 1) comes before A2 (row 2) although A2 is listed first
+        # and its column is lower: C1's offset off the grid raises, not A2's HERE
+        a = reversed_set("A2 = x[HERE-1]+1\nC1 = RC[-5]\nB1 = 1")
+        b = reversed_set("A2 = x[HERE-1]+2\nC1 = RC[-5]+0\nB1 = 2")
+        with pytest.raises(OutOfGridError):
+            diff(a, b)
+        with pytest.raises(DomainError, match="HERE"):
+            diff(a, reversed_set("A2 = x[HERE-1]+2\nC1 = RC[-5]\nB1 = 2"))
+
     def test_here_is_refused_before_an_offset_off_the_grid(self):
         f = Binary("+", ElemRef("x", (Here(-1),)), RelRef(-5, 0))
         with pytest.raises(DomainError, match="HERE"):

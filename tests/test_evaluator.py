@@ -363,8 +363,9 @@ class TestTemplates:
         s = parse_document("A1 = 2\nB1 = A1*3\nB2 = A1*3\nB3 = A1*3\nC1 = RC[-1]+1\nC2 = RC[-1]+1")
         g = _Graph(s)
         grid = g.evaluate(g.formulas)
-        assert g.deps[addr("B1")] is g.deps[addr("B2")] is g.deps[addr("B3")]
-        assert g.deps[addr("C1")] is not g.deps[addr("C2")]
+        b1, b2, b3, c1, c2 = (g.precedents(addr(a)) for a in ("B1", "B2", "B3", "C1", "C2"))
+        assert b1 is b2 is b3
+        assert c1 is not c2
         assert [grid[addr(a)] for a in ("B3", "C1", "C2")] == [6.0, 7.0, 7.0]
 
 

@@ -146,7 +146,7 @@ class TestParseListing:
         # region line's offset
         rows = ", ".join(["1..1048576"] * 9)
         assert 2 * 9 * 1048576 > MAX_EQUATIONS
-        with pytest.raises(FormulaSyntaxError, match=r"at most 16777216 .*at offset 7\)"):
+        with pytest.raises(FormulaSyntaxError, match=r"at most 1048576 .*at offset 7\)"):
             parse_listing(f"A1 = 2\nSheet1[ {{1, 2}} >< {{{rows}}} ] = 1")
         assert time.process_time() - start < 0.1
 

@@ -64,6 +64,7 @@ from sheetalgebra import (
     to_relative,
     union,
 )
+from sheetalgebra.evaluator import _Graph, _to_number, binary
 from sheetalgebra.errors import (
     CollisionError,
     CrossSheetError,
@@ -1248,3 +1249,172 @@ class TestShiftShared:
         got = extract(s, r)
         assert list(got) == [eq for eq in s if isinstance(eq.lhs, CellAddr) and r.contains(eq.lhs)]
         assert list(got) == list(EquationSet(got.equations()))
+
+
+# -- the one evaluation walk against components, then programs --------------
+
+
+def _reference_evaluate(s, roots=None):
+    """The reference: evaluate as two walks.  Tarjan's components of the
+    cells and range nodes come first, with every node's program kept; then
+    each component, in that order, is #CYCLE! or runs its one cell's kept
+    program on a value stack."""
+    g = _Graph(s)
+    deps, loops = {}, set()
+
+    def program(node):
+        if node not in deps:
+            if type(node) is tuple:
+                pred, cells = g.spans[node]
+                deps[node] = [pred] + cells if pred else cells
+            else:
+                deps[node] = g.precedents(node)
+        return deps[node]
+
+    def components():
+        index, low = {}, {}
+        stack, on_stack = [], set()
+        for root in g.formulas if roots is None else roots:
+            if root in index or root not in g.formulas:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(program(root)))]
+            while work:
+                node, it = work[-1]
+                for child in it:
+                    t = type(child)
+                    if not (t is tuple or t is CellAddr and child in g.formulas):
+                        continue
+                    if child not in index:
+                        index[child] = low[child] = len(index)
+                        stack.append(child)
+                        on_stack.add(child)
+                        work.append((child, iter(program(child))))
+                        break
+                    if child in on_stack:
+                        low[node] = min(low[node], index[child])
+                        if child == node:
+                            loops.add(node)
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        comp = [stack.pop()]
+                        while comp[-1] != node:
+                            comp.append(stack.pop())
+                        on_stack.difference_update(comp)
+                        yield comp
+
+    grid = {}
+    for comp in components():
+        k = comp[0]
+        if len(comp) > 1 or k in loops:
+            for b in comp:
+                if b in g.formulas:
+                    grid[b] = CellError("CYCLE")
+        elif k in g.formulas:
+            stack = []
+            for x in deps[k]:
+                t = type(x)
+                if t is CellAddr:
+                    v = grid.get(x)
+                    stack.append(0.0 if v is None else v)
+                elif t is Binary:
+                    v = stack.pop()
+                    stack[-1] = binary(x.op, stack[-1], v)
+                elif t is Neg:
+                    v = _to_number(stack[-1])
+                    stack[-1] = v if type(v) is CellError else -v
+                elif t is Call:
+                    i = len(stack) - len(x.args)
+                    stack[i:] = [g.call(x.func, stack[i:], grid)]
+                else:
+                    stack.append(x)
+            grid[k] = stack[0]
+    return grid
+
+
+def _one_walk(s, roots=None):
+    g = _Graph(s)
+    return g.evaluate(g.formulas if roots is None else roots)
+
+
+def _typed_outcome(f, *args):
+    """f's grid with each value's type and repr, since True == 1.0, or the
+    class and message of the SheetError it raises."""
+    try:
+        return {a: (type(v), repr(v)) for a, v in f(*args).items()}
+    except SheetError as e:
+        return type(e), str(e)
+
+
+_walk_cells = st.builds(CellAddr, st.sampled_from(["Sheet1", "Sheet2"]),
+                        st.integers(min_value=1, max_value=3),
+                        st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def walk_documents(draw):
+    """Up to eight cells of A1:C4 on two sheets, which often read each other
+    in cycles and themselves.  Their formulas read cells on either sheet,
+    relative references (one may be the cell itself or leave the grid), a
+    cell name, a range name (a fault outside a call) and an unknown name,
+    and pass as call arguments absolute or relative ranges that may hold
+    cycles or leave the grid.  Copies may share one tree object."""
+    offset = st.integers(min_value=-2, max_value=2)
+    ranges = st.one_of(
+        st.builds(lambda sh, c, d, r, s: RangeArg(CellRange((Rect(sh, *_ordered(c, d),
+                                                                  *_ordered(r, s)),))),
+                  st.sampled_from(["Sheet1", "Sheet2"]), st.integers(1, 3), st.integers(1, 3),
+                  st.integers(1, 4), st.integers(1, 4)),
+        st.builds(lambda c, d, r, s: RangeArg(CellRange((Rect(None, *_ordered(c, d),
+                                                              *_ordered(r, s)),))),
+                  offset, offset, offset, offset),
+        st.just(NameRef("w")))
+    leaves = st.one_of(
+        numbers,
+        st.sampled_from(["", "a"]).map(Text),
+        st.booleans().map(Bool),
+        st.just(Empty()),
+        _walk_cells.map(AbsRef),
+        st.builds(RelRef, offset, offset),
+        st.sampled_from([NameRef("k"), NameRef("w"), NameRef("nope")]))
+
+    def nodes(inner):
+        args = st.lists(st.one_of(inner, ranges), min_size=1, max_size=3).map(tuple)
+        return st.one_of(st.builds(Binary, st.sampled_from(BINARY_OPS), inner, inner),
+                         st.builds(Neg, inner),
+                         st.builds(Call, st.sampled_from(FUNCTIONS), args))
+
+    trees = draw(st.lists(st.recursive(leaves, nodes, max_leaves=6), min_size=1, max_size=8))
+    cells = draw(st.lists(_walk_cells, min_size=1, max_size=8, unique=True))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(trees) - 1),
+                          min_size=len(cells), max_size=len(cells)))
+    names = {"k": CellRange.cell(CellAddr("Sheet2", 1, 1)),
+             "w": CellRange.box(CellAddr("Sheet1", 1, 1), CellAddr("Sheet1", 2, 2))}
+    return EquationSet([Equation(a, trees[i]) for a, i in zip(cells, picks)], names)
+
+
+class TestOneWalk:
+    """evaluate's one walk, which runs each cell as its component pops and
+    keeps no program, agrees with finding every component first and then
+    running each kept program: for the whole sheet and from each cell."""
+
+    @given(walk_documents())
+    # a cycle through a range node, a self-read, and cells off the cycle
+    # that read the cycle, a range on it, and a running total
+    @example(parse_document("A1 = B1+1\nB1 = SUM(A1:A2)\nA2 = 5\nC1 = A1+A2\nA3 = A3+1\n"
+                            "C2 = AND(A2:A3)\nD1 = SUM(A2:A2)\nD2 = SUM(A2:A3)\nD3 = D2+D1"))
+    @example(parse_document("A1 = 1\nA2 = SUM(A1:A3)\nA3 = A2\nB1 = MAX(A1:A1)\nB2 = MAX(A1:A2)\n"
+                            "B3 = MAX(A1:A3)\nSheet2!A1 = Sheet1!B3*2"))
+    @example(parse_document("A1 = B1\nB1 = C1\nC1 = A1\nA2 = R[-1]C[-1]\nB2 = A1"))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_components_then_programs(self, s):
+        assert _typed_outcome(_one_walk, s) == _typed_outcome(_reference_evaluate, s)
+        for eq in s:
+            assert (_typed_outcome(_one_walk, s, [eq.lhs])
+                    == _typed_outcome(_reference_evaluate, s, [eq.lhs])), eq.lhs

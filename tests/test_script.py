@@ -119,8 +119,10 @@ class TestInterpreter:
 
     def test_times_past_the_equation_cap_is_refused_at_once(self):
         start = time.process_time()
-        with pytest.raises(ScriptError, match="makes more than 16777216"):
+        with pytest.raises(ScriptError, match="makes more than 1048576"):
             run("{ y[1] = 1 } times 1:999999999999999999.")
+        with pytest.raises(ScriptError, match="makes more than 1048576"):
+            run("{ x[1] = 1 } times 1:9999999.")
         value, _, _ = run("{ } times 1:999999999999999999.")  # no copies to make
         assert time.process_time() - start < 0.1
         assert len(value) == 0
