@@ -67,21 +67,13 @@ RAW, RELATIVE, ABSOLUTE, SUBSTITUTED = "raw", "relative", "absolute", "substitut
 
 def union(a: EquationSet, b: EquationSet) -> EquationSet:
     """Set union; a left-hand side may repeat only with an identical formula."""
-    merged = {lhs: eq for lhs, eq in ((e.lhs, e) for e in a)}
-    for eq in b:
-        prev = merged.get(eq.lhs)
-        if prev is not None and prev.rhs != eq.rhs:
-            raise ConflictError(
-                f"conflicting equations for {eq.lhs}: "
-                f"{canonical_text(prev.rhs)} vs {canonical_text(eq.rhs)}")
-        merged[eq.lhs] = eq
     names = a.names
     for name, rng in b.names.items():
         if name in names and names[name] != rng:
             raise ConflictError(f"conflicting definitions for name {name!r}")
         names[name] = rng
     layouts = a.layouts + tuple(d for d in b.layouts if d not in a.layouts)
-    return EquationSet(merged.values(), names, layouts)
+    return EquationSet(chain(a, b), names, layouts)
 
 
 def shift(s: EquationSet, dx: int, dy: int) -> EquationSet:

@@ -9,18 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .algebra import DiffReport
 from .errors import SheetError
-from .listing import show
-from .script import (
-    Interpreter,
-    diff_report_text,
-    format_script_value,
-    grid_text,
-    proposal_text,
-    repl,
-    run_script_file,
-    violations_text,
-)
+from .model import EquationSet
+from .script import Interpreter, format_script_value, repl, run_script_file
+
+# each file command's builtin
+_BUILTINS = {"show": "show", "eval": "evaluate", "diff": "diff",
+             "stylecheck": "stylecheck", "discover": "propose_layout"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,49 +63,30 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "run":
-        value = run_script_file(args.script)
-        text = format_script_value(value)
-        if text:
-            print(text)
-        return 0
+    """A file command loads its files, makes one builtin call and prints
+    the value: `eval --csv` writes its grid to the file instead, and
+    `discover` prints its proposal and then the set decompiled by it."""
     if args.command == "repl":
         repl()
         return 0
-
     interp = Interpreter(out=sys.stdout)
-
-    def call(name, *call_args):
-        return interp.call(name, list(call_args))
-
-    if args.command == "show":
-        call("show", call("load", args.file), args.grouped)
+    if args.command == "run":
+        value = run_script_file(args.script)
+    else:
+        files = (args.a, args.b) if args.command == "diff" else (args.file,)
+        sets = [interp.call("load", [path]) for path in files]
+        extra = [args.grouped] if args.command == "show" else []
+        value = interp.call(_BUILTINS[args.command], sets + extra)
+    if args.command == "eval" and args.csv:
+        interp.call("export_csv", [value, args.csv])
         return 0
-    if args.command == "eval":
-        grid = call("evaluate", call("load", args.file))
-        if args.csv:
-            call("export_csv", grid, args.csv)
-        else:
-            print(grid_text(grid))
-        return 0
-    if args.command == "diff":
-        report = call("diff", call("load", args.a), call("load", args.b))
-        print(diff_report_text(report))
-        return 0 if report.empty else 1
-    if args.command == "stylecheck":
-        print(violations_text(call("stylecheck", call("load", args.file))))
-        return 0
+    text = format_script_value(value)
+    if text:
+        print(text)
     if args.command == "discover":
-        s = call("load", args.file)
-        proposal = call("propose_layout", s)
-        print(proposal_text(proposal))
-        body = "\n".join(
-            line for line in show(call("decompile", s, proposal)).splitlines()
-            if not line.startswith("layout "))
-        if body:
-            print(body)
-        return 0
-    raise AssertionError(args.command)
+        d = interp.call("decompile", [sets[0], value])
+        interp.call("show", [EquationSet(d, d.names)])  # its layouts are printed above
+    return 1 if isinstance(value, DiffReport) and not value.empty else 0
 
 
 if __name__ == "__main__":

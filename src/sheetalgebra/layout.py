@@ -226,7 +226,10 @@ def compile_set(spec: EquationSet, layouts: LayoutSet | None = None) -> Equation
         if not isinstance(lhs, ArrayElem):
             raise LayoutError(f"compile expects array left-hand sides, got {lhs}")
         cell, at = elem_to_cell(directive(lhs.name), lhs.subs), lhs.subs
-        if uses[id(f)] == 1:  # templating these too adds 10 % to perfbench modules' peak memory
+        # A tree used once has no copy to share its template with: templating
+        # it keeps its node list and a copy-class key to the end, which for a
+        # set of mostly distinct trees (a decompiled sheet) triples peak memory.
+        if uses[id(f)] == 1:
             f = map_leaves(f, lambda x: AbsRef(cell_of(x, at)) if type(x) is ElemRef else x)
         else:  # its copy class: the tree, and where its references lie from the cell
             nodes, refs = templates.get(id(f)) or templates.setdefault(id(f), template(f))

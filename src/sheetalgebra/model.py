@@ -71,9 +71,9 @@ class CellAddr(namedtuple("CellAddr", "sheet col row")):
             raise DomainError("sheet name must be nonempty")
         return tuple.__new__(cls, (sheet, col, row))
 
-    def a1(self, with_sheet: bool = False) -> str:
+    def a1(self) -> str:
         text = f"{col_to_letters(self.col)}{self.row}"
-        if with_sheet or self.sheet != DEFAULT_SHEET:
+        if self.sheet != DEFAULT_SHEET:
             return f"{self.sheet}!{text}"
         return text
 
@@ -531,7 +531,10 @@ class EquationSet:
         for eq in equations:
             prev = eqs.get(eq.lhs)
             if prev is not None and prev.rhs != eq.rhs:
-                raise ConflictError(f"conflicting equations for {eq.lhs}")
+                from .formula import canonical_text
+
+                raise ConflictError(f"conflicting equations for {eq.lhs}: "
+                                    f"{canonical_text(prev.rhs)} vs {canonical_text(eq.rhs)}")
             eqs[eq.lhs] = eq
         self._eqs = eqs
         self._names = dict(names) if names else {}

@@ -40,7 +40,7 @@ from .grammar import (
 )
 from .layout import LayoutSet, compile_set, decompile_set
 from .listing import show
-from .model import EquationSet
+from .model import EquationSet, Formula
 
 
 # ---------------------------------------------------------------------------
@@ -210,53 +210,35 @@ def _as_formula(v):
     return v
 
 
-def diff_report_text(report: algebra.DiffReport) -> str:
-    if report.empty:
-        return "no differences"
-    lines = [f"removed: {lhs}" for lhs in report.removed]
-    lines += [f"added: {lhs}" for lhs in report.added]
-    lines += [f"changed: {lhs}: {canonical_text(old)} -> {canonical_text(new)}"
-              for lhs, old, new in report.changed]
-    return "\n".join(lines)
-
-
-def violations_text(violations) -> str:
-    if not violations:
-        return "no violations"
-    return "\n".join(
-        f"{v.sheet}: {v.canonical_formula} at "
-        + ", ".join(str(c) for c in v.cells)
-        for v in violations)
-
-
-def proposal_text(proposal: LayoutProposal) -> str:
-    return "\n".join(str(d) for d in proposal.directives)
-
-
-def grid_text(grid: dict) -> str:
-    items = sorted(grid.items(), key=lambda kv: (kv[0].sheet, kv[0].row, kv[0].col))
-    return "\n".join(f"{a} = {format_value(v)}" for a, v in items)
-
-
 MAX_SET_LINES = 40
 
 
 def format_script_value(v) -> str:
+    """The one text of a value, as the REPL, `run` and the CLI print it."""
     if isinstance(v, EquationSet):
         lines = show(v).splitlines()
         if len(lines) > MAX_SET_LINES:
             extra = len(lines) - MAX_SET_LINES
             lines = lines[:MAX_SET_LINES] + [f"... ({extra} more lines)"]
         return "\n".join(lines) if lines else "{ }"
+    if isinstance(v, Formula):
+        return canonical_text(v)
     if isinstance(v, algebra.DiffReport):
-        return diff_report_text(v)
+        lines = [f"removed: {lhs}" for lhs in v.removed]
+        lines += [f"added: {lhs}" for lhs in v.added]
+        lines += [f"changed: {lhs}: {canonical_text(old)} -> {canonical_text(new)}"
+                  for lhs, old, new in v.changed]
+        return "\n".join(lines) or "no differences"
     if isinstance(v, LayoutProposal):
-        return proposal_text(v)
-    if isinstance(v, dict):
-        return grid_text(v)
+        return "\n".join(str(d) for d in v.directives)
+    if isinstance(v, dict):  # an evaluated grid
+        return "\n".join(f"{a} = {format_value(v[a])}"
+                         for a in sorted(v, key=lambda a: (a.sheet, a.row, a.col)))
     if isinstance(v, list):
-        if v and all(hasattr(item, "canonical_formula") for item in v):
-            return violations_text(v)
+        if all(isinstance(item, algebra.StyleViolation) for item in v):
+            return "\n".join(f"{x.sheet}: {x.canonical_formula} at "
+                             + ", ".join(str(c) for c in x.cells)
+                             for x in v) or "no violations"
         return "\n".join(format_script_value(item) for item in v)
     return format_value(v)
 
@@ -300,9 +282,8 @@ class Interpreter:
         if name == "show":
             s = self._want_set(args[0], "show")
             grouped = len(args) > 1 and args[1] in (True, "grouped")
-            text = show(s, grouped=grouped)
-            print(text, file=self.out)
-            return text
+            print(show(s, grouped=grouped), file=self.out)
+            return None
         if name == "lookup":
             s = self._want_set(args[0], "lookup")
             ref = _parse_ref(args[1]) if isinstance(args[1], str) else args[1]

@@ -93,9 +93,9 @@ class TestUnion:
         assert values[addr("E2")] == pytest.approx(-171.93, abs=1e-9)
 
     def test_conflict_rejected(self):
-        a = make_set(("A1", "1"))
-        b = make_set(("A1", "2"))
-        with pytest.raises(ConflictError):
+        a = make_set(("A1", "1"), ("B1", "3"))
+        b = make_set(("A1", "2"), ("B1", "4"))
+        with pytest.raises(ConflictError, match=r"^conflicting equations for A1: 1 vs 2$"):
             union(a, b)
 
     def test_duplicate_identical_allowed(self):
@@ -114,6 +114,18 @@ class TestUnion:
                     union(b, a)
                 continue
             assert left == union(b, a)
+
+    def test_names_from_both_sides_merge(self):
+        costs, rate = CellRange.box(addr("B2"), addr("B9")), CellRange.cell(addr("C1"))
+        a = make_set(("A1", "SUM(costs)"), names={"costs": costs})
+        b = make_set(("A2", "rate*2"), names={"rate": rate, "costs": costs})
+        assert union(a, b).names == {"costs": costs, "rate": rate}
+
+    def test_name_defined_differently_conflicts(self):
+        a = make_set(("A1", "1"), names={"rate": CellRange.cell(addr("C1"))})
+        b = make_set(("A2", "2"), names={"rate": CellRange.cell(addr("C2"))})
+        with pytest.raises(ConflictError, match="rate"):
+            union(a, b)
 
 
 class TestShift:
@@ -609,6 +621,17 @@ class TestQuotient:
         assert quotient(EquationSet(), 1, 30000000) == EquationSet()
         assert time.process_time() - start < 0.1
 
+    @pytest.mark.parametrize("pairs, lo, hi, error, message", [
+        ((("y[1,1]", "1"),), 2, 1, DomainError, "empty quotient range 2:1"),
+        ((("y[1,1]", "1"), ("z[1,1]", "y[1]")), 1, 1, EquivalenceError,
+         "y has no dimension left to project away"),
+        ((("y[1,5]", "1"),), 1, 3, DomainError, r"final subscript of y\[1,5\] lies outside 1:3"),
+        ((("y[1]", "1"),), 1, 1, DomainError, r"y\[1\] has only one dimension"),
+    ])
+    def test_refusals(self, pairs, lo, hi, error, message):
+        with pytest.raises(error, match=message):
+            quotient(make_set(*pairs), lo, hi)
+
     def test_round_trip_random(self):
         from conftest import rand_array_set
 
@@ -639,6 +662,10 @@ class TestLookup:
     def test_not_found(self, accounts):
         with pytest.raises(NotFoundError):
             lookup(accounts, addr("Z99"))
+
+    def test_unknown_representation(self, accounts):
+        with pytest.raises(DomainError, match="unknown representation 'bogus'"):
+            lookup(accounts, addr("D2"), "bogus")
 
 
 class TestReplace:

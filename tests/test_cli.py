@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sheetalgebra
 from sheetalgebra import parse_document, save
 from sheetalgebra.cli import main
 
@@ -106,6 +111,17 @@ class TestRun:
         assert main(["run", str(script)]) == 0
         assert "B1 = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("script, printed", [
+        ("show({ A1 = 1 }).", "A1 = 1\n"),
+        ("stylecheck({ A1 = 1, B1 = A1*2 }).", "no violations\n"),
+        ('lookup({ A1 = 1, B1 = RC[-1]*2 }, "B1", "absolute").', "A1*2\n"),
+    ])
+    def test_final_value_prints_once(self, tmp_path, capsys, script, printed):
+        path = tmp_path / "s.sheet"
+        path.write_text(script + "\n")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_script_error_exit_1(self, tmp_path, capsys):
         script = tmp_path / "bad.sheet"
         script.write_text("{ A1 = 1 } \\/ { A1 = 2 }.\n")
@@ -123,3 +139,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    """The module run as a program, in its own process."""
+
+    def sheetalg(self, *args):
+        src = os.path.dirname(os.path.dirname(sheetalgebra.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "sheetalgebra.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_show_exits_0(self, accounts_file):
+        done = self.sheetalg("show", accounts_file)
+        assert done.returncode == 0
+        assert "D2 = C2-B2" in done.stdout
+
+    def test_diff_with_changes_exits_1(self, accounts_file, tmp_path):
+        other = str(tmp_path / "tampered.exc")
+        save(parse_document(ACCOUNTS_TEXT.replace("C2-B2", "C2+B2")), other)
+        done = self.sheetalg("diff", accounts_file, other)
+        assert done.returncode == 1
+        assert "changed: D2" in done.stdout

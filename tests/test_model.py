@@ -28,6 +28,7 @@ from sheetalgebra import (
     addr,
     col_to_letters,
     letters_to_col,
+    parse_document,
 )
 from sheetalgebra.errors import ConflictError, DomainError
 from sheetalgebra.formula import formula_groups
@@ -122,6 +123,10 @@ class TestEquationSet:
         with pytest.raises(ConflictError):
             EquationSet([eq("A1", "1"), eq("A1", "2")])
 
+    def test_conflict_names_both_formulas(self):
+        with pytest.raises(ConflictError, match=r"^conflicting equations for B1: SUM\(A1\) vs A1\*2$"):
+            parse_document("A1 = 1\nB1 = SUM(A1)\nB1 = A1*2")
+
     def test_canonical_order(self):
         s = EquationSet([eq("B1", "1"), eq("A2", "2"), eq("A1", "3")])
         assert [e.lhs for e in s] == [addr("A1"), addr("B1"), addr("A2")]
@@ -131,6 +136,19 @@ class TestEquationSet:
         first = s.equations()
         first.clear()
         assert [e.lhs for e in s.equations()] == [addr("A1"), addr("B1")]
+
+
+class TestCallEquality:
+    @pytest.mark.parametrize("other", ["MAX(A1)", "SUM(A1,A1)"])
+    def test_function_name_and_arity_count(self, other):
+        a = parse_document("A1 = 1\nB1 = SUM(A1)")
+        b = parse_document(f"A1 = 1\nB1 = {other}")
+        fa, fb = a.get(addr("B1")).rhs, b.get(addr("B1")).rhs
+        assert not fa == fb and fa != fb
+        assert len({fa, fb}) == 2
+        assert hash(fa) == hash(parse_document("B1 = SUM(A1)").get(addr("B1")).rhs)
+        assert not a == b and a != b
+        assert a == parse_document("A1 = 1\nB1 = SUM(A1)")
 
 
 class TestSubscripts:

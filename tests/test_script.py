@@ -220,3 +220,13 @@ class TestRepl:
     def test_bindings_persist(self):
         out = self.run_repl("let x = 5.\nx.\n")
         assert "5" in out
+
+    def test_show_prints_its_listing_once(self):
+        assert self.run_repl("show({ A1 = 1 }).\n").count("A1 = 1") == 1
+
+    def test_clean_stylecheck_prints_no_violations(self):
+        assert "no violations" in self.run_repl("stylecheck({ A1 = 1, B1 = A1*2 }).\n")
+
+    def test_looked_up_formula_prints_as_text(self):
+        out = self.run_repl('lookup({ A1 = 1, B1 = RC[-1]*2 }, "B1", "absolute").\n')
+        assert out.splitlines()[0] == "> A1*2"
