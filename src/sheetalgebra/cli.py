@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (SheetError, OSError) as exc:
+    except SheetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

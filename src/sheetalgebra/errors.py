@@ -71,4 +71,4 @@ class ScriptError(SheetError):
 
 
 class LoadError(SheetError):
-    """File missing, unreadable, or in an unsupported format."""
+    """A file that cannot be read or written, or one in an unsupported format."""

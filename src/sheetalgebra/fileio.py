@@ -14,7 +14,7 @@ separators):
 from __future__ import annotations
 
 import csv
-import os
+from contextlib import contextmanager
 
 from .errors import DomainError, FormulaSyntaxError, LoadError
 from .formula import fmt_number
@@ -27,6 +27,17 @@ def parse_document(text: str) -> EquationSet:
         return EntryReader(stream).document()
 
 
+@contextmanager
+def opened(path: str, mode: str = "r", newline=None):
+    """`open` of a UTF-8 text file, where a file that cannot be read or
+    written (or decoded) raises LoadError."""
+    try:
+        with open(path, mode, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeError) as exc:
+        raise LoadError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load(path: str) -> EquationSet:
     """Read a `.exc` document.  Binary spreadsheet formats are rejected."""
     lower = path.lower()
@@ -36,9 +47,7 @@ def load(path: str) -> EquationSet:
             "export the sheet to the .exc text format instead")
     if not lower.endswith(".exc"):
         raise LoadError(f"{path}: expected a .exc file")
-    if not os.path.exists(path):
-        raise LoadError(f"{path}: no such file")
-    with open(path, encoding="utf-8") as fh:
+    with opened(path) as fh:
         text = fh.read()
     try:
         return parse_document(text)
@@ -52,7 +61,7 @@ def save(s: EquationSet, path: str) -> None:
     from .listing import show
 
     body = show(s)
-    with open(path, "w", encoding="utf-8") as fh:
+    with opened(path, "w") as fh:
         fh.write("# equation-set document\n")
         if body:
             fh.write(body + "\n")
@@ -74,7 +83,7 @@ def export_csv(grid: dict, path: str) -> None:
     sheets = {a.sheet for a in grid}
     if len(sheets) > 1:
         raise DomainError(f"grid spans multiple sheets: {sorted(sheets)}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with opened(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         if grid:
             (sheet,) = sheets

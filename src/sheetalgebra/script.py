@@ -22,7 +22,7 @@ from .errors import (
     SheetError,
 )
 from .evaluator import evaluate
-from .fileio import export_csv, format_value, load, save
+from .fileio import export_csv, format_value, load, opened, save
 from .formula import CANONICAL, canonical_text, parse_formula
 from .grammar import (
     ID,
@@ -40,7 +40,7 @@ from .grammar import (
 )
 from .layout import LayoutSet, compile_set, decompile_set
 from .listing import show
-from .model import EquationSet, Formula
+from .model import ArrayElem, CellAddr, EquationSet, Formula, Number
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,6 @@ def _parse_ref(text: str):
     return ref
 
 
-def _as_formula(v):
-    if isinstance(v, str):
-        return parse_formula(v, CANONICAL)
-    return v
-
-
 MAX_SET_LINES = 40
 
 
@@ -243,80 +237,73 @@ def format_script_value(v) -> str:
     return format_value(v)
 
 
+# The kinds of a builtin's arguments, each named as a wrong call names it.  A
+# tuple of values is an option: one of them, compared by type and value.
+SET, PATH, REF, FORMULA, GRID, LAYOUTS = (
+    "an equation set", "a path", "a reference", "a formula", "an evaluated grid", "layouts")
+_TAKES = {SET: EquationSet, PATH: str, REF: (str, CellAddr, ArrayElem),
+          FORMULA: (str, int, float, Formula), GRID: dict,
+          LAYOUTS: (LayoutProposal, EquationSet, LayoutSet)}
+
+
+def _arg(fn: str, kind, v):
+    """Argument `v` of builtin or set operator `fn`, as its kind takes it."""
+    if isinstance(kind, tuple):
+        if not any(type(v) is type(o) and v == o for o in kind):
+            raise ScriptError(f"{fn} expects one of {', '.join(map(repr, kind))}, got {v!r}")
+        return v
+    if not isinstance(v, _TAKES[kind]) or isinstance(v, bool):
+        raise ScriptError(f"{fn} expects {kind}, got {type(v).__name__}")
+    if kind is REF and isinstance(v, str):
+        return _parse_ref(v)
+    if kind is FORMULA and not isinstance(v, Formula):
+        return parse_formula(v, CANONICAL) if isinstance(v, str) else Number(v)
+    if kind is LAYOUTS and not isinstance(v, LayoutSet):
+        return v.directives if isinstance(v, LayoutProposal) else LayoutSet(v.layouts)
+    return v
+
+
+# Each builtin: its function, which takes the interpreter and then the
+# arguments as their kinds take them; the kind of each argument; and how many
+# a call must give.  Paths are read from the interpreter's base_dir, and
+# layouts left out are the set's own.
+_BUILTINS = {
+    "load": (lambda i, path: load(os.path.join(i.base_dir, path)), (PATH,), 1),
+    "save": (lambda i, s, path: save(s, os.path.join(i.base_dir, path)) or s, (SET, PATH), 2),
+    "export_csv": (lambda i, grid, path: export_csv(  # gives the path as written
+        grid, os.path.join(i.base_dir, path)) or path, (GRID, PATH), 2),
+    "show": (lambda i, s, how=False: print(show(s, grouped=how in (True, "grouped")),
+                                           file=i.out), (SET, ("grouped", True, False)), 1),
+    "lookup": (lambda i, *a: algebra.lookup(*a),
+               (SET, REF, ("raw", "relative", "absolute", "substituted")), 2),
+    "replace": (lambda i, *a: algebra.replace(*a), (SET, FORMULA, FORMULA), 3),
+    "simplify": (lambda i, s: algebra.simplify(s), (SET,), 1),
+    "evaluate": (lambda i, s: evaluate(
+        compile_set(s) if s.all_array_lhs() and s.layouts else s), (SET,), 1),
+    "compile": (lambda i, *a: compile_set(*a), (SET, LAYOUTS), 1),
+    "decompile": (lambda i, *a: decompile_set(*a), (SET, LAYOUTS), 1),
+    "propose_layout": (lambda i, s: propose_layout(s), (SET,), 1),
+    "diff": (lambda i, a, b: algebra.diff(a, b), (SET, SET), 2),
+    "stylecheck": (lambda i, s: algebra.stylecheck_unique(s), (SET,), 1),
+}
+
+
 class Interpreter:
     def __init__(self, base_dir: str = ".", out=None):
         self.env: dict[str, object] = {}
         self.base_dir = base_dir
         self.out = out if out is not None else sys.stdout
 
-    def _layouts_arg(self, args, s):
-        v = args[1] if len(args) > 1 else s
-        if isinstance(v, LayoutProposal):
-            return v.directives
-        if isinstance(v, EquationSet):
-            return LayoutSet(v.layouts)
-        if isinstance(v, LayoutSet):
-            return v
-        raise ScriptError("expected layouts (a set with layout statements or a proposal)")
-
-    # -- builtin functions --------------------------------------------------
-
-    def _path(self, p: str) -> str:
-        if os.path.isabs(p):
-            return p
-        return os.path.join(self.base_dir, p)
-
-    def _want_set(self, v, fn):
-        if not isinstance(v, EquationSet):
-            raise ScriptError(f"{fn} expects an equation set, got {type(v).__name__}")
-        return v
-
     def call(self, name: str, args: list):
-        if name == "load":
-            (path,) = args
-            return load(self._path(path))
-        if name == "save":
-            s, path = args
-            save(self._want_set(s, "save"), self._path(path))
-            return s
-        if name == "show":
-            s = self._want_set(args[0], "show")
-            grouped = len(args) > 1 and args[1] in (True, "grouped")
-            print(show(s, grouped=grouped), file=self.out)
-            return None
-        if name == "lookup":
-            s = self._want_set(args[0], "lookup")
-            ref = _parse_ref(args[1]) if isinstance(args[1], str) else args[1]
-            repr_ = args[2] if len(args) > 2 else algebra.RELATIVE
-            return algebra.lookup(s, ref, repr_)
-        if name == "replace":
-            s = self._want_set(args[0], "replace")
-            return algebra.replace(s, _as_formula(args[1]), _as_formula(args[2]))
-        if name == "simplify":
-            return algebra.simplify(self._want_set(args[0], "simplify"))
-        if name == "evaluate":
-            s = self._want_set(args[0], "evaluate")
-            if s.all_array_lhs() and s.layouts:
-                s = compile_set(s)
-            return evaluate(s)
-        if name in ("compile", "decompile"):
-            s = self._want_set(args[0], name)
-            return (compile_set if name == "compile" else decompile_set)(
-                s, self._layouts_arg(args, s))
-        if name == "propose_layout":
-            return propose_layout(self._want_set(args[0], "propose_layout"))
-        if name == "diff":
-            return algebra.diff(self._want_set(args[0], "diff"),
-                                self._want_set(args[1], "diff"))
-        if name == "stylecheck":
-            return algebra.stylecheck_unique(self._want_set(args[0], "stylecheck"))
-        if name == "export_csv":
-            grid, path = args
-            if not isinstance(grid, dict):
-                raise ScriptError("export_csv expects an evaluated grid")
-            export_csv(grid, self._path(path))
-            return path
-        raise ScriptError(f"unknown function {name!r}")
+        """Builtin `name` on `args`; a wrong call is a ScriptError that names it."""
+        if name not in _BUILTINS:
+            raise ScriptError(f"unknown function {name!r}")
+        fn, kinds, required = _BUILTINS[name]
+        if not required <= len(args) <= len(kinds):
+            most = f" to {len(kinds)}" if required < len(kinds) else ""
+            raise ScriptError(f"{name} takes {required}{most} argument"
+                              f"{'s' if len(kinds) > 1 else ''}, got {len(args)}")
+        return fn(self, *[_arg(name, kind, v) for kind, v in zip(kinds, args)])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -328,7 +315,7 @@ class Interpreter:
                 raise ScriptError(f"unbound name {expr.name!r}")
             return self.env[expr.name]
         if isinstance(expr, Op):
-            return _OPS[expr.name](*[self._want_set(self.eval(x), expr.name)
+            return _OPS[expr.name](*[_arg(expr.name, SET, self.eval(x))
                                      for x in expr.operands], *expr.params)
         if isinstance(expr, FnCall):
             args = [self.eval(a) for a in expr.args]
@@ -361,7 +348,7 @@ def eval_script(statements, env=None, base_dir=".", out=None):
 
 
 def run_script_file(path: str, out=None):
-    with open(path, encoding="utf-8") as fh:
+    with opened(path) as fh:
         src = fh.read()
     interp = Interpreter(os.path.dirname(os.path.abspath(path)), out)
     return interp.run(src)

@@ -122,6 +122,17 @@ class TestRun:
         assert main(["run", str(path)]) == 0
         assert capsys.readouterr().out == printed
 
+    def test_missing_script_exit_1(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "none.sheet")]) == 1
+        assert "none.sheet: No such file or directory" in capsys.readouterr().err
+
+    def test_wrong_builtin_call_exit_1(self, tmp_path, capsys):
+        script = tmp_path / "bad.sheet"
+        script.write_text("show().\n")
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == (
+            "error: statement 1: show takes 1 to 2 arguments, got 0\n")
+
     def test_script_error_exit_1(self, tmp_path, capsys):
         script = tmp_path / "bad.sheet"
         script.write_text("{ A1 = 1 } \\/ { A1 = 2 }.\n")
@@ -155,6 +166,14 @@ class TestEntryPoint:
         done = self.sheetalg("show", accounts_file)
         assert done.returncode == 0
         assert "D2 = C2-B2" in done.stdout
+
+    def test_a_file_not_in_utf8_is_an_error_not_a_traceback(self, tmp_path):
+        path = tmp_path / "latin.exc"
+        path.write_bytes("A1 = \"café\"\n".encode("latin-1"))
+        done = self.sheetalg("show", str(path))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr + done.stdout
 
     def test_diff_with_changes_exits_1(self, accounts_file, tmp_path):
         other = str(tmp_path / "tampered.exc")

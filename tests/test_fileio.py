@@ -98,6 +98,21 @@ class TestLoadSave:
         with pytest.raises(LoadError):
             load(str(tmp_path / "absent.exc"))
 
+    def test_a_file_not_in_utf8_is_a_load_error(self, tmp_path):
+        path = tmp_path / "latin.exc"
+        path.write_bytes("A1 = \"café\"\n".encode("latin-1"))
+        with pytest.raises(LoadError, match="latin.exc: 'utf-8' codec can't decode"):
+            load(str(path))
+
+    def test_a_file_that_cannot_be_written_is_a_load_error(self, tmp_path):
+        (tmp_path / "d.exc").mkdir()
+        with pytest.raises(LoadError, match="d.exc: Is a directory"):
+            save(make_set(("A1", "1")), str(tmp_path / "d.exc"))
+        with pytest.raises(LoadError, match="d.exc: Is a directory"):
+            export_csv(evaluate(make_set(("A1", "1"))), str(tmp_path / "d.exc"))
+        with pytest.raises(LoadError, match="d.exc: Is a directory"):
+            load(str(tmp_path / "d.exc"))
+
     def test_syntax_error_mentions_path(self, tmp_path):
         path = tmp_path / "bad.exc"
         path.write_text("A1 = = 1")

@@ -150,7 +150,8 @@ SOUP = [  # integers of at most two digits, so that no text asks for long work
     "12", "2.5", '"t"', "TRUE", "{", "}", "[", "]", ".", "let", "s", "mapping", "to",
     "shift", "(1,0)", "@", "times", "quotient", "1:12", "\\/", "name", "as", "layout",
     "down", "right", "Sheet1[", "><", "{1..5}", "..", "by", "evaluate(", "simplify(",
-    "show(", "diff(", "\n",
+    "show(", "diff(", "load(", "lookup(", "replace(", "compile(", "propose_layout(",
+    "stylecheck(", "\n",
 ]
 
 
@@ -175,6 +176,9 @@ def _prints_formula(f):
 @example("{ A1 = 1 } mapping A1:XFD1048576 to A1:XFD1048576.")
 @example("{ x[1] = 1 } times 1:12 times 1:12.")
 @example("A1 = SUM(A1:XFD1048576)")
+@example("show().")
+@example("load().")
+@example("lookup({ A1 = 1 }).")
 def test_every_reader_gives_an_error_or_a_value_that_prints(text):
     readers = [(parse_document, _prints_set), (parse_listing, _prints_set)]
     readers += [(partial(parse_formula, dialect=d), _prints_formula) for d in (A1, R1C1, CANONICAL)]

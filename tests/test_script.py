@@ -171,6 +171,43 @@ class TestInterpreter:
             "decompile(s, propose_layout(s)).", base_dir=str(tmp_path))
         assert "Profit" in {d.array for d in value.layouts}
 
+    @pytest.mark.parametrize("statement, message", [
+        ("load().", "load takes 1 argument, got 0"),
+        ("show().", "show takes 1 to 2 arguments, got 0"),
+        ("evaluate().", "evaluate takes 1 argument, got 0"),
+        ("diff(s).", "diff takes 2 arguments, got 1"),
+        ("lookup(s).", "lookup takes 2 to 3 arguments, got 1"),
+        ("save(s).", "save takes 2 arguments, got 1"),
+        ("export_csv(1).", "export_csv takes 2 arguments, got 1"),
+        ('show(s, "groupd").', "show expects one of 'grouped', True, False, got 'groupd'"),
+        ("show(s, 7).", "show expects one of 'grouped', True, False, got 7"),
+        ("show(s, 1).", "show expects one of 'grouped', True, False, got 1"),
+        ('lookup(s, "A1", "raw", 5).', "lookup takes 2 to 3 arguments, got 4"),
+        ("evaluate(s, 99).", "evaluate takes 1 argument, got 2"),
+        ("load(5).", "load expects a path, got int"),
+        ('export_csv(s, "v.csv").', "export_csv expects an evaluated grid, got EquationSet"),
+        ("lookup(s, 5).", "lookup expects a reference, got int"),
+        ("compile(s, 3).", "compile expects layouts, got int"),
+        ("shift(s, 1, 0).", "unknown function 'shift'"),
+    ])
+    def test_a_wrong_builtin_call_is_a_script_error(self, statement, message):
+        with pytest.raises(ScriptError) as exc:
+            run(f"let s = {{ A1 = 1 }}. {statement}")
+        assert str(exc.value) == f"statement 2: {message}"
+
+    def test_replace_takes_numbers(self):
+        value, _, _ = run('lookup(replace({ A1 = 2, B1 = A1*0.2 }, 0.2, 0.25), "B1", "raw").')
+        assert value == "A1*0.25"
+
+    def test_show_takes_the_options_the_cli_gives(self):
+        s = parse_document("A1 = 1\nA2 = 1")
+        texts = []
+        for option in ("grouped", True, False):
+            out = io.StringIO()
+            assert Interpreter(".", out).call("show", [s, option]) is None
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1] != texts[2] == "A1 = 1\nA2 = 1\n"
+
     def test_eval_script_returns_env(self):
         value, env = eval_script(parse_script("let x = 3. x."))
         assert value == 3
@@ -216,6 +253,20 @@ class TestRepl:
         out = self.run_repl("nope.\nlet x = 4.\nx.\n")
         assert "error:" in out
         assert "4" in out
+
+    def test_a_wrong_call_does_not_end_the_session(self):
+        out = self.run_repl("load().\nlet x = 4.\nx.\n").splitlines()
+        assert out[0] == "> error: statement 1: load takes 1 argument, got 0"
+        assert out[1:] == ["> 4", "> 4", "> "]  # the let's value, then x
+
+    def test_a_file_that_cannot_be_written_does_not_end_the_session(self, tmp_path,
+                                                                    monkeypatch):
+        (tmp_path / "d.exc").mkdir()
+        monkeypatch.chdir(tmp_path)
+        out = self.run_repl('save({ A1 = 1 }, "d.exc").\nlet x = 4.\nx.\n').splitlines()
+        assert out[0].startswith("> error: statement 1: ")
+        assert "d.exc" in out[0]
+        assert out[1:] == ["> 4", "> 4", "> "]
 
     def test_bindings_persist(self):
         out = self.run_repl("let x = 5.\nx.\n")
