@@ -1,5 +1,5 @@
-"""A simple spreadsheet engine: dependency analysis, cycle detection, and
-numeric evaluation of cell equation sets.
+"""A simple spreadsheet engine: numeric evaluation of cell equation sets in
+natural order, with a Tarjan walk for order and cycles from a forward read.
 
 Values are plain Python objects: float, str, bool, None (empty), or
 CellError.  Errors propagate through arithmetic; a result past the float
@@ -51,15 +51,12 @@ class _Graph:
     """A sheet as an evaluation graph on its defined cells and the distinct
     ranges read at them, built once per call.  Each formula tree object is
     compiled once into a template (Sestoft, *Spreadsheet Implementation
-    Technology*, ch. 4-5): its nodes in postfix order with every leaf that
-    does not depend on the cell resolved.  A cell's program is its tree's
-    template with only the relative references and relative ranges
-    resolved where the cell stands, so the cells and range nodes in it are
-    the cell's precedents and one loop over a value stack runs it; copies
-    of one block share one template.  A range node reads the range it
-    extends and its other cells.  A program is made when the walk first
-    reaches its cell and dropped once the cell has run, so a walk from one
-    cell touches only the nodes it depends on and keeps no program."""
+    Technology*, ch. 4-5), and a cell's program is its tree's template with
+    only the relative leaves resolved where the cell stands: the cells and
+    range nodes in it are the cell's precedents, and one loop over a value
+    stack runs it.  A range node reads the range it extends and its other
+    cells.  Cells run in natural order, and only a forward read starts a
+    Tarjan walk; a program is dropped once its cell has run."""
 
     def __init__(self, s: EquationSet):
         self.formulas = {}
@@ -215,81 +212,109 @@ class _Graph:
         return prog
 
     def evaluate(self, roots) -> dict:
-        """Values of the defined cells reachable from roots, by cell, in one
-        iterative Tarjan walk of the cells and range nodes (Tarjan, SIAM J.
-        Comput. 1972).  A component is complete when it pops, after every
-        component it reads: a one-cell component that does not read itself
-        runs its program on a value stack there and then, and the cells of
-        any other are #CYCLE!.  A program lives only in its frame of the
-        walk.  A range node is folded when a cell first reads it, so one on
-        a cycle still folds its cells' values."""
-        formulas, grid = self.formulas, {}
-        index, low, stack, on_stack, loops = {}, {}, [], set(), set()
+        """Values of the defined cells reachable from roots, by cell, in
+        natural order: a root whose program reads only finished nodes (cells
+        in grid or undefined, range nodes in done) runs at once, and any
+        other starts a Tarjan walk.  Programs are made, and a formula fault
+        raises, in the order of one Tarjan walk from the same roots."""
+        formulas, grid, done = self.formulas, {}, set()
         for root in roots:
-            if root in index or root not in formulas:
+            if root in grid or root not in formulas:
                 continue
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
             prog = self.precedents(root)
-            work = [(root, prog, iter(prog))]
-            while work:
-                node, prog, it = work[-1]
-                for child in it:
-                    t = type(child)
-                    if not (t is tuple or t is CellAddr and child in formulas):
-                        continue  # a value, an operator or an undefined cell
-                    if child not in index:
-                        index[child] = low[child] = len(index)
-                        stack.append(child)
-                        on_stack.add(child)
-                        if t is tuple:  # a range node reads the range it extends and its cells
-                            pred, cells = self.spans[child]
-                            prog = [pred] + cells
-                        else:
-                            prog = self.precedents(child)
-                        work.append((child, prog, iter(prog)))
-                        break
-                    if child in on_stack:  # only on a cycle or a self-read
-                        low[node] = min(low[node], index[child])
-                        if child == node:
-                            loops.add(node)
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
-                    if low[node] != index[node]:
-                        continue
-                    comp = [stack.pop()]
-                    while comp[-1] is not node:
-                        comp.append(stack.pop())
-                    on_stack.difference_update(comp)
-                    if len(comp) > 1 or node in loops:
-                        for b in comp:
-                            if type(b) is CellAddr:
-                                grid[b] = CellError(CYCLE)
-                    elif type(node) is CellAddr:
-                        values = []
-                        for x in prog:
-                            t = type(x)
-                            if t is CellAddr:
-                                v = grid.get(x)
-                                # a reference to an empty cell reads as 0, as in a spreadsheet
-                                values.append(0.0 if v is None else v)
-                            elif t is Binary:
-                                v = values.pop()
-                                values[-1] = binary(x.op, values[-1], v)
-                            elif t is Neg:
-                                v = _to_number(values[-1])
-                                values[-1] = v if type(v) is CellError else -v
-                            elif t is Call:
-                                i = len(values) - len(x.args)
-                                values[i:] = [self.call(x.func, values[i:], grid)]
-                            else:  # a value, or a range node as a call's argument
-                                values.append(x)
-                        grid[node] = values[0]
+            for x in prog:
+                t = type(x)
+                if (t is CellAddr and x not in grid and x in formulas
+                        or t is tuple and x not in done and not self.finished(x, grid, done)):
+                    self.walk(root, prog, grid, done)
+                    break
+            else:
+                grid[root] = self.run(prog, grid)
         return grid
+
+    def finished(self, node, grid, done) -> bool:
+        """Whether all cells of the range node, and of the nodes it extends,
+        are in grid; each node found so joins done."""
+        chain = []
+        while node is not None and node not in done:
+            chain.append(node)
+            node = self.spans[node][0]
+        for node in reversed(chain):
+            if not all(a in grid for a in self.spans[node][1]):
+                return False
+            done.add(node)
+        return True
+
+    def walk(self, root, prog, grid, done):
+        """Evaluate root, of program prog, and the unfinished nodes it reaches
+        in one iterative Tarjan walk (SIAM J. Comput. 1972).  A finished node
+        reaches no other, so it is on no cycle and is skipped, and a node met
+        again unfinished is on the stack.  A component pops after all it reads: a cell
+        that does not read itself runs, the cells of any other are #CYCLE!,
+        and its range nodes join done, so one on a cycle still folds."""
+        formulas = self.formulas
+        index, low, stack = {root: 0}, {root: 0}, [root]
+        work = [(root, prog, iter(prog))]
+        while work:
+            node, prog, it = work[-1]
+            for child in it:
+                t = type(child)
+                if t is CellAddr:
+                    if child in grid or child not in formulas:
+                        continue
+                elif t is not tuple or child in done:
+                    continue  # a value, an operator or a finished range node
+                if child in index:  # on a cycle or a self-read
+                    low[node] = min(low[node], index[child])
+                    continue
+                index[child] = low[child] = len(index)
+                stack.append(child)
+                if t is tuple:  # a range node reads the range it extends and its cells
+                    pred, cells = self.spans[child]
+                    prog = [pred] + cells
+                else:
+                    prog = self.precedents(child)
+                work.append((child, prog, iter(prog)))
+                break
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != index[node]:
+                    continue
+                comp = [stack.pop()]
+                while comp[-1] is not node:
+                    comp.append(stack.pop())
+                cycle = len(comp) > 1 or node in prog  # or a cell that reads itself
+                for b in comp:
+                    if type(b) is not CellAddr:
+                        done.add(b)
+                    else:
+                        grid[b] = CellError(CYCLE) if cycle else self.run(prog, grid)
+
+    def run(self, prog, grid):
+        """The value of a program that reads only finished nodes, by one loop
+        over a value stack."""
+        values = []
+        for x in prog:
+            t = type(x)
+            if t is CellAddr:
+                v = grid.get(x)
+                # a reference to an empty cell reads as 0, as in a spreadsheet
+                values.append(0.0 if v is None else v)
+            elif t is Binary:
+                v = values.pop()
+                values[-1] = binary(x.op, values[-1], v)
+            elif t is Neg:
+                v = _to_number(values[-1])
+                values[-1] = v if type(v) is CellError else -v
+            elif t is Call:
+                i = len(values) - len(x.args)
+                values[i:] = [self.call(x.func, values[i:], grid)]
+            else:  # a value, or a range node as a call's argument
+                values.append(x)
+        return values[0]
 
     def call(self, func, args, grid):
         """The value of function func of args, each a value or a range
@@ -466,8 +491,9 @@ def binary(op: str, lv, rv):
 
 
 def evaluate(s: EquationSet) -> dict:
-    """Evaluate every cell in dependency order.  Returns a grid mapping each
-    defined cell to its value."""
+    """Evaluate every cell in natural order, walking the cells a forward
+    read reaches in dependency order.  Returns a grid mapping each defined
+    cell to its value."""
     g = _Graph(s)
     return g.evaluate(g.formulas)
 

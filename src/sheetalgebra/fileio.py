@@ -38,8 +38,8 @@ def opened(path: str, mode: str = "r", newline=None):
         raise LoadError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def load(path: str) -> EquationSet:
-    """Read a `.exc` document.  Binary spreadsheet formats are rejected."""
+def _exc_path(path: str) -> str:
+    """path if it names a `.exc` file, else LoadError before any file opens."""
     lower = path.lower()
     if lower.endswith((".xls", ".xlsx")):
         raise LoadError(
@@ -47,7 +47,12 @@ def load(path: str) -> EquationSet:
             "export the sheet to the .exc text format instead")
     if not lower.endswith(".exc"):
         raise LoadError(f"{path}: expected a .exc file")
-    with opened(path) as fh:
+    return path
+
+
+def load(path: str) -> EquationSet:
+    """Read a `.exc` document."""
+    with opened(_exc_path(path)) as fh:
         text = fh.read()
     try:
         return parse_document(text)
@@ -56,12 +61,12 @@ def load(path: str) -> EquationSet:
 
 
 def save(s: EquationSet, path: str) -> None:
-    """Write the canonical `.exc` form: equations in canonical order, one
-    per line, then layout and name statements."""
+    """Write the canonical `.exc` form to a `.exc` file: equations in
+    canonical order, one per line, then layout and name statements."""
     from .listing import show
 
     body = show(s)
-    with opened(path, "w") as fh:
+    with opened(_exc_path(path), "w") as fh:
         fh.write("# equation-set document\n")
         if body:
             fh.write(body + "\n")

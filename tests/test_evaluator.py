@@ -453,3 +453,42 @@ class TestOrderIndependence:
         grid = evaluate(s)
         for a in ("A1", "B1", "C1", "D1"):
             assert evaluate_cell(s, addr(a)) == grid[addr(a)]
+
+
+class TestNaturalOrder:
+    """A cell that reads only finished cells runs at once; a Tarjan walk
+    starts only from a cell that reads forward."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The root of each Tarjan walk, in the order the walks start."""
+        roots, walk = [], _Graph.walk
+
+        def counted(self, root, *rest):
+            roots.append(root)
+            return walk(self, root, *rest)
+
+        monkeypatch.setattr(_Graph, "walk", counted)
+        return roots
+
+    def test_an_all_backward_block_is_never_walked(self, walks):
+        # 500 rows of a step and a running total over a range that grows
+        s = parse_document("A1 = 1\nB1 = SUM(A1:A1)\n" + "\n".join(
+            f"A{r} = A{r - 1}+1\nB{r} = SUM(A1:A{r})+B{r - 1}" for r in range(2, 501)))
+        assert len(s) == 1000
+        grid = evaluate(s)
+        assert walks == []
+        total = 0.0
+        for r in range(1, 501):
+            total += r * (r + 1) / 2
+            assert grid[addr(f"A{r}")] == r
+            assert grid[addr(f"B{r}")] == total
+
+    def test_a_forward_chain_is_one_walk(self, walks):
+        n = 5000
+        s = parse_document("\n".join(f"A{r} = A{r + 1}+1" for r in range(1, n + 1)))
+        grid = evaluate(s)
+        assert walks == [addr("A1")]
+        assert all(grid[addr(f"A{r}")] == n + 1 - r for r in range(1, n + 1))
+        assert evaluate_cell(s, addr("A1")) == n
+        assert evaluate_cell(s, addr(f"A{n - 1}")) == 2

@@ -94,6 +94,20 @@ class TestLoadSave:
         with pytest.raises(LoadError):
             load(str(tmp_path / "book.txt"))
 
+    def test_save_refuses_what_load_refuses_and_writes_nothing(self, tmp_path):
+        s = make_set(("A1", "1"))
+        for name, message in (("x.txt", "expected a .exc file"),
+                              ("y.xlsx", "binary spreadsheet formats are unsupported"),
+                              ("z.XLS", "binary spreadsheet formats are unsupported")):
+            path = str(tmp_path / name)
+            with pytest.raises(LoadError) as saved:
+                save(s, path)
+            with pytest.raises(LoadError) as loaded:
+                load(path)
+            assert message in str(saved.value)
+            assert str(saved.value) == str(loaded.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             load(str(tmp_path / "absent.exc"))

@@ -1400,9 +1400,10 @@ def walk_documents(draw):
 
 
 class TestOneWalk:
-    """evaluate's one walk, which runs each cell as its component pops and
-    keeps no program, agrees with finding every component first and then
-    running each kept program: for the whole sheet and from each cell."""
+    """evaluate, which runs a cell at once when it reads only finished cells
+    and starts a Tarjan walk from a cell that reads forward, agrees with
+    finding every component first and then running each kept program: for
+    the whole sheet and from each cell."""
 
     @given(walk_documents())
     # a cycle through a range node, a self-read, and cells off the cycle
@@ -1412,6 +1413,20 @@ class TestOneWalk:
     @example(parse_document("A1 = 1\nA2 = SUM(A1:A3)\nA3 = A2\nB1 = MAX(A1:A1)\nB2 = MAX(A1:A2)\n"
                             "B3 = MAX(A1:A3)\nSheet2!A1 = Sheet1!B3*2"))
     @example(parse_document("A1 = B1\nB1 = C1\nC1 = A1\nA2 = R[-1]C[-1]\nB2 = A1"))
+    # the first cell reads forward
+    @example(parse_document("A1 = B2+1\nA2 = A1*2\nB2 = 3\nC2 = A2+B2"))
+    # a forward read in the middle of a backward block, then in its last cell
+    @example(parse_document("A1 = 1\nA2 = A1+1\nA3 = A2+B5\nA4 = A3+1\nA5 = A4+1\nB5 = A2*3"))
+    @example(parse_document("A1 = 1\nA2 = A1+1\nA3 = A2+1\nA4 = A3+C9\nC9 = A1-7"))
+    # ranges read before their last cell is defined, one extending another
+    @example(parse_document("A1 = 1\nB1 = SUM(A1:A3)\nA2 = B1\nB2 = SUM(A1:A2)\n"
+                            "A3 = 4\nB3 = MAX(A1:A4)+B2\nA4 = B2"))
+    # a cross-sheet forward read
+    @example(parse_document("Sheet1!A1 = Sheet2!A1+1\nSheet1!A2 = Sheet1!A1*2\n"
+                            "Sheet2!A1 = Sheet1!B1\nSheet1!B1 = 5"))
+    # a backward block that reads a cycle found earlier
+    @example(parse_document("A1 = B1\nB1 = A1\nA2 = A1+1\nA3 = A2+B1\nA4 = SUM(A1:A3)\n"
+                            "B4 = AND(A2:A4)"))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_components_then_programs(self, s):
         assert _typed_outcome(_one_walk, s) == _typed_outcome(_reference_evaluate, s)

@@ -268,6 +268,15 @@ class TestRepl:
         assert "d.exc" in out[0]
         assert out[1:] == ["> 4", "> 4", "> "]
 
+    def test_saving_under_a_name_load_refuses_does_not_end_the_session(self, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = self.run_repl('save({ A1 = 1 }, "x.txt").\nlet x = 4.\nx.\n').splitlines()
+        assert out[0].startswith("> error: statement 1: ")
+        assert out[0].endswith("x.txt: expected a .exc file")
+        assert out[1:] == ["> 4", "> 4", "> "]
+        assert list(tmp_path.iterdir()) == []
+
     def test_bindings_persist(self):
         out = self.run_repl("let x = 5.\nx.\n")
         assert "5" in out
