@@ -43,12 +43,10 @@ from .formula import (
     print_formula,
     substitute_names,
     to_absolute,
-    to_relative,
 )
 from .layout import (
     LayoutDirective,
     LayoutSet,
-    cell_to_elem,
     compile_set,
     decompile_set,
     elem_to_cell,

@@ -30,10 +30,6 @@ class OutOfGridError(SheetError):
     column XFD or row 1,048,576."""
 
 
-class CrossSheetError(SheetError):
-    """Relative offsets only make sense within one sheet."""
-
-
 class SubstitutionError(SheetError):
     """Multi-cell name substituted outside a function-argument position."""
 

@@ -111,24 +111,28 @@ class _Graph:
             self.spans[node] = pred, cells
         return node
 
+    def chain(self, node, known) -> list:
+        """Range node and the nodes it extends, back to but not including
+        the first in known (all of them when none is), oldest first."""
+        nodes = []
+        while node is not None and node not in known:
+            nodes.append(node)
+            node = self.spans[node][0]
+        nodes.reverse()
+        return nodes
+
     def cells(self, node) -> list:
         """The defined cells of a range node, in its order."""
-        parts = []
-        while node is not None:
-            node, cells = self.spans[node]
-            parts.append(cells)
-        return [a for cells in reversed(parts) for a in cells]
+        return [a for n in self.chain(node, ()) for a in self.spans[n][1]]
 
     def state(self, node, grid, fold):
         """The state of a range node's values under fold, folded once, on
         first use, onto the state of the range it extends."""
-        states, chain = self.states[fold], []
-        while node not in states:
-            chain.append(node)
-            node = self.spans[node][0]
-        state = states[node]
-        for node in reversed(chain):
-            state = states[node] = fold(state, [grid[a] for a in self.spans[node][1]])
+        states = self.states[fold]
+        chain = self.chain(node, states)
+        state = states[self.spans[chain[0]][0] if chain else node]
+        for n in chain:
+            state = states[n] = fold(state, [grid[a] for a in self.spans[n][1]])
         return state
 
     def precedents(self, k) -> list:
@@ -235,14 +239,10 @@ class _Graph:
     def finished(self, node, grid, done) -> bool:
         """Whether all cells of the range node, and of the nodes it extends,
         are in grid; each node found so joins done."""
-        chain = []
-        while node is not None and node not in done:
-            chain.append(node)
-            node = self.spans[node][0]
-        for node in reversed(chain):
-            if not all(a in grid for a in self.spans[node][1]):
+        for n in self.chain(node, done):
+            if not all(a in grid for a in self.spans[n][1]):
                 return False
-            done.add(node)
+            done.add(n)
         return True
 
     def walk(self, root, prog, grid, done):

@@ -16,7 +16,6 @@ from types import MappingProxyType
 
 from .errors import (
     AnchorError,
-    CrossSheetError,
     DomainError,
     FormulaSyntaxError,
     OutOfGridError,
@@ -63,7 +62,6 @@ from .model import (
     fold,
     has_here,
     map_leaves,
-    map_refs,
     move_node,
     on_grid,
     rebuild,
@@ -372,7 +370,7 @@ def canonical_text(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Representation conversions; relative <-> absolute ones run on map_refs
+# Representation conversions
 
 
 def at_offset(a: CellAddr, d_col: int, d_row: int) -> CellAddr:
@@ -400,19 +398,14 @@ def _resolver(anchor: CellAddr | None):
     return lambda lo, hi: (fix(lo), fix(hi))
 
 
-def relativizer(anchor: CellAddr, strict: bool):
+def relativizer(anchor: CellAddr):
     """The mover that makes bounded references on the anchor's sheet offsets
     from the anchor.  Whole columns and rows stay absolute; so do references
-    on other sheets, which strict refuses."""
+    on other sheets."""
 
     def fix(p):
         sheet, col, row = p
-        if sheet is None or col is None or row is None:
-            return p
-        if sheet != anchor.sheet:
-            if strict:
-                raise CrossSheetError(
-                    f"cannot make a reference on {sheet} relative to {anchor} on another sheet")
+        if sheet != anchor.sheet or col is None or row is None:
             return p
         return None, col - anchor.col, row - anchor.row
 
@@ -440,13 +433,6 @@ def to_absolute(f: Formula, anchor: CellAddr) -> Formula:
     return out
 
 
-def to_relative(f: Formula, anchor: CellAddr) -> Formula:
-    """Turn every absolute reference and bounded range into offsets from the
-    anchor.  Cross-sheet references cannot be made relative; whole columns
-    and rows stay absolute."""
-    return map_refs(f, relativizer(anchor, strict=True))
-
-
 def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
     """Lenient relative view used as a comparison/grouping key: same-sheet
     absolute references and bounded ranges become offsets, cross-sheet ones
@@ -462,7 +448,7 @@ def relative_form(f: Formula, anchor: CellAddr | None) -> Formula:
             if at[0] == sheet:
                 return RelRef._make((at[1] - col, at[2] - row))
         elif t is RangeArg:
-            return move_node(relativizer(anchor, strict=False), node)
+            return move_node(relativizer(anchor), node)
         return node
 
     return map_leaves(f, leaf)

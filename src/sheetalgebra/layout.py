@@ -146,11 +146,6 @@ def elem_to_cell(d: LayoutDirective, subs: tuple) -> CellAddr:
     return CellAddr(*cell)
 
 
-def cell_to_elem(d: LayoutDirective, a: CellAddr) -> ArrayElem | None:
-    """Inverse of elem_to_cell; None when the cell is outside the footprint."""
-    return d._elem_at(a) if d.footprint().contains(a) else None
-
-
 def resolve_here(subs: tuple, at: tuple) -> tuple:
     """Resolve HERE markers in one subscript list against the subscripts of
     the containing element."""

@@ -98,10 +98,9 @@ def label_coords(col: str, row: str) -> tuple[int, int]:
     return n, row
 
 
-def addr(text: str, sheet: str = DEFAULT_SHEET) -> CellAddr:
+def addr(text: str) -> CellAddr:
     """Convenience constructor: addr("D2") or addr("Sheet2!D2")."""
-    if "!" in text:
-        sheet, text = text.split("!", 1)
+    sheet, text = text.split("!", 1) if "!" in text else (DEFAULT_SHEET, text)
     m = A1_LABEL.match(text)
     if m is None:
         raise DomainError(f"not a cell address: {text!r}")
@@ -585,9 +584,6 @@ class EquationSet:
 
     def __repr__(self):
         return f"EquationSet({len(self._eqs)} equations)"
-
-    def with_names(self, names: dict) -> "EquationSet":
-        return EquationSet(self._eqs.values(), names, self._layouts)
 
     def all_array_lhs(self) -> bool:
         return all(isinstance(lhs, ArrayElem) for lhs in self._eqs)

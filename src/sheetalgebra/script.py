@@ -228,12 +228,10 @@ def format_script_value(v) -> str:
     if isinstance(v, dict):  # an evaluated grid
         return "\n".join(f"{a} = {format_value(v[a])}"
                          for a in sorted(v, key=lambda a: (a.sheet, a.row, a.col)))
-    if isinstance(v, list):
-        if all(isinstance(item, algebra.StyleViolation) for item in v):
-            return "\n".join(f"{x.sheet}: {x.canonical_formula} at "
-                             + ", ".join(str(c) for c in x.cells)
-                             for x in v) or "no violations"
-        return "\n".join(format_script_value(item) for item in v)
+    if isinstance(v, list):  # stylecheck's violations
+        return "\n".join(f"{x.sheet}: {x.canonical_formula} at "
+                         + ", ".join(str(c) for c in x.cells)
+                         for x in v) or "no violations"
     return format_value(v)
 
 
@@ -338,19 +336,18 @@ class Interpreter:
         return value
 
 
-def eval_script(statements, env=None, base_dir=".", out=None):
-    interp = Interpreter(base_dir, out)
-    interp.env.update(env or {})
+def eval_script(statements, out=None):
+    interp = Interpreter(out=out)
     value = None
     for st in statements:
         value = interp.exec_statement(st)
     return value, interp.env
 
 
-def run_script_file(path: str, out=None):
+def run_script_file(path: str):
     with opened(path) as fh:
         src = fh.read()
-    interp = Interpreter(os.path.dirname(os.path.abspath(path)), out)
+    interp = Interpreter(os.path.dirname(os.path.abspath(path)))
     return interp.run(src)
 
 

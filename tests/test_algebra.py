@@ -655,8 +655,8 @@ class TestLookup:
         assert lookup(s, addr("A37"), ABSOLUTE) == parse_formula("A4+1")
 
     def test_substituted_expands_names(self):
-        s = make_set(("A1", "rate*2")).with_names(
-            {"rate": CellRange.cell(addr("B9"))})
+        s = make_set(("A1", "rate*2"))
+        s = EquationSet(s, {"rate": CellRange.cell(addr("B9"))}, s.layouts)
         assert lookup(s, addr("A1"), SUBSTITUTED) == parse_formula("B9*2")
 
     def test_not_found(self, accounts):
@@ -944,7 +944,7 @@ class TestGroupOnce:
         assert stylecheck_unique(grown)[0].cells == (addr("D2"), addr("D3"), addr("D4"))
         moved = shift(accounts, 1, 2)
         assert stylecheck_unique(moved)[0].cells == (addr("E4"), addr("E5"))
-        named = accounts.with_names({"Profit": CellRange.columns(4, 4)})
+        named = EquationSet(accounts, {"Profit": CellRange.columns(4, 4)}, accounts.layouts)
         assert formula_groups(named) == formula_groups(accounts)
         assert show(named, grouped=True) == show(parse_document(show(named)), grouped=True)
 

@@ -22,16 +22,15 @@ from sheetalgebra import (
     print_formula,
     substitute_names,
     to_absolute,
-    to_relative,
 )
 from sheetalgebra.errors import (
     AnchorError,
-    CrossSheetError,
     DomainError,
     FormulaSyntaxError,
     OutOfGridError,
     SubstitutionError,
 )
+from sheetalgebra.formula import relative_form
 
 from conftest import rand_formula
 
@@ -183,26 +182,26 @@ class TestToAbsolute:
 class TestToRelative:
     def test_offsets_from_anchor(self):
         f = parse_formula("C2-B2")
-        assert to_relative(f, addr("D2")) == Binary("-", RelRef(-1, 0), RelRef(-2, 0))
+        assert relative_form(f, addr("D2")) == Binary("-", RelRef(-1, 0), RelRef(-2, 0))
 
     def test_constants_unchanged(self):
-        assert to_relative(Number(7.0), addr("Q5")) == Number(7.0)
+        assert relative_form(Number(7.0), addr("Q5")) == Number(7.0)
 
     def test_shift_invariance(self):
-        a = to_relative(parse_formula("D13-C13"), addr("F13"))
-        b = to_relative(parse_formula("D3-C3"), addr("F3"))
+        a = relative_form(parse_formula("D13-C13"), addr("F13"))
+        b = relative_form(parse_formula("D3-C3"), addr("F3"))
         assert a == b
 
-    def test_cross_sheet_rejected(self):
-        with pytest.raises(CrossSheetError):
-            to_relative(parse_formula("Other!A1"), addr("B2"))
+    def test_cross_sheet_stays_absolute(self):
+        f = parse_formula("Other!A1+SUM(Other!A1:A2)")
+        assert relative_form(f, addr("B2")) == f
 
     def test_round_trip_random(self):
         rng = random.Random(15)
         for _ in range(500):
             f = rand_formula(rng, allow_rel=False)
             anchor = addr(f"G{rng.randint(20, 40)}")
-            assert to_absolute(to_relative(f, anchor), anchor) == f
+            assert to_absolute(relative_form(f, anchor), anchor) == f
 
 
 class TestSubstituteNames:
@@ -273,11 +272,9 @@ class TestRelativeRange:
 
     def test_relative_form_of_a_bounded_range(self):
         f = parse_formula("SUM(C1:C6)+SUM(C:C)+SUM(Sheet2!C1:C6)")
-        rel = to_relative(parse_formula("SUM(C1:C6)+SUM(C:C)"), addr("D6"))
-        assert canonical_text(rel) == "SUM(R[-5]C[-1]:RC[-1])+SUM(C:C)"
-        assert to_absolute(rel, addr("D6")) == parse_formula("SUM(C1:C6)+SUM(C:C)")
-        with pytest.raises(CrossSheetError):
-            to_relative(f, addr("D6"))
+        rel = relative_form(f, addr("D6"))
+        assert canonical_text(rel) == "SUM(R[-5]C[-1]:RC[-1])+SUM(C:C)+SUM(Sheet2!C1:C6)"
+        assert to_absolute(rel, addr("D6")) == f
 
     def test_column_rc_is_not_read_as_relative(self):
         f = parse_formula("SUM(RC:RD)+SUM(RC:RC)")

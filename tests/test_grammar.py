@@ -5,6 +5,7 @@ into another module's private names."""
 import ast
 import io
 import os
+import re
 import sys
 import tempfile
 from functools import partial
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sheetalgebra
 from sheetalgebra import (
     A1,
     CANONICAL,
@@ -24,6 +26,8 @@ from sheetalgebra import (
     CellRange,
     Equation,
     EquationSet,
+    Interpreter,
+    LayoutDirective,
     RangeArg,
     Rect,
     addr,
@@ -202,6 +206,37 @@ def test_every_reader_gives_an_error_or_a_value_that_prints(text):
 ], ids=["addr-col", "addr-row", "CellAddr", "Rect-col", "Rect-row", "ArrayElem"])
 def test_the_model_refuses_what_the_reader_refuses(build):
     with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: addr("1A"), DomainError, "not a cell address: '1A'"),
+    (lambda: CellAddr("", 1, 1), DomainError, "sheet name must be nonempty"),
+    (lambda: CellRange.box(addr("A1"), addr("Sheet2!B2")), DomainError,
+     "range corners must share a sheet"),
+    (lambda: LayoutDirective("x", ((1, 2),) * 3, addr("A1")), DomainError,
+     "index box must have one or two dimensions"),
+    (lambda: LayoutDirective("x", ((1, 2),), addr("A1"), "up"), DomainError,
+     "1-D layout needs a down/right orientation"),
+    (lambda: parse_document("layout x[1:2] as y[1]"), FormulaSyntaxError,
+     "layout anchor must be a cell"),
+    (lambda: parse_document("name A1:A2 as 7"), FormulaSyntaxError,
+     "expected identifier, found '7'"),
+    (lambda: parse_script("{A1=1} mapping A1:A1 into B1:B1."), FormulaSyntaxError,
+     "expected 'to', found 'into'"),
+    (lambda: parse_formula("SUM(R[-1]C:B2)", CANONICAL), FormulaSyntaxError,
+     "expected a relative reference after ':', found 'B2'"),
+    (lambda: parse_formula("SUM(A:1)"), FormulaSyntaxError,
+     "expected a column after ':', found '1'"),
+    (lambda: parse_document("Sheet2!7 = 1"), FormulaSyntaxError,
+     "expected cell after sheet prefix"),
+    (lambda: parse_formula("SUM(1:1048577)"), FormulaSyntaxError,
+     "row 1048577 lies outside rows 1..1048576"),
+    (lambda: Interpreter().call("lookup", [parse_document("A1 = 1"), "A1 B2"]),
+     FormulaSyntaxError, "trailing input in reference 'A1 B2'"),
+])
+def test_each_refusal_names_its_fault(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
         build()
 
 
@@ -398,6 +433,25 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_the_public_names_are_these():
+    assert sorted(sheetalgebra.__all__) == [
+        "A1", "ABSOLUTE", "AbsRef", "ArrayElem", "Binary", "Bool", "CANONICAL", "Call",
+        "CellAddr", "CellError", "CellRange", "DiffReport", "ElemRef", "Empty", "Equation",
+        "EquationSet", "Formula", "FormulaGroup", "Here", "Interpreter", "LayoutDirective",
+        "LayoutProposal", "LayoutSet", "NameRef", "Neg", "Number", "R1C1", "RAW",
+        "RELATIVE", "RangeArg", "Rect", "RelRef", "SUBSTITUTED", "SheetError",
+        "StyleViolation", "Text", "addr", "algebra", "build_deps", "canonical_text",
+        "col_to_letters", "compile_set", "decompile_set", "diff", "discover",
+        "discover_blocks", "discover_groups", "elem_to_cell", "errors", "eval_script",
+        "evaluate", "evaluate_cell", "evaluator", "export_csv", "extract", "fileio",
+        "formula", "infer_labels", "infer_subscripts", "layout", "letters_to_col",
+        "listing", "load", "lookup", "map_range", "model", "parse_document",
+        "parse_formula", "parse_listing", "parse_script", "print_formula",
+        "propose_layout", "quotient", "repl", "replace", "replicate", "save", "script",
+        "shift", "show", "simplify", "simplify_formula", "stylecheck_unique",
+        "substitute_names", "to_absolute", "union"]
 
 
 def test_the_library_imports_only_the_standard_library():

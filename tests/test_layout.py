@@ -11,7 +11,6 @@ from sheetalgebra import (
     LayoutSet,
     Number,
     addr,
-    cell_to_elem,
     compile_set,
     decompile_set,
     elem_to_cell,
@@ -65,10 +64,10 @@ class TestElemToCell:
                                          rng.randint(1, 9)),
                                 rng.choice(["down", "right"]))
             k = rng.randint(lo, hi)
-            assert cell_to_elem(d, elem_to_cell(d, (k,))) == ArrayElem("x", (k,))
+            assert LayoutSet([d]).elem_at(elem_to_cell(d, (k,))) == ArrayElem("x", (k,))
 
     def test_cell_outside_footprint(self):
-        assert cell_to_elem(down("Year", 2000, 2001, "A2"), addr("B2")) is None
+        assert LayoutSet([down("Year", 2000, 2001, "A2")]).elem_at(addr("B2")) is None
 
 
 class TestLayoutSet:

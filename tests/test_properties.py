@@ -38,7 +38,6 @@ from sheetalgebra import (
     RelRef,
     Text,
     canonical_text,
-    cell_to_elem,
     col_to_letters,
     compile_set,
     decompile_set,
@@ -61,13 +60,11 @@ from sheetalgebra import (
     simplify_formula,
     substitute_names,
     to_absolute,
-    to_relative,
     union,
 )
 from sheetalgebra.evaluator import _Graph, _to_number, binary
 from sheetalgebra.errors import (
     CollisionError,
-    CrossSheetError,
     DomainError,
     FormulaSyntaxError,
     LayoutError,
@@ -141,7 +138,7 @@ class TestRoundTrips:
            st.integers(min_value=51, max_value=99))
     def test_relative_absolute_inverse(self, f, col, row):
         anchor = CellAddr("Sheet1", col, row)
-        assert to_absolute(to_relative(f, anchor), anchor) == f
+        assert to_absolute(relative_form(f, anchor), anchor) == f
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_column_labels(self, n):
@@ -380,7 +377,8 @@ def multi_mappings(draw):
     else:
         src = draw(st.lists(boxes("Sheet1"), min_size=2, max_size=3))
     name = draw(st.one_of(boxes("Sheet1", "Sheet2"), st.sampled_from(src)))
-    s = draw(range_sets()).with_names({"costs": CellRange((name,))})
+    s = draw(range_sets())
+    s = EquationSet(s, {"costs": CellRange((name,))}, s.layouts)
     dst = []
     for k, (_, c0, c1, r0, r1) in enumerate(src):
         width, height = c1 - c0 + 1, r1 - r0 + 1
@@ -455,12 +453,7 @@ class TestRangeLaws:
     @settings(max_examples=50)
     def test_relative_absolute_inverse(self, s):
         for eq in s:
-            try:
-                rel = to_relative(eq.rhs, eq.lhs)
-            except CrossSheetError:
-                assert any(r.sheet != eq.lhs.sheet for r in eq.rhs.args[0].range.rects)
-                continue
-            assert to_absolute(rel, eq.lhs) == eq.rhs
+            assert to_absolute(relative_form(eq.rhs, eq.lhs), eq.lhs) == eq.rhs
 
     @given(range_sets())
     @settings(max_examples=50)
@@ -504,7 +497,7 @@ def diff_pairs():
             elif k == "absolute":
                 g = to_absolute(f, lhs)
             elif k == "relative":
-                g = to_relative(to_absolute(f, lhs), lhs)
+                g = relative_form(to_absolute(f, lhs), lhs)
             elif k == "changed":
                 g = other
             if k != "only_b":
@@ -816,7 +809,7 @@ def _replace_each(s, pattern, replacement):
         anchor = eq.lhs if isinstance(eq.lhs, CellAddr) else None
         key = relative_form(pattern, anchor)
         swap = (replacement, relative_form(replacement, anchor))
-        relativize = None if anchor is None else relativizer(anchor, strict=False)
+        relativize = None if anchor is None else relativizer(anchor)
 
         def leaf(node):
             rel = node if relativize is None else move_node(relativize, node)
@@ -1022,7 +1015,7 @@ class TestLayoutIndex:
             held = [ref[a] for ref in cells if a in ref]
             assert layouts.elem_at(a) == (held[0] if held else None)
             for d, ref in zip(ds, cells):
-                assert cell_to_elem(d, a) == ref.get(a)
+                assert LayoutSet([d]).elem_at(a) == ref.get(a)
 
     @given(two_dim_specs())
     @settings(max_examples=100)

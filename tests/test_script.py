@@ -277,6 +277,11 @@ class TestRepl:
         assert out[1:] == ["> 4", "> 4", "> "]
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_unknown_character_completes_the_statement(self):
+        out = self.run_repl("1 + `\n2.\n").splitlines()
+        assert out[0].startswith("> error: unknown token")
+        assert out[1:] == ["> 2", "> "]
+
     def test_bindings_persist(self):
         out = self.run_repl("let x = 5.\nx.\n")
         assert "5" in out
